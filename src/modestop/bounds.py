@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .numerics import (
     Interval,
     FULL_INTERVAL,
@@ -44,6 +46,8 @@ __all__ = [
     "engine_interval",
     "pair_beats_half",
     "one_vs_rest_separated",
+    "ppr_separation_log_density",
+    "ppr_separation_log_density_array",
 ]
 
 ENGINE_KINDS = ("ppr", "lucb", "kl-lucb", "kl-sn", "a1")
@@ -278,12 +282,40 @@ def one_vs_rest_separated(engine: BoundEngine, s_lead: int, s_trail: int, t: int
         x = min(max(x, 1e-15), 1.0 - 1e-15)
         return t * kl_bernoulli(p_lead, x) >= beta
     if kind == "ppr":
-        lg = LOG_GAMMA
-        log_norm_lead = lg(t + 2) - lg(s_lead + 1) - lg(t - s_lead + 1)
-        log_norm_trail = lg(t + 2) - lg(s_trail + 1) - lg(t - s_trail + 1)
-        # crossing of the two Beta posterior log densities
-        x = _logistic((log_norm_trail - log_norm_lead) / (s_lead - s_trail))
-        x = min(max(x, 1e-300), 1.0 - 1e-16)
-        log_density = log_norm_lead + s_lead * math.log(x) + (t - s_lead) * math.log1p(-x)
-        return log_density <= math.log(alpha)
+        return ppr_separation_log_density(s_lead, s_trail, t) <= math.log(alpha)
     raise ValueError(f"unknown bound engine {kind!r}")
+
+
+def ppr_separation_log_density(s_lead: int, s_trail: int, t: int) -> float:
+    """The ppr engine's one-vs-rest statistic for s_lead > s_trail, t >= 1:
+    the leader's Beta posterior log density at the crossing of the two
+    posterior log densities. The intervals are disjoint iff it is at most
+    ln alpha."""
+    lg = LOG_GAMMA
+    log_norm_lead = lg(t + 2) - lg(s_lead + 1) - lg(t - s_lead + 1)
+    log_norm_trail = lg(t + 2) - lg(s_trail + 1) - lg(t - s_trail + 1)
+    x = _logistic((log_norm_trail - log_norm_lead) / (s_lead - s_trail))
+    x = min(max(x, 1e-300), 1.0 - 1e-16)
+    return log_norm_lead + s_lead * math.log(x) + (t - s_lead) * math.log1p(-x)
+
+
+def ppr_separation_log_density_array(
+    s_lead: np.ndarray, s_trail: np.ndarray, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``ppr_separation_log_density`` over int64 arrays, with a slack.
+
+    The table terms are bit-identical to the scalar ones, but numpy's exp,
+    log and log1p may differ from ``math``'s in the last place, so each value
+    is only known to within its slack, 1e-7 (1 + |log_norm_lead|): the size of
+    the terms that cancel, times a margin far above their rounding. Rows with
+    s_lead <= s_trail carry meaningless values.
+    """
+    lg = LOG_GAMMA.as_array(int(t.max()) + 2)
+    log_norm_lead = lg[t + 2] - lg[s_lead + 1] - lg[t - s_lead + 1]
+    log_norm_trail = lg[t + 2] - lg[s_trail + 1] - lg[t - s_trail + 1]
+    z = (log_norm_trail - log_norm_lead) / np.maximum(s_lead - s_trail, 1)
+    e = np.exp(-np.abs(z))
+    x = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))  # _logistic, overflow-free
+    np.clip(x, 1e-300, 1.0 - 1e-16, out=x)
+    log_density = log_norm_lead + s_lead * np.log(x) + (t - s_lead) * np.log1p(-x)
+    return log_density, 1e-7 * (1.0 + np.abs(log_norm_lead))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,9 @@ class DiscreteInstance:
     def __post_init__(self) -> None:
         if len(self.probs) < 2:
             raise ValueError("an instance needs K >= 2 values")
+        for i, p in enumerate(self.probs):
+            if not math.isfinite(p):
+                raise ValueError(f"probability {i} is not a finite number: {p}")
         if any(p < 0.0 or p > 1.0 for p in self.probs):
             raise ValueError(f"probabilities must lie in [0, 1]: {self.probs}")
         total = sum(self.probs)
@@ -111,29 +115,39 @@ def sample(instance: DiscreteInstance, stream: SeededStream) -> int:
 
 
 class SamplePath:
-    """Lazily materialized i.i.d. sample path from one instance and stream.
+    """Lazily drawn i.i.d. sample path from one instance and stream.
 
-    Shared across stopping rules when per-run comparisons need the exact
-    same sample sequence.
+    Uniforms are drawn ``chunk`` at a time and their sample indices kept as
+    arrays of the smallest unsigned type that holds K - 1, which the chunked
+    stopping kernels read whole; the Python list that per-sample readers
+    index is built from them only on the first ``__getitem__``. Both
+    views read the same draws, so a path shared across stopping rules gives
+    every rule the same sample sequence, whichever rule reads first.
     """
 
-    __slots__ = ("_cum", "_stream", "_chunk", "_values")
+    __slots__ = ("_cum", "_stream", "_chunk", "_chunks", "_values")
 
     def __init__(self, instance: DiscreteInstance, stream: SeededStream, chunk: int = 1024) -> None:
         self._cum = instance.cumulative
         self._stream = stream
         self._chunk = chunk
+        self._chunks: list[np.ndarray] = []
         self._values: list[int] = []
+
+    def chunk(self, c: int) -> np.ndarray:
+        """Samples c*chunk .. (c+1)*chunk - 1 as an integer array."""
+        chunks = self._chunks
+        while c >= len(chunks):
+            us = self._stream.uniforms(self._chunk)
+            idx = np.searchsorted(self._cum, us, side="right")
+            chunks.append(idx.astype(np.min_scalar_type(len(self._cum) - 1)))
+        return chunks[c]
 
     def __getitem__(self, t: int) -> int:
         values = self._values
         while t >= len(values):
-            us = self._stream.uniforms(self._chunk)
-            values.extend(np.searchsorted(self._cum, us, side="right").tolist())
+            values.extend(self.chunk(len(values) // self._chunk).tolist())
         return values[t]
-
-    def materialized(self) -> int:
-        return len(self._values)
 
 
 def first_second_scan(counts) -> tuple[int, int]:

@@ -29,6 +29,7 @@ __all__ = [
     "log_beta_pdf",
     "beta_pdf",
     "log_beta_pdf_half",
+    "log_beta_pdf_half_array",
     "dirichlet_logpdf",
     "kl_bernoulli",
     "invert_kl_lower",
@@ -75,11 +76,16 @@ class LogGammaTable:
     The table grows lazily. Growth is serialized with a lock and the storage
     is append-only, so concurrent readers never observe a partially written
     entry (they may trigger a redundant ensure, which is harmless).
+
+    Scalar lookups read a Python list (faster per lookup than any array
+    type); vectorised callers read a float64 mirror of the same floats,
+    rebuilt only when a request outgrows it.
     """
 
     def __init__(self, capacity: int = 1024) -> None:
         # index 0 is a filler; entries 1 and 2 are exactly 0.0
         self._values: list[float] = [0.0, 0.0, 0.0]
+        self._mirror = np.zeros(0)
         self._lock = threading.Lock()
         self.ensure(capacity)
 
@@ -104,9 +110,22 @@ class LogGammaTable:
         return self._values[n]
 
     def as_array(self, n: int) -> np.ndarray:
-        """Read-only array view of ln Gamma(1..n) at indices 1..n."""
-        self.ensure(n)
-        return np.asarray(self._values[: n + 1])
+        """Read-only array view of ln Gamma(1..n) at indices 1..n.
+
+        The table grows geometrically, as for scalar lookups, so a caller
+        asking for a few more entries at a time triggers O(log n) rebuilds.
+        """
+        mirror = self._mirror
+        if n >= len(mirror):
+            if n >= len(self._values):
+                self.ensure(max(n, 2 * (len(self._values) - 1)))
+            with self._lock:
+                # release the outgrown mirror before building its successor
+                self._mirror = mirror = np.zeros(0)
+                mirror = np.array(self._values)
+                mirror.setflags(write=False)
+                self._mirror = mirror
+        return mirror[: n + 1]
 
 
 LOG_GAMMA = LogGammaTable()
@@ -156,6 +175,15 @@ def log_beta_pdf_half(successes: int, failures: int) -> float:
     total = successes + failures
     lg = LOG_GAMMA
     return -total * LN2 + lg(total + 2) - lg(successes + 1) - lg(failures + 1)
+
+
+def log_beta_pdf_half_array(successes: np.ndarray, failures: np.ndarray) -> np.ndarray:
+    """``log_beta_pdf_half`` over int64 arrays, elementwise bit-identical to
+    it: the same table floats combined by the same operations in the same
+    order (IEEE addition and multiplication round the same in numpy)."""
+    total = successes + failures
+    lg = LOG_GAMMA.as_array(int(total.max()) + 2)
+    return -total * LN2 + lg[total + 2] - lg[successes + 1] - lg[failures + 1]
 
 
 def dirichlet_logpdf(x, counts) -> float:

@@ -4,9 +4,19 @@ A rule object is fed one sample index at a time through ``observe`` and
 queried with ``check``; ``check`` returns the declared value index or None to
 continue. The declared index always equals the currently most frequent value.
 
-Rule tokens: ``ppr-1v1`` (constant-time fast path), ``ppr-md``,
-``ppr-adaptive``, and ``<engine>-1v1`` / ``<engine>-1vr`` for the engines
+Rule tokens: ``ppr-1v1``, ``ppr-md``, ``ppr-adaptive``, and
+``<engine>-1v1`` / ``<engine>-1vr`` for the engines
 ``ppr | lucb | kl-lucb | kl-sn | a1``.
+
+``declaration_time`` runs ``ppr-1v1`` and ``ppr-1vr`` through chunked numpy
+kernels: for each drawn chunk of the sample path it builds the cumulative
+counts of every row, evaluates the rule's statistic on the top two counts of
+every checked row at once, and stops at the first row that declares. The
+``ppr-1v1`` statistic is bit-identical to ``Ppr1v1Rule.check``. The
+``ppr-1vr`` statistic goes through numpy's exp and log, so it only screens:
+each row it passes within a slack is confirmed, in order, by the scalar
+``Generic1vrRule.check``. Both give exactly the scalar rule's verdicts and
+sample counts. Every other token runs the per-sample loop ``scan_per_sample``.
 """
 
 from __future__ import annotations
@@ -14,9 +24,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import ENGINE_KINDS, make_engine, one_vs_rest_separated, pair_beats_half
+import numpy as np
+
+from .bounds import (
+    ENGINE_KINDS,
+    make_engine,
+    one_vs_rest_separated,
+    pair_beats_half,
+    ppr_separation_log_density_array,
+)
 from .instances import DiscreteInstance, SamplePath, SeededStream, TallyState
-from .numerics import LOG_GAMMA, ln_gamma_int, log_beta_pdf_half
+from .numerics import LOG_GAMMA, ln_gamma_int, log_beta_pdf_half, log_beta_pdf_half_array
 
 __all__ = [
     "SampleCapExceeded",
@@ -28,6 +46,7 @@ __all__ = [
     "Generic1vrRule",
     "PprMdRule",
     "PprAdaptiveRule",
+    "scan_per_sample",
     "declaration_time",
     "run_mode_estimation",
 ]
@@ -277,15 +296,10 @@ RULE_TOKENS = tuple(
 )
 
 
-def make_rule(token: str, k: int, delta: float, fast_ppr_1v1: bool = True) -> _Rule:
-    """Build a stopping rule from its CLI token.
-
-    ``ppr-1v1`` uses the constant-time density test; passing
-    ``fast_ppr_1v1=False`` routes it through the generic pairwise wrapper
-    instead (the two produce identical verdicts; tests rely on this).
-    """
+def make_rule(token: str, k: int, delta: float) -> _Rule:
+    """Build a stopping rule from its CLI token."""
     if token == "ppr-1v1":
-        return Ppr1v1Rule(k, delta) if fast_ppr_1v1 else Generic1v1Rule("ppr", k, delta)
+        return Ppr1v1Rule(k, delta)
     if token == "ppr-md":
         return PprMdRule(k, delta)
     if token == "ppr-adaptive":
@@ -298,24 +312,17 @@ def make_rule(token: str, k: int, delta: float, fast_ppr_1v1: bool = True) -> _R
     raise ValueError(f"unknown rule token {token!r}; expected one of {RULE_TOKENS}")
 
 
-def declaration_time(
-    instance: DiscreteInstance,
-    rule_token: str,
-    delta: float,
+def scan_per_sample(
+    rule: _Rule,
+    k: int,
     path: SamplePath,
     check_every: int = 1,
     sample_cap: int = DEFAULT_SAMPLE_CAP,
-    fast_ppr_1v1: bool = True,
-) -> tuple[int, int]:
-    """Run one rule over a (possibly shared) sample path.
-
-    Returns (samples consumed, declared index). Raises SampleCapExceeded when
-    the rule has not declared after sample_cap samples.
-    """
-    if check_every < 1:
-        raise ValueError("check_every must be >= 1")
-    rule = make_rule(rule_token, instance.k, delta, fast_ppr_1v1=fast_ppr_1v1)
-    tally = TallyState(instance.k)
+) -> tuple[int, int] | None:
+    """Feed the path to the rule one sample at a time, checking at every
+    multiple of check_every up to sample_cap. Returns (samples, declared
+    index), or None when the rule has not declared by sample_cap."""
+    tally = TallyState(k)
     observe = rule.observe
     check = rule.check
     update = tally.update
@@ -329,10 +336,91 @@ def declaration_time(
             verdict = check(tally)
             if verdict is not None:
                 return t, verdict
-    raise SampleCapExceeded(
-        f"rule {rule_token} did not declare within {sample_cap} samples "
-        f"(instance K={instance.k}, delta={delta})"
-    )
+    return None
+
+
+def _ppr_1v1_declares(rule: Ppr1v1Rule, lead, trail, totals) -> np.ndarray:
+    """Rows where ``rule.check`` declares, by the same floats."""
+    return log_beta_pdf_half_array(lead, trail) <= rule._log_threshold
+
+
+def _ppr_1vr_candidates(rule: Generic1vrRule, lead, trail, totals) -> np.ndarray:
+    """Rows where the runner-up may be separated from the leader: a superset
+    of the rows where ``rule.check`` declares, which tests every rival."""
+    log_density, slack = ppr_separation_log_density_array(lead, trail, totals)
+    return (lead > trail) & (log_density <= math.log(rule.engine.alpha) + slack)
+
+
+# token -> (vectorised test on the top two counts of count rows, whether a
+# row it passes is only a candidate that rule.check must confirm)
+_CHUNK_KERNELS = {
+    "ppr-1v1": (_ppr_1v1_declares, False),
+    "ppr-1vr": (_ppr_1vr_candidates, True),
+}
+
+
+def _scan_chunks(
+    kernel, confirm: bool, rule: _Rule, k: int, path: SamplePath, check_every: int, sample_cap: int
+) -> tuple[int, int] | None:
+    """``scan_per_sample`` one drawn chunk of the path at a time."""
+    labels = np.arange(k)
+    carry = np.zeros(k, dtype=np.int64)
+    t0 = 0
+    c = 0
+    while t0 < sample_cap:
+        idx = path.chunk(c)
+        n = min(len(idx), sample_cap - t0)
+        counts = np.cumsum(idx[:n, None] == labels, axis=0, dtype=np.int64)
+        counts += carry
+        carry = counts[-1].copy()
+        # the first row whose sample count t0 + row + 1 is a multiple of check_every
+        start = (check_every - 1 - t0) % check_every
+        rows = counts[start::check_every]
+        if len(rows):
+            totals = np.arange(t0 + start + 1, t0 + n + 1, check_every)
+            top = np.partition(rows, k - 2, axis=1)
+            for r in np.flatnonzero(kernel(rule, top[:, -1], top[:, -2], totals)):
+                if confirm:
+                    tally = TallyState(k)
+                    tally.add_counts(rows[r])
+                    verdict = rule.check(tally)
+                else:
+                    verdict = int(np.argmax(rows[r]))  # the lowest-index leader, as in TallyState
+                if verdict is not None:
+                    return int(totals[r]), verdict
+        t0 += n
+        c += 1
+    return None
+
+
+def declaration_time(
+    instance: DiscreteInstance,
+    rule_token: str,
+    delta: float,
+    path: SamplePath,
+    check_every: int = 1,
+    sample_cap: int = DEFAULT_SAMPLE_CAP,
+) -> tuple[int, int]:
+    """Run one rule over a (possibly shared) sample path.
+
+    Returns (samples consumed, declared index). Raises SampleCapExceeded when
+    the rule has not declared after sample_cap samples.
+    """
+    if check_every < 1:
+        raise ValueError("check_every must be >= 1")
+    k = instance.k
+    rule = make_rule(rule_token, k, delta)
+    kernel = _CHUNK_KERNELS.get(rule_token)
+    if kernel is None:
+        found = scan_per_sample(rule, k, path, check_every, sample_cap)
+    else:
+        found = _scan_chunks(*kernel, rule, k, path, check_every, sample_cap)
+    if found is None:
+        raise SampleCapExceeded(
+            f"rule {rule_token} did not declare within {sample_cap} samples "
+            f"(instance K={k}, delta={delta})"
+        )
+    return found
 
 
 def run_mode_estimation(

@@ -30,6 +30,23 @@ class TestDiscreteInstance:
         with pytest.raises(ValueError, match="sum"):
             DiscreteInstance((0.5, 0.4))
 
+    @pytest.mark.parametrize(
+        "probs, bad",
+        [
+            ((0.6, math.nan, 0.4), 1),
+            ((math.nan, 0.6, 0.4), 0),
+            ((0.6, 0.4, math.inf), 2),
+            ((0.6, -math.inf, 0.4), 1),
+        ],
+    )
+    def test_rejects_non_finite(self, probs, bad):
+        with pytest.raises(ValueError, match=f"probability {bad} is not a finite number"):
+            DiscreteInstance(probs)
+
+    def test_from_string_rejects_nan(self):
+        with pytest.raises(ValueError, match="probability 1 is not a finite number: nan"):
+            DiscreteInstance.from_string("0.5,nan,0.5")
+
     def test_rejects_single_value(self):
         with pytest.raises(ValueError):
             DiscreteInstance((1.0,))

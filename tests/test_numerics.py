@@ -16,6 +16,8 @@ from modestop.numerics import (
     invert_kl_upper,
     kl_bernoulli,
     ln_gamma_int,
+    log_beta_pdf_half,
+    log_beta_pdf_half_array,
     posterior_level_crossings,
 )
 
@@ -44,6 +46,15 @@ class TestLogGammaTable:
         with pytest.raises(ValueError):
             ln_gamma_int(0)
 
+    def test_array_mirror(self):
+        table = LogGammaTable(capacity=16)
+        small = table.as_array(10)
+        assert not small.flags.writeable
+        assert np.shares_memory(small, table.as_array(12))  # served from the cached mirror
+        big = table.as_array(5000)  # outgrows the mirror: rebuilt from the grown table
+        assert len(big) == 5001
+        assert big[1:].tolist() == [table(n) for n in range(1, 5001)]
+
     def test_concurrent_growth_consistent(self):
         import threading
 
@@ -68,6 +79,14 @@ class TestLogGammaTable:
 
 
 class TestBetaPdf:
+    def test_half_array_bit_identical(self):
+        rng = np.random.default_rng(5)
+        successes = rng.integers(0, 100_000, size=2000)
+        failures = rng.integers(0, 100_000, size=2000)
+        got = log_beta_pdf_half_array(successes, failures)
+        expected = [log_beta_pdf_half(int(s), int(f)) for s, f in zip(successes, failures)]
+        assert got.tolist() == expected
+
     def test_uniform(self):
         assert beta_pdf(0.5, 1, 1) == pytest.approx(1.0, abs=1e-15)
 

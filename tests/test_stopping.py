@@ -3,12 +3,28 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from modestop.bounds import make_engine, pair_beats_half
-from modestop.instances import DiscreteInstance, SamplePath, TallyState, derive_stream
+from modestop.bounds import (
+    make_engine,
+    pair_beats_half,
+    ppr_separation_log_density,
+    ppr_separation_log_density_array,
+)
+from modestop.harness import TABLE1_INSTANCES
+from modestop.instances import (
+    DiscreteInstance,
+    SamplePath,
+    SeededStream,
+    TallyState,
+    derive_stream,
+)
 from modestop.numerics import dirichlet_logpdf
 from modestop.stopping import (
+    DEFAULT_SAMPLE_CAP,
     PI_SQUARED_OVER_6_INV,
+    Generic1v1Rule,
     PprAdaptiveRule,
     PprMdRule,
     RULE_TOKENS,
@@ -17,6 +33,7 @@ from modestop.stopping import (
     make_rule,
     pair_test_alpha,
     run_mode_estimation,
+    scan_per_sample,
 )
 
 P1 = DiscreteInstance((0.5, 0.25, 0.25))
@@ -65,12 +82,12 @@ class TestPpr1v1:
 
 class TestGeneric1v1:
     def test_trace_equality_with_fast_path(self):
-        # generic pairwise wrapper with the posterior engine must reproduce
-        # the constant-time rule verdict-for-verdict
+        # generic pairwise wrapper with the posterior engine, fed one sample
+        # at a time, must reproduce ppr-1v1 verdict-for-verdict
         for i in range(100):
             path = SamplePath(P1, derive_stream(314, i))
             t_fast, d_fast = declaration_time(P1, "ppr-1v1", 0.01, path)
-            t_gen, d_gen = declaration_time(P1, "ppr-1v1", 0.01, path, fast_ppr_1v1=False)
+            t_gen, d_gen = scan_per_sample(Generic1v1Rule("ppr", 3, 0.01), 3, path)
             assert (t_fast, d_fast) == (t_gen, d_gen)
 
     def test_all_zero_continues(self):
@@ -259,3 +276,111 @@ class TestRunner:
             for i in range(100)
         )
         assert mistakes <= 1
+
+
+class _CountingStream(SeededStream):
+    """A seeded stream that counts the uniforms drawn from it."""
+
+    __slots__ = ("drawn",)
+
+    def __init__(self, master_seed: int, *indices: int) -> None:
+        super().__init__(master_seed, *indices)
+        self.drawn = 0
+
+    def uniforms(self, n: int) -> np.ndarray:
+        self.drawn += n
+        return super().uniforms(n)
+
+
+def _kernel(inst, token, delta, path, check_every=1, sample_cap=DEFAULT_SAMPLE_CAP):
+    try:
+        return declaration_time(inst, token, delta, path, check_every, sample_cap)
+    except SampleCapExceeded:
+        return None
+
+
+def _oracle(inst, token, delta, path, check_every=1, sample_cap=DEFAULT_SAMPLE_CAP):
+    # the scalar rule fed one sample at a time
+    return scan_per_sample(make_rule(token, inst.k, delta), inst.k, path, check_every, sample_cap)
+
+
+KERNEL_TOKENS = ("ppr-1v1", "ppr-1vr")
+KERNEL_INSTANCES = dict(TABLE1_INSTANCES, K2=(0.6, 0.4), mode_last=(0.2, 0.3, 0.5))
+
+
+class TestChunkKernels:
+    """declaration_time's chunked kernels against the per-sample loop."""
+
+    @pytest.mark.parametrize("token", KERNEL_TOKENS)
+    @pytest.mark.parametrize("check_every", [1, 5, 1000])
+    @pytest.mark.parametrize("name", list(KERNEL_INSTANCES))
+    def test_matches_scalar_oracle(self, name, check_every, token):
+        inst = DiscreteInstance(KERNEL_INSTANCES[name])
+        for i in range(4):
+            kernel_stream = _CountingStream(29, check_every, i)
+            oracle_stream = _CountingStream(29, check_every, i)
+            got = _kernel(inst, token, 0.1, SamplePath(inst, kernel_stream), check_every)
+            expected = _oracle(inst, token, 0.1, SamplePath(inst, oracle_stream), check_every)
+            assert expected is not None
+            assert got == expected
+            assert kernel_stream.drawn == oracle_stream.drawn
+
+    @pytest.mark.parametrize("token", KERNEL_TOKENS)
+    @pytest.mark.parametrize("cap", [100, 1024, 2048])
+    def test_same_sample_cap(self, token, cap):
+        # inside the first chunk and exactly at chunk boundaries
+        inst = DiscreteInstance((0.5 + 1e-9, 0.5 - 1e-9))
+        for i in range(3):
+            kernel_stream = _CountingStream(0, i)
+            oracle_stream = _CountingStream(0, i)
+            path = SamplePath(inst, kernel_stream)
+            with pytest.raises(SampleCapExceeded):
+                declaration_time(inst, token, 0.01, path, sample_cap=cap)
+            assert _oracle(inst, token, 0.01, SamplePath(inst, oracle_stream), 1, cap) is None
+            assert kernel_stream.drawn == oracle_stream.drawn
+
+    @pytest.mark.parametrize("token", KERNEL_TOKENS)
+    @pytest.mark.parametrize("check_every", [1, 1025])
+    def test_cap_one_short_of_declaration(self, token, check_every):
+        # inside the first chunk, and exactly at its end for a declaration
+        # on the first row of the second chunk
+        def path(i):
+            return SamplePath(P1, derive_stream(8, i))
+
+        for i in range(5):
+            t, declared = _oracle(P1, token, 0.01, path(i), check_every)
+            for cap, expected in ((t - 1, None), (t, (t, declared))):
+                assert _kernel(P1, token, 0.01, path(i), check_every, cap) == expected
+                assert _oracle(P1, token, 0.01, path(i), check_every, cap) == expected
+
+    @pytest.mark.parametrize("token", KERNEL_TOKENS)
+    @pytest.mark.parametrize("check_every", [1024, 1025])
+    def test_declaration_at_chunk_edge(self, token, check_every):
+        # the last row of the first chunk, and the first row of the second
+        for i in range(5):
+            got = _kernel(P1, token, 0.01, SamplePath(P1, derive_stream(8, i)), check_every)
+            expected = _oracle(P1, token, 0.01, SamplePath(P1, derive_stream(8, i)), check_every)
+            assert got == expected == (check_every, 0)
+
+    @pytest.mark.parametrize("token", KERNEL_TOKENS)
+    def test_shared_path_either_order(self, token):
+        for i in range(10):
+            alone = _oracle(P1, token, 0.01, SamplePath(P1, derive_stream(12, i)))
+            path = SamplePath(P1, derive_stream(12, i))
+            assert _kernel(P1, token, 0.01, path) == alone
+            assert _oracle(P1, token, 0.01, path) == alone
+            path = SamplePath(P1, derive_stream(12, i))
+            assert _oracle(P1, token, 0.01, path) == alone
+            assert _kernel(P1, token, 0.01, path) == alone
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_vectorised_1vr_margin_within_slack(self, data):
+        t = data.draw(st.integers(1, 10**6))
+        s_lead = data.draw(st.integers(1, t))
+        s_trail = data.draw(st.integers(0, min(s_lead - 1, t - s_lead)))
+        scalar = ppr_separation_log_density(s_lead, s_trail, t)
+        vector, slack = ppr_separation_log_density_array(
+            np.array([s_lead]), np.array([s_trail]), np.array([t])
+        )
+        assert abs(vector[0] - scalar) <= slack[0] / 10
