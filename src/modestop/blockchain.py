@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .instances import SeededStream, TallyState, derive_stream
-from .stopping import PprAdaptiveRule, SampleCapExceeded, make_rule
+from .stopping import SampleCapExceeded, make_rule
 
 __all__ = [
     "NodePool",
@@ -175,20 +175,11 @@ def run_verification(
                 return VerificationRecord(step * m, declared, declared == 0)
         raise SampleCapExceeded(f"SPRT did not declare within {step_cap} batches")
 
-    rule_token = {"ppr-1v1": "ppr-1v1", "ppr-1vr": "ppr-1vr", "ppr-adaptive": "ppr-adaptive"}[
-        policy
-    ]
-    rule = make_rule(rule_token, pool.n_answers, delta)
+    rule = make_rule(policy, pool.n_answers, delta)
     tally = TallyState(pool.n_answers)
-    adaptive = isinstance(rule, PprAdaptiveRule)
     for step in range(1, step_cap + 1):
-        counts = draw_batch(pool, stream)
-        tally.add_counts(counts)
-        if adaptive:
-            # reports feed the discovery list in answer-index order
-            for answer, c in enumerate(counts):
-                for _ in range(int(c)):
-                    rule.observe(answer)
+        # answers new in a batch are discovered in answer-index order
+        tally.add_counts(draw_batch(pool, stream))
         declared = rule.check(tally)
         if declared is not None:
             return VerificationRecord(step * m, declared, declared == 0)

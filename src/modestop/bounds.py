@@ -43,7 +43,6 @@ __all__ = [
     "kl_sn_bounds",
     "a1_bounds",
     "ppr_bounds",
-    "engine_interval",
     "pair_beats_half",
     "one_vs_rest_separated",
     "ppr_separation_log_density",
@@ -192,10 +191,6 @@ def make_engine(kind: str, alpha: float) -> BoundEngine:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     gamma = kl_sn_gamma(alpha) if kind == "kl-sn" else 0.0
     return BoundEngine(kind, alpha, gamma)
-
-
-def engine_interval(engine: BoundEngine, s: int, t: int) -> Interval:
-    return engine.interval(s, t)
 
 
 def pair_beats_half(engine: BoundEngine, s_lead: int, s_trail: int) -> bool:

@@ -8,6 +8,7 @@ and for the verify subcommand also 1 when a sweep reports failures.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 
 from . import blockchain, elections, harness, theory
@@ -24,6 +25,21 @@ def _add_common(parser: argparse.ArgumentParser, reps_default: int = 100) -> Non
 
 def _parse_floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _parse_list(flag: str, text: str) -> list[str]:
+    """Comma-separated tokens of a list option; an empty list is an error."""
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not tokens:
+        raise ValueError(f"{flag} {text!r} names no value")
+    return tokens
+
+
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -139,11 +155,9 @@ def _cmd_figure1(args) -> int:
 
 
 def _cmd_table1(args) -> int:
+    instances = None if args.instances is None else _parse_list("--instances", args.instances)
     rows = harness.table1_suite(
-        reps=args.reps,
-        master_seed=args.seed,
-        fast=args.fast,
-        instances=args.instances.split(",") if args.instances else None,
+        reps=args.reps, master_seed=args.seed, fast=args.fast, instances=instances
     )
     for row in rows:
         print(
@@ -205,6 +219,8 @@ def _cmd_election_sim(args) -> int:
         instance = elections.synthetic_election()
     else:
         instance = elections.load_election_csv(args.data)
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     rows = []
     engine_kind, scheme = args.rule.rsplit("-", 1)
     for s in range(args.seeds):
@@ -219,27 +235,25 @@ def _cmd_election_sim(args) -> int:
     mean = sum(r[5] for r in rows) / len(rows)
     print(f"mean samples over {args.seeds} seeds: {mean:,.0f}")
     if args.out:
-        import csv as _csv
-
-        with open(args.out, "w", newline="", encoding="utf-8") as handle:
-            writer = _csv.writer(handle)
-            writer.writerow(
-                ["policy", "rule", "scheme", "delta", "seed",
-                 "samples", "winner", "seats_resolved", "correct"]
-            )
-            writer.writerows(rows)
+        _write_csv(
+            args.out,
+            ["policy", "rule", "scheme", "delta", "seed",
+             "samples", "winner", "seats_resolved", "correct"],
+            rows,
+        )
     return 0
 
 
 def _cmd_blockchain_sim(args) -> int:
-    policies = [tok.strip() for tok in args.policy.split(",") if tok.strip()]
+    policies = _parse_list("--policy", args.policy)
+    f_values = [float(tok) for tok in _parse_list("--f", args.f)]
     cells = blockchain.sweep_f(
         n=args.n,
         m=args.m,
         k=args.k,
         delta=args.delta,
         f_max=args.fmax,
-        f_values=_parse_floats(args.f),
+        f_values=f_values,
         policies=policies,
         runs=args.runs,
         master_seed=args.seed,
@@ -250,16 +264,12 @@ def _cmd_blockchain_sim(args) -> int:
             f"error rate {c.error_rate:.4f}"
         )
     if args.out:
-        import csv as _csv
-
-        with open(args.out, "w", newline="", encoding="utf-8") as handle:
-            writer = _csv.writer(handle)
-            writer.writerow(["f", "policy", "runs", "mean_samples", "stderr_samples", "error_rate"])
-            for c in cells:
-                writer.writerow(
-                    [repr(c.f), c.policy, c.runs, repr(c.mean_samples),
-                     repr(c.stderr_samples), repr(c.error_rate)]
-                )
+        _write_csv(
+            args.out,
+            ["f", "policy", "runs", "mean_samples", "stderr_samples", "error_rate"],
+            ([repr(c.f), c.policy, c.runs, repr(c.mean_samples),
+              repr(c.stderr_samples), repr(c.error_rate)] for c in cells),
+        )
     return 0
 
 

@@ -34,9 +34,6 @@ __all__ = [
     "ElectionRecord",
     "ElectionRun",
     "run_election",
-    "rr_select",
-    "dcb_select",
-    "aggregate_check",
     "ELECTION_POLICIES",
 ]
 
@@ -419,18 +416,6 @@ class ElectionRecord:
     winner: str
     seats_resolved: int
     correct: bool
-
-
-def rr_select(run: ElectionRun) -> int:
-    return run.rr_select()
-
-
-def dcb_select(run: ElectionRun) -> tuple[int, int]:
-    return run.dcb_select()
-
-
-def aggregate_check(run: ElectionRun) -> int | None:
-    return run.aggregate_check()
 
 
 def run_election(

@@ -222,6 +222,11 @@ def table1_suite(
     fast=True caps replications at 20 for the two slow instances (P5, P6).
     """
     names = list(instances) if instances else list(TABLE1_INSTANCES)
+    for name in names:
+        if name not in TABLE1_INSTANCES:
+            raise ValueError(
+                f"unknown Table-1 instance {name!r}; expected one of {', '.join(TABLE1_INSTANCES)}"
+            )
     rows = []
     for ni, name in enumerate(names):
         probs = TABLE1_INSTANCES[name]

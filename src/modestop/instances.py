@@ -10,10 +10,8 @@ import numpy as np
 __all__ = [
     "DiscreteInstance",
     "TallyState",
-    "PairTally",
     "SeededStream",
     "derive_stream",
-    "sample",
     "first_second_scan",
     "SamplePath",
 ]
@@ -108,31 +106,24 @@ def derive_stream(master_seed: int, *indices: int) -> SeededStream:
     return SeededStream(master_seed, *indices)
 
 
-def sample(instance: DiscreteInstance, stream: SeededStream) -> int:
-    """One inverse-CDF draw: the smallest index i with u < cumulative[i]."""
-    u = stream.uniform()
-    return int(np.searchsorted(instance.cumulative, u, side="right"))
-
-
 class SamplePath:
     """Lazily drawn i.i.d. sample path from one instance and stream.
 
-    Uniforms are drawn ``chunk`` at a time and their sample indices kept as
-    arrays of the smallest unsigned type that holds K - 1, which the chunked
-    stopping kernels read whole; the Python list that per-sample readers
-    index is built from them only on the first ``__getitem__``. Both
-    views read the same draws, so a path shared across stopping rules gives
+    Uniforms are drawn ``chunk`` at a time; each drawn chunk is kept as an
+    array of sample indices of the smallest unsigned type that holds K - 1
+    (1 byte a sample for K <= 256), and this list of chunks is the path's
+    only storage. Readers walk it chunk by chunk; ``path[t]`` indexes into
+    the chunk holding sample t. A path shared across stopping rules gives
     every rule the same sample sequence, whichever rule reads first.
     """
 
-    __slots__ = ("_cum", "_stream", "_chunk", "_chunks", "_values")
+    __slots__ = ("_cum", "_stream", "_chunk", "_chunks")
 
     def __init__(self, instance: DiscreteInstance, stream: SeededStream, chunk: int = 1024) -> None:
         self._cum = instance.cumulative
         self._stream = stream
         self._chunk = chunk
         self._chunks: list[np.ndarray] = []
-        self._values: list[int] = []
 
     def chunk(self, c: int) -> np.ndarray:
         """Samples c*chunk .. (c+1)*chunk - 1 as an integer array."""
@@ -144,10 +135,7 @@ class SamplePath:
         return chunks[c]
 
     def __getitem__(self, t: int) -> int:
-        values = self._values
-        while t >= len(values):
-            values.extend(self.chunk(len(values) // self._chunk).tolist())
-        return values[t]
+        return int(self.chunk(t // self._chunk)[t % self._chunk])
 
 
 def first_second_scan(counts) -> tuple[int, int]:
@@ -163,18 +151,6 @@ def first_second_scan(counts) -> tuple[int, int]:
     return first, second
 
 
-@dataclass
-class PairTally:
-    """Win counts for one ordered pair of values."""
-
-    wins_i: int = 0
-    wins_j: int = 0
-
-    @property
-    def pair_total(self) -> int:
-        return self.wins_i + self.wins_j
-
-
 class TallyState:
     """Per-value counts with first/second maintained in O(1) per update.
 
@@ -182,9 +158,14 @@ class TallyState:
     lowest-index maximum, second the lowest-index maximum of the rest. When
     counts[first] == counts[second] the invariant first < second holds, which
     the constant-time update relies on.
+
+    ``order`` lists the values seen so far in discovery order: a value is
+    appended when its count first leaves 0, by ``update`` or, in index
+    order within one batch, by ``add_counts``. Every stopping rule is a
+    function of this state alone.
     """
 
-    __slots__ = ("counts", "total", "first", "second")
+    __slots__ = ("counts", "total", "first", "second", "order")
 
     def __init__(self, k: int) -> None:
         if k < 2:
@@ -193,6 +174,7 @@ class TallyState:
         self.total = 0
         self.first = 0
         self.second = 1
+        self.order: list[int] = []
 
     @property
     def k(self) -> int:
@@ -200,12 +182,14 @@ class TallyState:
 
     def update(self, idx: int) -> None:
         counts = self.counts
-        counts[idx] += 1
+        c = counts[idx] + 1
+        counts[idx] = c
         self.total += 1
+        if c == 1:
+            self.order.append(idx)
         first = self.first
         if idx == first:
             return
-        c = counts[idx]
         cf = counts[first]
         second = self.second
         if idx == second:
@@ -222,11 +206,14 @@ class TallyState:
     def add_counts(self, batch_counts) -> None:
         """Bulk update from per-value counts; first/second by full scan."""
         counts = self.counts
+        order = self.order
         added = 0
         for i, c in enumerate(batch_counts):
             ci = int(c)
             if ci < 0:
                 raise ValueError("batch counts must be non-negative")
+            if ci and not counts[i]:
+                order.append(i)
             counts[i] += ci
             added += ci
         self.total += added

@@ -102,11 +102,15 @@ class LogGammaTable:
                 k = len(values) - 1
                 values.append(values[k] + math.log(k))
 
+    def _grow(self, n: int) -> None:
+        """Make entry n available, growing the table by at least a quarter."""
+        self.ensure(max(n, (len(self._values) - 1) * 5 // 4))
+
     def __call__(self, n: int) -> float:
         if n < 1:
             raise ValueError(f"ln_gamma_int requires n >= 1, got {n}")
         if n >= len(self._values):
-            self.ensure(max(n, 2 * (len(self._values) - 1)))
+            self._grow(n)
         return self._values[n]
 
     def as_array(self, n: int) -> np.ndarray:
@@ -118,7 +122,7 @@ class LogGammaTable:
         mirror = self._mirror
         if n >= len(mirror):
             if n >= len(self._values):
-                self.ensure(max(n, 2 * (len(self._values) - 1)))
+                self._grow(n)
             with self._lock:
                 # release the outgrown mirror before building its successor
                 self._mirror = mirror = np.zeros(0)

@@ -1,8 +1,9 @@
 """Delta-correct mode-estimation stopping rules.
 
-A rule object is fed one sample index at a time through ``observe`` and
-queried with ``check``; ``check`` returns the declared value index or None to
-continue. The declared index always equals the currently most frequent value.
+A rule is a function of the sample tally alone: ``check(tally)`` reads a
+``TallyState`` (counts, leader, runner-up and the order in which values were
+discovered) and returns the declared value index, or None to continue. The
+declared index always equals the currently most frequent value.
 
 Rule tokens: ``ppr-1v1``, ``ppr-md``, ``ppr-adaptive``, and
 ``<engine>-1v1`` / ``<engine>-1vr`` for the engines
@@ -10,13 +11,13 @@ Rule tokens: ``ppr-1v1``, ``ppr-md``, ``ppr-adaptive``, and
 
 ``declaration_time`` runs ``ppr-1v1`` and ``ppr-1vr`` through chunked numpy
 kernels: for each drawn chunk of the sample path it builds the cumulative
-counts of every row, evaluates the rule's statistic on the top two counts of
-every checked row at once, and stops at the first row that declares. The
-``ppr-1v1`` statistic is bit-identical to ``Ppr1v1Rule.check``. The
-``ppr-1vr`` statistic goes through numpy's exp and log, so it only screens:
-each row it passes within a slack is confirmed, in order, by the scalar
-``Generic1vrRule.check``. Both give exactly the scalar rule's verdicts and
-sample counts. Every other token runs the per-sample loop ``scan_per_sample``.
+counts of every row and evaluates a screen on the top two counts of every
+checked row at once. Each row the screen passes is confirmed, in order, by
+the rule's own ``check`` on exactly those counts, so the kernels give the
+per-sample verdicts and sample counts. The ``ppr-1v1`` screen is
+bit-identical to ``Ppr1v1Rule.check``; the ``ppr-1vr`` screen goes through
+numpy's exp and log and passes rows within a slack. Every other token runs
+the per-sample loop ``scan_per_sample``.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ class TrialRecord:
 
 
 class _Rule:
-    def observe(self, idx: int) -> None:  # only the adaptive rule keeps own state
+    # no rule reads samples one at a time; perfbench's tracer patches this hook
+    def observe(self, idx: int) -> None:
         pass
 
     def check(self, tally: TallyState) -> int | None:
@@ -226,67 +228,40 @@ class PprAdaptiveRule(_Rule):
     The mistake budget delta is pre-split into the infinite sequence
     k delta / i^2 with k = 6 / pi^2 (summing to delta). Each newly revealed
     answer opens one pairwise test against every earlier answer, in their
-    discovery order, consuming the next unused budgets. A lone discovered
-    answer is never declared: no pairwise test exists that could confirm it.
+    discovery order, consuming the next unused budgets: the pair of the a-th
+    and b-th discovered answers (a < b, from 0) gets i = b(b-1)/2 + a + 1.
+    A lone discovered answer is never declared: no pairwise test exists that
+    could confirm it.
     """
 
-    __slots__ = ("_delta", "_rank", "_labels", "_counts", "_log_budgets", "_next_index")
+    __slots__ = ("_k_delta",)
 
     def __init__(self, delta: float) -> None:
         if not 0.0 < delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {delta}")
-        self._delta = delta
-        self._rank: dict[int, int] = {}
-        self._labels: list[int] = []
-        self._counts: list[int] = []
-        self._log_budgets: dict[tuple[int, int], float] = {}
-        self._next_index = 1
+        self._k_delta = PI_SQUARED_OVER_6_INV * delta
 
-    @property
-    def discovered(self) -> tuple[int, ...]:
-        return tuple(self._labels)
+    def budget(self, a: int, b: int) -> float:
+        """Budget of the pair of the a-th and b-th discovered answers."""
+        a, b = min(a, b), max(a, b)
+        return self._k_delta / (b * (b - 1) // 2 + a + 1) ** 2
 
-    def budget(self, label_a: int, label_b: int) -> float:
-        ra, rb = self._rank[label_a], self._rank[label_b]
-        return math.exp(self._log_budgets[(min(ra, rb), max(ra, rb))])
-
-    def assigned_budget_total(self) -> float:
-        return sum(math.exp(v) for v in self._log_budgets.values())
-
-    def observe(self, idx: int) -> None:
-        rank = self._rank.get(idx)
-        if rank is None:
-            rank = len(self._labels)
-            self._rank[idx] = rank
-            self._labels.append(idx)
-            self._counts.append(0)
-            for earlier in range(rank):
-                self._log_budgets[(earlier, rank)] = math.log(
-                    PI_SQUARED_OVER_6_INV * self._delta / self._next_index**2
-                )
-                self._next_index += 1
-        self._counts[rank] += 1
-
-    def check(self, tally: TallyState | None = None) -> int | None:
-        counts = self._counts
-        n = len(counts)
-        if n < 2:
+    def check(self, tally: TallyState) -> int | None:
+        order = tally.order
+        if len(order) < 2:
             return None
-        best = 0
-        for r in range(1, n):
-            if counts[r] > counts[best]:
-                best = r
-        c_best = counts[best]
-        budgets = self._log_budgets
-        for r, c in enumerate(counts):
-            if r == best:
-                continue
-            if c >= c_best:
-                return None  # a tie cannot have been won
-            pair = (r, best) if r < best else (best, r)
-            if log_beta_pdf_half(c_best, c) > budgets[pair]:
+        counts = tally.counts
+        first = tally.first
+        c_first = counts[first]
+        if counts[tally.second] == c_first:
+            return None  # a tie cannot have been won
+        r_first = order.index(first)
+        for r, label in enumerate(order):
+            if r != r_first and log_beta_pdf_half(c_first, counts[label]) > math.log(
+                self.budget(r, r_first)
+            ):
                 return None
-        return self._labels[best]
+        return first
 
 
 RULE_TOKENS = tuple(
@@ -312,6 +287,18 @@ def make_rule(token: str, k: int, delta: float) -> _Rule:
     raise ValueError(f"unknown rule token {token!r}; expected one of {RULE_TOKENS}")
 
 
+def _path_chunks(path: SamplePath, sample_cap: int):
+    """Yield (t0, samples t0 .. t0 + n - 1) for each drawn chunk of the path,
+    the last one cut at sample_cap."""
+    t0 = 0
+    c = 0
+    while t0 < sample_cap:
+        idx = path.chunk(c)[: sample_cap - t0]
+        yield t0, idx
+        t0 += len(idx)
+        c += 1
+
+
 def scan_per_sample(
     rule: _Rule,
     k: int,
@@ -323,73 +310,62 @@ def scan_per_sample(
     multiple of check_every up to sample_cap. Returns (samples, declared
     index), or None when the rule has not declared by sample_cap."""
     tally = TallyState(k)
-    observe = rule.observe
     check = rule.check
     update = tally.update
     t = 0
-    while t < sample_cap:
-        idx = path[t]
-        t += 1
-        update(idx)
-        observe(idx)
-        if t % check_every == 0:
-            verdict = check(tally)
-            if verdict is not None:
-                return t, verdict
+    for _, idx in _path_chunks(path, sample_cap):
+        for i in idx.tolist():
+            t += 1
+            update(i)
+            if t % check_every == 0:
+                verdict = check(tally)
+                if verdict is not None:
+                    return t, verdict
     return None
 
 
-def _ppr_1v1_declares(rule: Ppr1v1Rule, lead, trail, totals) -> np.ndarray:
+def _ppr_1v1_screen(rule: Ppr1v1Rule, lead, trail, totals) -> np.ndarray:
     """Rows where ``rule.check`` declares, by the same floats."""
     return log_beta_pdf_half_array(lead, trail) <= rule._log_threshold
 
 
-def _ppr_1vr_candidates(rule: Generic1vrRule, lead, trail, totals) -> np.ndarray:
+def _ppr_1vr_screen(rule: Generic1vrRule, lead, trail, totals) -> np.ndarray:
     """Rows where the runner-up may be separated from the leader: a superset
     of the rows where ``rule.check`` declares, which tests every rival."""
     log_density, slack = ppr_separation_log_density_array(lead, trail, totals)
     return (lead > trail) & (log_density <= math.log(rule.engine.alpha) + slack)
 
 
-# token -> (vectorised test on the top two counts of count rows, whether a
-# row it passes is only a candidate that rule.check must confirm)
+# token -> vectorised screen on the top two counts of count rows: it passes
+# every row where rule.check declares, and rule.check confirms each it passes
 _CHUNK_KERNELS = {
-    "ppr-1v1": (_ppr_1v1_declares, False),
-    "ppr-1vr": (_ppr_1vr_candidates, True),
+    "ppr-1v1": _ppr_1v1_screen,
+    "ppr-1vr": _ppr_1vr_screen,
 }
 
 
 def _scan_chunks(
-    kernel, confirm: bool, rule: _Rule, k: int, path: SamplePath, check_every: int, sample_cap: int
+    screen, rule: _Rule, k: int, path: SamplePath, check_every: int, sample_cap: int
 ) -> tuple[int, int] | None:
     """``scan_per_sample`` one drawn chunk of the path at a time."""
     labels = np.arange(k)
     carry = np.zeros(k, dtype=np.int64)
-    t0 = 0
-    c = 0
-    while t0 < sample_cap:
-        idx = path.chunk(c)
-        n = min(len(idx), sample_cap - t0)
-        counts = np.cumsum(idx[:n, None] == labels, axis=0, dtype=np.int64)
+    for t0, idx in _path_chunks(path, sample_cap):
+        counts = np.cumsum(idx[:, None] == labels, axis=0, dtype=np.int64)
         counts += carry
         carry = counts[-1].copy()
         # the first row whose sample count t0 + row + 1 is a multiple of check_every
         start = (check_every - 1 - t0) % check_every
         rows = counts[start::check_every]
         if len(rows):
-            totals = np.arange(t0 + start + 1, t0 + n + 1, check_every)
+            totals = np.arange(t0 + start + 1, t0 + len(idx) + 1, check_every)
             top = np.partition(rows, k - 2, axis=1)
-            for r in np.flatnonzero(kernel(rule, top[:, -1], top[:, -2], totals)):
-                if confirm:
-                    tally = TallyState(k)
-                    tally.add_counts(rows[r])
-                    verdict = rule.check(tally)
-                else:
-                    verdict = int(np.argmax(rows[r]))  # the lowest-index leader, as in TallyState
+            for r in np.flatnonzero(screen(rule, top[:, -1], top[:, -2], totals)):
+                tally = TallyState(k)
+                tally.add_counts(rows[r])
+                verdict = rule.check(tally)
                 if verdict is not None:
                     return int(totals[r]), verdict
-        t0 += n
-        c += 1
     return None
 
 
@@ -410,11 +386,11 @@ def declaration_time(
         raise ValueError("check_every must be >= 1")
     k = instance.k
     rule = make_rule(rule_token, k, delta)
-    kernel = _CHUNK_KERNELS.get(rule_token)
-    if kernel is None:
+    screen = _CHUNK_KERNELS.get(rule_token)
+    if screen is None:
         found = scan_per_sample(rule, k, path, check_every, sample_cap)
     else:
-        found = _scan_chunks(*kernel, rule, k, path, check_every, sample_cap)
+        found = _scan_chunks(screen, rule, k, path, check_every, sample_cap)
     if found is None:
         raise SampleCapExceeded(
             f"rule {rule_token} did not declare within {sample_cap} samples "

@@ -1,6 +1,10 @@
 import csv
 
+import pytest
+
 from modestop.cli import main
+
+TINY_ELECTION = "constituency,party,votes\nc0,A,70\nc0,B,30\nc1,A,65\nc1,B,35\nc2,B,80\nc2,A,20\n"
 
 
 class TestModeSim:
@@ -96,14 +100,33 @@ class TestElectionSim:
 
     def test_csv_file_input(self, tmp_path):
         data = tmp_path / "tiny.csv"
-        data.write_text(
-            "constituency,party,votes\nc0,A,70\nc0,B,30\nc1,A,65\nc1,B,35\nc2,B,80\nc2,A,20\n"
-        )
+        data.write_text(TINY_ELECTION)
         code = main(
             ["election-sim", "--data", str(data), "--policy", "rr", "--rule", "ppr-1v1",
              "--delta", "0.1", "--batch", "20", "--seeds", "1"]
         )
         assert code == 0
+
+
+    def test_csv_bytes(self, tmp_path):
+        data = tmp_path / "tiny.csv"
+        data.write_text(TINY_ELECTION)
+        out = tmp_path / "election.csv"
+        code = main(
+            ["election-sim", "--data", str(data), "--policy", "rr", "--rule", "ppr-1v1",
+             "--delta", "0.1", "--batch", "20", "--seeds", "2", "--seed", "3", "--out", str(out)]
+        )
+        assert code == 0
+        assert out.read_bytes() == (
+            b"policy,rule,scheme,delta,seed,samples,winner,seats_resolved,correct\r\n"
+            b"rr,ppr,1v1,0.1,0,280,A,3,True\r\n"
+            b"rr,ppr,1v1,0.1,1,120,A,2,True\r\n"
+        )
+
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_rejects_no_seeds(self, seeds, capsys):
+        assert main(["election-sim", "--seeds", seeds]) == 1
+        assert capsys.readouterr().err == f"error: --seeds must be >= 1, got {seeds}\n"
 
 
 class TestBlockchainSim:
@@ -138,6 +161,28 @@ class TestBlockchainSim:
         assert len(rows) == 4
         assert {r["policy"] for r in rows} == {"sprt", "ppr-1v1"}
 
+    def test_csv_bytes(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code = main(
+            ["blockchain-sim", "--n", "400", "--m", "10", "--delta", "0.01", "--fmax", "0.1",
+             "--f", "0.1,0.2", "--k", "3", "--policy", "sprt,ppr-adaptive", "--runs", "5",
+             "--seed", "4", "--out", str(out)]
+        )
+        assert code == 0
+        assert out.read_bytes() == (
+            b"f,policy,runs,mean_samples,stderr_samples,error_rate\r\n"
+            b"0.1,sprt,5,10.0,0.0,0.0\r\n"
+            b"0.1,ppr-adaptive,5,28.0,2.0,0.0\r\n"
+            b"0.2,sprt,5,10.0,0.0,0.0\r\n"
+            b"0.2,ppr-adaptive,5,32.0,3.7416573867739413,0.0\r\n"
+        )
+
+    @pytest.mark.parametrize("flag", ["--policy", "--f"])
+    @pytest.mark.parametrize("value", ["", " , "])
+    def test_rejects_empty_list(self, flag, value, capsys):
+        assert main(["blockchain-sim", "--runs", "2", flag, value]) == 1
+        assert capsys.readouterr() == ("", f"error: {flag} {value!r} names no value\n")
+
 
 class TestSweeps:
     def test_figure1_smoke(self, tmp_path):
@@ -152,3 +197,11 @@ class TestSweeps:
         )
         with open(out) as handle:
             assert len(list(csv.DictReader(handle))) == 6
+
+    @pytest.mark.parametrize("instances, bad", [("P7", "P7"), ("P1,p2", "p2")])
+    def test_table1_rejects_unknown_instance(self, instances, bad, capsys):
+        assert main(["table1", "--instances", instances, "--reps", "2"]) == 1
+        assert capsys.readouterr() == (
+            "",
+            f"error: unknown Table-1 instance {bad!r}; expected one of P1, P2, P3, P4, P5, P6\n",
+        )

@@ -11,7 +11,6 @@ from modestop.instances import (
     TallyState,
     derive_stream,
     first_second_scan,
-    sample,
 )
 
 
@@ -58,14 +57,21 @@ class TestDiscreteInstance:
 
 class TestSampling:
     def test_degenerate_mass(self):
-        stream = derive_stream(1, 0)
-        inst = DiscreteInstance((1.0, 0.0))
-        assert all(sample(inst, stream) == 0 for _ in range(50))
+        path = SamplePath(DiscreteInstance((1.0, 0.0)), derive_stream(1, 0))
+        assert all(path[t] == 0 for t in range(50))
 
     def test_degenerate_mass_last(self):
-        stream = derive_stream(1, 0)
-        inst = DiscreteInstance((0.0, 0.0, 1.0))
-        assert all(sample(inst, stream) == 2 for _ in range(50))
+        path = SamplePath(DiscreteInstance((0.0, 0.0, 1.0)), derive_stream(1, 0))
+        assert all(path[t] == 2 for t in range(50))
+
+    def test_index_reads_the_drawn_chunks(self):
+        inst = DiscreteInstance((0.5, 0.25, 0.25))
+        path = SamplePath(inst, derive_stream(3, 1), chunk=16)
+        last = path[40]  # draws chunks 0..2
+        drawn = np.concatenate([path.chunk(c) for c in range(3)])
+        assert [path[t] for t in range(48)] == drawn.tolist()
+        assert last == drawn[40]
+        assert type(last) is int
 
     def test_chi_square_goodness_of_fit(self):
         inst = DiscreteInstance((0.5, 0.25, 0.25))
@@ -168,6 +174,32 @@ class TestTallyState:
         tally.add_counts([3, 0, 5, 5])
         assert tally.total == 13
         assert (tally.first, tally.second) == (2, 3)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(min_value=0, max_value=5),
+                st.lists(st.integers(min_value=0, max_value=3), min_size=6, max_size=6),
+            ),
+            max_size=60,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_order_is_first_appearance(self, steps):
+        # a single index is one update; a list is one add_counts batch, whose
+        # new values appear in index order
+        tally = TallyState(6)
+        seen = []
+        for step in steps:
+            if isinstance(step, int):
+                tally.update(step)
+                appeared = [step]
+            else:
+                tally.add_counts(step)
+                appeared = [i for i, c in enumerate(step) if c]
+            seen.extend(i for i in appeared if i not in seen)
+            assert tally.order == seen
+        assert sorted(tally.order) == [i for i, c in enumerate(tally.counts) if c]
 
     def test_random_updates_against_oracle_long(self):
         rng = np.random.default_rng(5)

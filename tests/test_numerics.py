@@ -55,6 +55,34 @@ class TestLogGammaTable:
         assert len(big) == 5001
         assert big[1:].tolist() == [table(n) for n in range(1, 5001)]
 
+    @given(
+        st.integers(min_value=1, max_value=64),
+        st.lists(st.tuples(st.booleans(), st.integers(min_value=1, max_value=6000)), max_size=12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_growth_order_irrelevant(self, capacity, requests):
+        # scalar lookups and array requests may grow the table in any order;
+        # the list and its float64 mirror always hold the floats of a table
+        # built in one go
+        reference = LogGammaTable(capacity=6001)
+        table = LogGammaTable(capacity=capacity)
+        for as_array, n in requests:
+            if as_array:
+                table.as_array(n)
+            else:
+                table(n)
+        top = table.capacity
+        expected = reference.as_array(top)[1:].tolist()
+        assert [table(n) for n in range(1, top + 1)] == expected
+        assert table.as_array(top)[1:].tolist() == expected
+
+    def test_grows_by_a_quarter(self):
+        table = LogGammaTable(capacity=1024)
+        table(1025)
+        assert table.capacity == 1280
+        table.as_array(1281)
+        assert table.capacity == 1600
+
     def test_concurrent_growth_consistent(self):
         import threading
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modestop.blockchain import NodePool, draw_batch, run_verification
 from modestop.bounds import (
     make_engine,
     pair_beats_half,
@@ -20,7 +21,7 @@ from modestop.instances import (
     TallyState,
     derive_stream,
 )
-from modestop.numerics import dirichlet_logpdf
+from modestop.numerics import dirichlet_logpdf, log_beta_pdf_half
 from modestop.stopping import (
     DEFAULT_SAMPLE_CAP,
     PI_SQUARED_OVER_6_INV,
@@ -187,58 +188,168 @@ class TestPprMd:
             assert t_md >= t_11
 
 
+def _tally(*labels, k=10):
+    tally = TallyState(k)
+    for label in labels:
+        tally.update(label)
+    return tally
+
+
 class TestPprAdaptive:
     def test_first_pair_budget(self):
-        rule = PprAdaptiveRule(0.01)
-        rule.observe(4)
-        rule.observe(2)
-        assert rule.budget(4, 2) == pytest.approx(PI_SQUARED_OVER_6_INV * 0.01)
+        order = _tally(4, 2).order
+        budget = PprAdaptiveRule(0.01).budget(order.index(4), order.index(2))
+        assert budget == pytest.approx(PI_SQUARED_OVER_6_INV * 0.01)
 
     def test_third_answer_budgets(self):
         rule = PprAdaptiveRule(0.01)
-        for label in (4, 2, 9):
-            rule.observe(label)
-        assert rule.budget(9, 4) == pytest.approx(PI_SQUARED_OVER_6_INV * 0.01 / 4.0)
-        assert rule.budget(9, 2) == pytest.approx(PI_SQUARED_OVER_6_INV * 0.01 / 9.0)
+        order = _tally(4, 2, 9).order
+        rank = order.index
+        assert rule.budget(rank(9), rank(4)) == pytest.approx(PI_SQUARED_OVER_6_INV * 0.01 / 4.0)
+        assert rule.budget(rank(9), rank(2)) == pytest.approx(PI_SQUARED_OVER_6_INV * 0.01 / 9.0)
 
     def test_budget_total_bounded_by_delta(self):
         rule = PprAdaptiveRule(0.05)
-        for label in range(12):
-            rule.observe(label)
-        assert rule.assigned_budget_total() <= 0.05
+        n = len(_tally(*range(12), k=12).order)
+        assert n == 12
+        assert sum(rule.budget(a, b) for b in range(n) for a in range(b)) <= 0.05
+
+    def test_budget_indices_follow_discovery(self):
+        # the closed form hands out 1, 2, 3, ... in the order pairs open:
+        # each new answer against every earlier one, earliest first
+        rule = PprAdaptiveRule(0.5)
+        expected = [
+            PI_SQUARED_OVER_6_INV * 0.5 / i**2 for i in range(1, 40 * 39 // 2 + 1)
+        ]
+        assert [rule.budget(a, b) for b in range(40) for a in range(b)] == expected
 
     def test_single_answer_never_declares(self):
         rule = PprAdaptiveRule(0.5)
-        for _ in range(1000):
-            rule.observe(0)
-        assert rule.check() is None
+        assert rule.check(_tally(*[0] * 1000)) is None
 
     def test_pair_comparison_exact(self):
         # counts (11, 0) against the first budget k*delta: the density value
         # 12/2^11 ~ 0.005859 lies below 0.0060793, so the state declares
         rule = PprAdaptiveRule(0.01)
-        rule.observe(1)
-        rule.observe(0)  # discovery needs one observation
-        for _ in range(10):
-            rule.observe(1)
+        tally = _tally(1, 0, *[1] * 10)  # discovery needs one observation
         # discovered counts are now (11, 1); rebuild the exact (11, 0) check
         assert float(_exact_beta_half(11, 0)) == pytest.approx(12.0 / 2048.0)
         assert 12.0 / 2048.0 <= PI_SQUARED_OVER_6_INV * 0.01
         assert _exact_beta_half(11, 1) > Fraction(PI_SQUARED_OVER_6_INV * 0.01)
-        assert rule.check() is None
+        assert rule.check(tally) is None
 
     def test_declares_strict_leader_only(self):
         rule = PprAdaptiveRule(0.1)
-        for _ in range(40):
-            rule.observe(3)
-        rule.observe(5)
-        verdict = rule.check()
+        verdict = rule.check(_tally(*[3] * 40, 5))
         assert verdict == 3
+        assert rule.check(_tally(*[3] * 40, *[5] * 40)) is None
 
     def test_run_on_instance(self):
         rec = run_mode_estimation(P1, "ppr-adaptive", 0.05, derive_stream(15, 2))
         assert rec.declared == 0
         assert rec.correct
+
+
+class _ObservedAdaptiveRule:
+    """The adaptive rule as it was written before the tally kept the
+    discovery order: a private tally fed one sample at a time through
+    ``observe``, with a budget dict filled as answers are discovered."""
+
+    def __init__(self, delta):
+        self._delta = delta
+        self._rank = {}
+        self._labels = []
+        self._counts = []
+        self._log_budgets = {}
+        self._next_index = 1
+
+    def observe(self, idx):
+        rank = self._rank.get(idx)
+        if rank is None:
+            rank = len(self._labels)
+            self._rank[idx] = rank
+            self._labels.append(idx)
+            self._counts.append(0)
+            for earlier in range(rank):
+                self._log_budgets[(earlier, rank)] = math.log(
+                    PI_SQUARED_OVER_6_INV * self._delta / self._next_index**2
+                )
+                self._next_index += 1
+        self._counts[rank] += 1
+
+    def check(self):
+        counts = self._counts
+        n = len(counts)
+        if n < 2:
+            return None
+        best = 0
+        for r in range(1, n):
+            if counts[r] > counts[best]:
+                best = r
+        c_best = counts[best]
+        for r, c in enumerate(counts):
+            if r == best:
+                continue
+            if c >= c_best:
+                return None
+            pair = (r, best) if r < best else (best, r)
+            if log_beta_pdf_half(c_best, c) > self._log_budgets[pair]:
+                return None
+        return self._labels[best]
+
+
+def _observed_scan(delta, path, check_every, sample_cap):
+    rule = _ObservedAdaptiveRule(delta)
+    for t in range(1, sample_cap + 1):
+        rule.observe(path[t - 1])
+        if t % check_every == 0:
+            verdict = rule.check()
+            if verdict is not None:
+                return t, verdict
+    return None
+
+
+def _observed_verification(pool, delta, stream, step_cap=10_000):
+    rule = _ObservedAdaptiveRule(delta)
+    for step in range(1, step_cap + 1):
+        for answer, c in enumerate(draw_batch(pool, stream)):
+            for _ in range(int(c)):
+                rule.observe(answer)
+        declared = rule.check()
+        if declared is not None:
+            return step * pool.batch_size, declared
+    return None
+
+
+class TestPprAdaptiveParity:
+    """The tally-only rule against the observe-fed rule it replaced."""
+
+    def test_per_sample_paths(self):
+        rng = np.random.default_rng(2024)
+        cases = 0
+        for i in range(240):
+            k = int(rng.integers(2, 11))
+            weights = rng.random(k) ** 3 + 1e-3  # some answers are rare
+            weights[int(rng.integers(k))] += 0.5 * rng.random() + 0.05
+            probs = tuple(float(w) for w in weights / weights.sum())
+            inst = DiscreteInstance(probs[:-1] + (1.0 - sum(probs[:-1]),))
+            delta = float(rng.choice([0.01, 0.1, 0.3]))
+            check_every = (1, 7)[i % 2]
+            cap = 20_000
+            path = SamplePath(inst, derive_stream(41, i))
+            expected = _observed_scan(delta, path, check_every, cap)
+            got = scan_per_sample(PprAdaptiveRule(delta), k, path, check_every, cap)
+            assert got == expected, (probs, delta, check_every)
+            cases += expected is not None
+        assert cases >= 200
+
+    def test_blockchain_batches(self):
+        for f in (0.05, 0.2, 0.3):
+            pool = NodePool(1600, f, 20, n_answers=10)
+            for r in range(40):
+                rec = run_verification(pool, "ppr-adaptive", 0.005, None, derive_stream(5, r))
+                expected = _observed_verification(pool, 0.005, derive_stream(5, r))
+                assert (rec.samples, rec.declared) == expected
 
 
 class TestRunner:
