@@ -13,7 +13,7 @@ import sys
 
 from . import blockchain, elections, harness, theory
 from .instances import derive_stream
-from .stopping import RULE_TOKENS
+from .stopping import RULE_TOKENS, parse_rule_token
 
 
 def _add_common(parser: argparse.ArgumentParser, reps_default: int = 100) -> None:
@@ -222,7 +222,7 @@ def _cmd_election_sim(args) -> int:
     if args.seeds < 1:
         raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     rows = []
-    engine_kind, scheme = args.rule.rsplit("-", 1)
+    engine_kind, scheme = parse_rule_token(args.rule)
     for s in range(args.seeds):
         rec = elections.run_election(
             instance, args.policy, args.rule, args.delta, args.batch,

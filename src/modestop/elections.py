@@ -2,14 +2,17 @@
 
 An election instance is a set of constituencies, each holding per-party vote
 counts; polling draws voters with replacement from a constituency's
-normalized counts. Every constituency runs its own mode-estimation stopping
-rule at mistake probability delta / C, and the overall winner is declared as
-soon as one party's guaranteed seat count (wins) exceeds every rival's
-possible seat count (C - losses).
+normalized counts. Every constituency runs the same mode-estimation
+stopping rule at mistake probability delta / C; a rule is a function of the
+tally alone, so one rule object per run checks every constituency's tally.
+The overall winner is declared as soon as one party's guaranteed seat count
+(wins) exceeds every rival's possible seat count (C - losses).
 
 Two polling policies are provided: round-robin over unresolved
 constituencies, and the confidence-bound-difference policy that each step
 queries one promising constituency for each of the two aggregate contenders.
+Its bound widths come from the rule's own engine, at the rule's per-test
+mistake probability.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import make_engine
+from .bounds import make_engine  # noqa: F401  unused; perfbench/tracer.py patches it here
 from .instances import SeededStream, TallyState
-from .stopping import SampleCapExceeded, make_rule, pair_test_alpha
+from .stopping import SampleCapExceeded, make_rule, parse_rule_token
 
 __all__ = [
     "ElectionDataError",
@@ -186,30 +189,10 @@ def synthetic_election() -> ElectionInstance:
     return ElectionInstance(parties, constituencies)
 
 
-def _parse_rule_token(token: str) -> tuple[str, str]:
-    """Split a rule token into (engine kind, scheme); md/adaptive are not
-    valid per-constituency rules because the DCB formulas need bound widths."""
-    for scheme in ("1v1", "1vr"):
-        if token.endswith("-" + scheme):
-            return token[: -len(scheme) - 1], scheme
-    raise ValueError(f"election rules must be <engine>-1v1 or <engine>-1vr, got {token!r}")
-
-
 class _ConstituencyState:
-    __slots__ = (
-        "index",
-        "cum",
-        "true_winner",
-        "tally",
-        "rule",
-        "winner",
-        "pair_lcb",
-        "pair_ucb",
-        "value_los",
-        "value_his",
-    )
+    __slots__ = ("index", "cum", "true_winner", "tally", "winner", "lcb", "ucb")
 
-    def __init__(self, index: int, con: Constituency, rule_token: str, delta_c: float) -> None:
+    def __init__(self, index: int, con: Constituency) -> None:
         k = len(con.votes)
         self.index = index
         cum = np.cumsum(np.asarray(con.votes, dtype=np.float64))
@@ -218,12 +201,9 @@ class _ConstituencyState:
         self.cum = cum
         self.true_winner = con.winner
         self.tally = TallyState(k)
-        self.rule = make_rule(rule_token, k, delta_c)
         self.winner: int | None = None
-        self.pair_lcb: np.ndarray | None = None
-        self.pair_ucb: np.ndarray | None = None
-        self.value_los: np.ndarray | None = None
-        self.value_his: np.ndarray | None = None
+        self.lcb: np.ndarray | None = None
+        self.ucb: np.ndarray | None = None
 
     def leader(self) -> int | None:
         return self.tally.first if self.tally.total > 0 else None
@@ -253,7 +233,14 @@ class ElectionRun:
             raise ValueError(f"unknown policy {policy!r}; expected one of {ELECTION_POLICIES}")
         if batch < 1:
             raise ValueError("batch size must be >= 1")
-        engine_kind, scheme = _parse_rule_token(rule_token)
+        if not 0.0 < delta < 1.0:
+            raise ValueError(f"delta must lie in (0, 1), got {delta}")
+        _, scheme = parse_rule_token(rule_token)
+        if scheme not in ("1v1", "1vr"):
+            # the DCB formulas need the bound widths of an engine
+            raise ValueError(
+                f"election rules must be <engine>-1v1 or <engine>-1vr, got {rule_token!r}"
+            )
         self.instance = instance
         self.policy = policy
         self.scheme = scheme
@@ -261,17 +248,8 @@ class ElectionRun:
         self.stream = stream
         self.k = instance.k
         self.c = instance.c
-        delta_c = delta / self.c
-        self.states = [
-            _ConstituencyState(i, con, rule_token, delta_c)
-            for i, con in enumerate(instance.constituencies)
-        ]
-        if scheme == "1v1":
-            self.width_engine = make_engine(
-                engine_kind, pair_test_alpha(engine_kind, self.k, delta_c)
-            )
-        else:
-            self.width_engine = make_engine(engine_kind, delta_c / self.k)
+        self.rule = make_rule(rule_token, self.k, delta / self.c)
+        self.states = [_ConstituencyState(i, con) for i, con in enumerate(instance.constituencies)]
         self.wins = [0] * self.k
         self.losses = [0] * self.k
         self.leads = [0] * self.k
@@ -286,30 +264,27 @@ class ElectionRun:
     # -- per-constituency bookkeeping -------------------------------------
 
     def _refresh_widths(self, st: _ConstituencyState) -> None:
+        """Under 1v1, entry (i, j) is party i's pair interval on counts i and
+        j; under 1vr, row i repeats party i's interval at the shared total."""
         counts = st.tally.counts
+        t = st.tally.total
         k = self.k
-        engine = self.width_engine
-        if self.scheme == "1v1":
-            lcb = np.zeros((k, k))
-            ucb = np.ones((k, k))
-            for i in range(k):
-                for j in range(k):
-                    if i != j:
-                        iv = engine.interval(counts[i], counts[i] + counts[j])
-                        lcb[i, j] = iv.lo
-                        ucb[i, j] = iv.hi
-            st.pair_lcb = lcb
-            st.pair_ucb = ucb
-        else:
-            t = st.tally.total
-            los = np.empty(k)
-            his = np.empty(k)
-            for i in range(k):
-                iv = engine.interval(counts[i], t)
-                los[i] = iv.lo
-                his[i] = iv.hi
-            st.value_los = los
-            st.value_his = his
+        interval = self.rule.engine.interval
+        lcb = np.zeros((k, k))
+        ucb = np.ones((k, k))
+        for i in range(k):
+            if self.scheme == "1vr":
+                iv = interval(counts[i], t)
+                lcb[i] = iv.lo
+                ucb[i] = iv.hi
+                continue
+            for j in range(k):
+                if i != j:
+                    iv = interval(counts[i], counts[i] + counts[j])
+                    lcb[i, j] = iv.lo
+                    ucb[i, j] = iv.hi
+        st.lcb = lcb
+        st.ucb = ucb
 
     def _sample_batch(self, st: _ConstituencyState) -> None:
         old_leader = st.leader()
@@ -317,7 +292,7 @@ class ElectionRun:
         idxs = np.searchsorted(st.cum, us, side="right")
         st.tally.add_counts(np.bincount(idxs, minlength=self.k))
         self.samples += self.batch
-        declared = st.rule.check(st.tally)
+        declared = self.rule.check(st.tally)
         if declared is not None:
             st.winner = declared
             self.unresolved -= 1
@@ -353,15 +328,10 @@ class ElectionRun:
 
     def _dcb_score(self, st: _ConstituencyState, party: int, kind: str) -> float:
         k = self.k
-        if self.scheme == "1v1":
-            lcb, ucb = st.pair_lcb, st.pair_ucb
-            if kind == "c1":
-                return min(ucb[party, j] - lcb[j, party] for j in range(k) if j != party)
-            return max(ucb[j, party] - lcb[party, j] for j in range(k) if j != party)
-        los, his = st.value_los, st.value_his
+        lcb, ucb = st.lcb, st.ucb
         if kind == "c1":
-            return min(his[party] - los[j] for j in range(k) if j != party)
-        return max(his[j] - los[party] for j in range(k) if j != party)
+            return min(ucb[party, j] - lcb[j, party] for j in range(k) if j != party)
+        return max(ucb[j, party] - lcb[party, j] for j in range(k) if j != party)
 
     def dcb_contenders(self) -> tuple[int, int]:
         k = self.k

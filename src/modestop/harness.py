@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .instances import DiscreteInstance, derive_stream
-from .stopping import TrialRecord, run_mode_estimation
+from .stopping import TrialRecord, parse_rule_token, run_mode_estimation
 
 __all__ = [
     "ExperimentSpec",
@@ -76,13 +76,6 @@ class SummaryRow:
     mistake_rate: float
 
 
-def _scheme_of(rule: str) -> str:
-    for scheme in ("1v1", "1vr", "md", "adaptive"):
-        if rule.endswith(scheme):
-            return scheme
-    return ""
-
-
 def summarize(records: list[TrialRecord], spec: ExperimentSpec) -> SummaryRow:
     """Mean, unbiased-stddev standard error (0 when n = 1), mistake rate."""
     if not records:
@@ -100,7 +93,7 @@ def summarize(records: list[TrialRecord], spec: ExperimentSpec) -> SummaryRow:
         suite=spec.suite,
         instance=spec.instance_label or ",".join(f"{p:g}" for p in spec.probs),
         rule=spec.rule,
-        scheme=_scheme_of(spec.rule),
+        scheme=parse_rule_token(spec.rule)[1],
         delta=spec.delta,
         n=n,
         mean_samples=mean,

@@ -16,6 +16,10 @@ __all__ = [
     "SamplePath",
 ]
 
+# samples per SamplePath chunk; a fixed size is what makes a shared path draw
+# the same uniforms whichever rule reads it first
+PATH_CHUNK = 1024
+
 
 @dataclass(frozen=True)
 class DiscreteInstance:
@@ -109,33 +113,32 @@ def derive_stream(master_seed: int, *indices: int) -> SeededStream:
 class SamplePath:
     """Lazily drawn i.i.d. sample path from one instance and stream.
 
-    Uniforms are drawn ``chunk`` at a time; each drawn chunk is kept as an
-    array of sample indices of the smallest unsigned type that holds K - 1
+    Uniforms are drawn ``PATH_CHUNK`` at a time; each drawn chunk is kept as
+    an array of sample indices of the smallest unsigned type that holds K - 1
     (1 byte a sample for K <= 256), and this list of chunks is the path's
     only storage. Readers walk it chunk by chunk; ``path[t]`` indexes into
     the chunk holding sample t. A path shared across stopping rules gives
     every rule the same sample sequence, whichever rule reads first.
     """
 
-    __slots__ = ("_cum", "_stream", "_chunk", "_chunks")
+    __slots__ = ("_cum", "_stream", "_chunks")
 
-    def __init__(self, instance: DiscreteInstance, stream: SeededStream, chunk: int = 1024) -> None:
+    def __init__(self, instance: DiscreteInstance, stream: SeededStream) -> None:
         self._cum = instance.cumulative
         self._stream = stream
-        self._chunk = chunk
         self._chunks: list[np.ndarray] = []
 
     def chunk(self, c: int) -> np.ndarray:
-        """Samples c*chunk .. (c+1)*chunk - 1 as an integer array."""
+        """Samples c*PATH_CHUNK .. (c+1)*PATH_CHUNK - 1 as an integer array."""
         chunks = self._chunks
         while c >= len(chunks):
-            us = self._stream.uniforms(self._chunk)
+            us = self._stream.uniforms(PATH_CHUNK)
             idx = np.searchsorted(self._cum, us, side="right")
             chunks.append(idx.astype(np.min_scalar_type(len(self._cum) - 1)))
         return chunks[c]
 
     def __getitem__(self, t: int) -> int:
-        return int(self.chunk(t // self._chunk)[t % self._chunk])
+        return int(self.chunk(t // PATH_CHUNK)[t % PATH_CHUNK])
 
 
 def first_second_scan(counts) -> tuple[int, int]:

@@ -5,9 +5,12 @@ A rule is a function of the sample tally alone: ``check(tally)`` reads a
 discovered) and returns the declared value index, or None to continue. The
 declared index always equals the currently most frequent value.
 
-Rule tokens: ``ppr-1v1``, ``ppr-md``, ``ppr-adaptive``, and
-``<engine>-1v1`` / ``<engine>-1vr`` for the engines
-``ppr | lucb | kl-lucb | kl-sn | a1``.
+Rule tokens: ``ppr-md``, ``ppr-adaptive``, and ``<engine>-1v1`` /
+``<engine>-1vr`` for the engines ``ppr | lucb | kl-lucb | kl-sn | a1``.
+This module alone knows the grammar (``parse_rule_token``) and how a rule
+splits delta into per-test budgets: delta/(K-1) per pair for 1v1 (see
+``pair_test_alpha``) and delta/K per interval for 1vr. A rule on an engine
+keeps that engine, with its budget, as ``rule.engine``.
 
 ``declaration_time`` runs ``ppr-1v1`` and ``ppr-1vr`` through chunked numpy
 kernels: for each drawn chunk of the sample path it builds the cumulative
@@ -41,6 +44,7 @@ __all__ = [
     "SampleCapExceeded",
     "TrialRecord",
     "RULE_TOKENS",
+    "parse_rule_token",
     "make_rule",
     "Ppr1v1Rule",
     "Generic1v1Rule",
@@ -82,26 +86,12 @@ class _Rule:
         raise NotImplementedError
 
 
-class Ppr1v1Rule(_Rule):
-    """Declare first(t) iff Beta(1/2; s_first+1, s_second+1) <= delta/(K-1).
-
-    Constant work per check: the top two counts are sufficient because the
-    density at 1/2 is non-decreasing when any lower count is substituted for
-    second's (see theory.verify_beta_monotonicity).
-    """
-
-    __slots__ = ("_log_threshold",)
-
-    def __init__(self, k: int, delta: float) -> None:
-        if k < 2 or not 0.0 < delta < 1.0:
-            raise ValueError(f"need K >= 2 and delta in (0, 1), got K={k}, delta={delta}")
-        self._log_threshold = math.log(delta / (k - 1))
-
-    def check(self, tally: TallyState) -> int | None:
-        counts = tally.counts
-        if log_beta_pdf_half(counts[tally.first], counts[tally.second]) <= self._log_threshold:
-            return tally.first
-        return None
+def _validate(delta: float, k: int = 2) -> None:
+    """The precondition every rule shares: K >= 2 values, delta in (0, 1)."""
+    if k < 2:
+        raise ValueError(f"a stopping rule needs K >= 2 values, got K={k}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
 
 
 def pair_test_alpha(engine_kind: str, k: int, delta: float) -> float:
@@ -122,20 +112,40 @@ class Generic1v1Rule(_Rule):
     __slots__ = ("engine",)
 
     def __init__(self, engine_kind: str, k: int, delta: float) -> None:
+        _validate(delta, k)
         self.engine = make_engine(engine_kind, pair_test_alpha(engine_kind, k, delta))
 
     def check(self, tally: TallyState) -> int | None:
         counts = tally.counts
         first = tally.first
+        second = tally.second
         c_first = counts[first]
         engine = self.engine
         # the runner-up is the hardest pair; test it first to fail fast
-        if not pair_beats_half(engine, c_first, counts[tally.second]):
+        if not pair_beats_half(engine, c_first, counts[second]):
             return None
         for j, c in enumerate(counts):
-            if j != first and not pair_beats_half(engine, c_first, c):
+            if j != first and j != second and not pair_beats_half(engine, c_first, c):
                 return None
         return first
+
+
+class Ppr1v1Rule(Generic1v1Rule):
+    """``Generic1v1Rule`` on the ppr engine, testing the runner-up alone:
+    the density at 1/2 is non-decreasing when any lower count is substituted
+    for second's (see theory.verify_beta_monotonicity), so every other pair
+    passes when that one does."""
+
+    __slots__ = ()
+
+    def __init__(self, k: int, delta: float) -> None:
+        super().__init__("ppr", k, delta)
+
+    def check(self, tally: TallyState) -> int | None:
+        counts = tally.counts
+        if pair_beats_half(self.engine, counts[tally.first], counts[tally.second]):
+            return tally.first
+        return None
 
 
 class Generic1vrRule(_Rule):
@@ -145,18 +155,20 @@ class Generic1vrRule(_Rule):
     __slots__ = ("engine",)
 
     def __init__(self, engine_kind: str, k: int, delta: float) -> None:
+        _validate(delta, k)
         self.engine = make_engine(engine_kind, delta / k)
 
     def check(self, tally: TallyState) -> int | None:
         counts = tally.counts
         first = tally.first
+        second = tally.second
         c_first = counts[first]
         t = tally.total
         engine = self.engine
-        if not one_vs_rest_separated(engine, c_first, counts[tally.second], t):
+        if not one_vs_rest_separated(engine, c_first, counts[second], t):
             return None
         for j, c in enumerate(counts):
-            if j != first and not one_vs_rest_separated(engine, c_first, c, t):
+            if j != first and j != second and not one_vs_rest_separated(engine, c_first, c, t):
                 return None
         return first
 
@@ -174,8 +186,7 @@ class PprMdRule(_Rule):
     __slots__ = ("_k", "_log_threshold")
 
     def __init__(self, k: int, delta: float) -> None:
-        if k < 2 or not 0.0 < delta < 1.0:
-            raise ValueError(f"need K >= 2 and delta in (0, 1), got K={k}, delta={delta}")
+        _validate(delta, k)
         self._k = k
         self._log_threshold = math.log(delta) - ln_gamma_int(k)
 
@@ -237,8 +248,7 @@ class PprAdaptiveRule(_Rule):
     __slots__ = ("_k_delta",)
 
     def __init__(self, delta: float) -> None:
-        if not 0.0 < delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {delta}")
+        _validate(delta)
         self._k_delta = PI_SQUARED_OVER_6_INV * delta
 
     def budget(self, a: int, b: int) -> float:
@@ -271,20 +281,25 @@ RULE_TOKENS = tuple(
 )
 
 
+def parse_rule_token(token: str) -> tuple[str, str]:
+    """Split a rule token into (engine kind, scheme): ``kl-sn-1vr`` gives
+    ("kl-sn", "1vr") and ``ppr-adaptive`` gives ("ppr", "adaptive")."""
+    if token not in RULE_TOKENS:
+        raise ValueError(f"unknown rule token {token!r}; expected one of {RULE_TOKENS}")
+    kind, scheme = token.rsplit("-", 1)
+    return kind, scheme
+
+
 def make_rule(token: str, k: int, delta: float) -> _Rule:
     """Build a stopping rule from its CLI token."""
-    if token == "ppr-1v1":
-        return Ppr1v1Rule(k, delta)
-    if token == "ppr-md":
+    kind, scheme = parse_rule_token(token)
+    if scheme == "md":
         return PprMdRule(k, delta)
-    if token == "ppr-adaptive":
+    if scheme == "adaptive":
         return PprAdaptiveRule(delta)
-    for kind in ENGINE_KINDS:
-        if token == f"{kind}-1v1":
-            return Generic1v1Rule(kind, k, delta)
-        if token == f"{kind}-1vr":
-            return Generic1vrRule(kind, k, delta)
-    raise ValueError(f"unknown rule token {token!r}; expected one of {RULE_TOKENS}")
+    if scheme == "1vr":
+        return Generic1vrRule(kind, k, delta)
+    return Ppr1v1Rule(k, delta) if kind == "ppr" else Generic1v1Rule(kind, k, delta)
 
 
 def _path_chunks(path: SamplePath, sample_cap: int):
@@ -326,7 +341,7 @@ def scan_per_sample(
 
 def _ppr_1v1_screen(rule: Ppr1v1Rule, lead, trail, totals) -> np.ndarray:
     """Rows where ``rule.check`` declares, by the same floats."""
-    return log_beta_pdf_half_array(lead, trail) <= rule._log_threshold
+    return log_beta_pdf_half_array(lead, trail) <= math.log(rule.engine.alpha)
 
 
 def _ppr_1vr_screen(rule: Generic1vrRule, lead, trail, totals) -> np.ndarray:

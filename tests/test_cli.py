@@ -123,6 +123,40 @@ class TestElectionSim:
             b"rr,ppr,1v1,0.1,1,120,A,2,True\r\n"
         )
 
+    def test_dcb_1vr_bytes(self, tmp_path, capsys):
+        out = tmp_path / "election.csv"
+        code = main(["election-sim", "--policy", "dcb", "--rule", "kl-sn-1vr", "--seeds", "2",
+                     "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "seed 0: samples 30,200 winner alpha seats 34 correct True\n"
+            "seed 1: samples 29,400 winner alpha seats 31 correct True\n"
+            "mean samples over 2 seeds: 29,800\n"
+        )
+        assert out.read_bytes() == (
+            b"policy,rule,scheme,delta,seed,samples,winner,seats_resolved,correct\r\n"
+            b"dcb,kl-sn,1vr,0.01,0,30200,alpha,34,True\r\n"
+            b"dcb,kl-sn,1vr,0.01,1,29400,alpha,31,True\r\n"
+        )
+
+    def test_rejects_unknown_rule(self, capsys):
+        assert main(["election-sim", "--rule", "foo", "--seeds", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown rule token 'foo'; expected one of (")
+        assert "'kl-sn-1vr'" in err
+
+    @pytest.mark.parametrize("rule", ["ppr-md", "ppr-adaptive"])
+    def test_rejects_rule_without_widths(self, rule, capsys):
+        assert main(["election-sim", "--rule", rule, "--seeds", "1"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: election rules must be <engine>-1v1 or <engine>-1vr, got {rule!r}\n"
+        )
+
+    @pytest.mark.parametrize("delta", ["1.5", "0", "-0.1"])
+    def test_rejects_bad_delta(self, delta, capsys):
+        assert main(["election-sim", "--delta", delta, "--seeds", "1"]) == 1
+        assert capsys.readouterr() == ("", f"error: delta must lie in (0, 1), got {float(delta)}\n")
+
     @pytest.mark.parametrize("seeds", ["0", "-2"])
     def test_rejects_no_seeds(self, seeds, capsys):
         assert main(["election-sim", "--seeds", seeds]) == 1
@@ -176,6 +210,12 @@ class TestBlockchainSim:
             b"0.2,sprt,5,10.0,0.0,0.0\r\n"
             b"0.2,ppr-adaptive,5,32.0,3.7416573867739413,0.0\r\n"
         )
+
+    @pytest.mark.parametrize("policy", ["ppr-1vr", "ppr-1v1", "ppr-adaptive", "sprt"])
+    def test_rejects_bad_delta(self, policy, capsys):
+        argv = ["blockchain-sim", "--policy", policy, "--k", "10", "--delta", "1.5", "--runs", "2"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: delta must lie in (0, 1), got 1.5\n")
 
     @pytest.mark.parametrize("flag", ["--policy", "--f"])
     @pytest.mark.parametrize("value", ["", " , "])

@@ -14,7 +14,16 @@ from modestop.elections import (
     write_election_csv,
 )
 from modestop.instances import derive_stream
-from modestop.stopping import pair_test_alpha
+
+# per-test mistake probability of each per-constituency rule under DCB, at
+# delta_c = delta / C: per pair for 1v1 (the empirical-Bernstein test spends
+# half on each one-sided bound), per interval for 1vr
+DCB_ALPHA = {
+    "ppr-1v1": lambda k, delta_c: delta_c / (k - 1),
+    "a1-1v1": lambda k, delta_c: delta_c / (k - 1) / 2.0,
+    "ppr-1vr": lambda k, delta_c: delta_c / k,
+    "kl-sn-1vr": lambda k, delta_c: delta_c / k,
+}
 
 
 def _write(tmp_path, text):
@@ -96,6 +105,17 @@ class TestSelection:
             ),
         )
 
+    def _three(self):
+        return ElectionInstance(
+            ("A", "B", "C"),
+            (
+                Constituency("c0", (50, 30, 20)),
+                Constituency("c1", (25, 45, 30)),
+                Constituency("c2", (30, 25, 45)),
+                Constituency("c3", (40, 36, 24)),
+            ),
+        )
+
     def test_rr_cycles_in_id_order(self):
         run = ElectionRun(self._tiny(), "rr", "ppr-1v1", 0.1, 10, derive_stream(0, 0))
         assert [run.rr_select() for _ in range(5)] == [0, 1, 2, 0, 1]
@@ -120,11 +140,22 @@ class TestSelection:
         assert run.dcb_select() == (2, 2)
 
     def test_dcb_matches_straight_line_reimplementation(self):
+        for rule in DCB_ALPHA:
+            for inst in (self._tiny(), self._three()):
+                self._check_dcb_run(inst, rule)
+
+    def _check_dcb_run(self, inst, rule):
         # recompute the contender and constituency formulas from scratch at
         # every step of a live run and compare with the cached policy
-        inst = self._tiny()
-        run = ElectionRun(inst, "dcb", "ppr-1v1", 0.05, 25, derive_stream(8, 1))
-        engine = make_engine("ppr", pair_test_alpha("ppr", 2, 0.05 / 3))
+        run = ElectionRun(inst, "dcb", rule, 0.05, 25, derive_stream(8, 1))
+        engine_kind, scheme = rule.rsplit("-", 1)
+        engine = make_engine(engine_kind, DCB_ALPHA[rule](inst.k, 0.05 / inst.c))
+
+        def interval(counts, i, j):
+            # 1v1 widths are pair intervals, 1vr widths sit at the shared total
+            t = counts[i] + counts[j] if scheme == "1v1" else sum(counts)
+            return engine.interval(counts[i], t)
+
         for _ in range(200):
             k, c = run.k, run.c
             wins, losses, leads = run.wins, run.losses, run.leads
@@ -139,12 +170,12 @@ class TestSelection:
                     if j == party:
                         continue
                     if kind == "c1":
-                        iv_a = engine.interval(counts[party], counts[party] + counts[j])
-                        iv_j = engine.interval(counts[j], counts[j] + counts[party])
+                        iv_a = interval(counts, party, j)
+                        iv_j = interval(counts, j, party)
                         vals.append(iv_a.hi - iv_j.lo)
                     else:
-                        iv_j = engine.interval(counts[j], counts[j] + counts[party])
-                        iv_b = engine.interval(counts[party], counts[party] + counts[j])
+                        iv_j = interval(counts, j, party)
+                        iv_b = interval(counts, party, j)
                         vals.append(iv_j.hi - iv_b.lo)
                 return min(vals) if kind == "c1" else max(vals)
 

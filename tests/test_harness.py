@@ -12,7 +12,7 @@ from modestop.harness import (
     write_summary_csv,
     write_trials_jsonl,
 )
-from modestop.stopping import TrialRecord
+from modestop.stopping import RULE_TOKENS, TrialRecord
 
 
 def _record(samples, correct=True, idx=0):
@@ -32,6 +32,11 @@ class TestSummarize:
         row = summarize([_record(10), _record(10), _record(10)], _spec())
         assert row.mean_samples == 10.0
         assert row.stderr_samples == 0.0
+
+    @pytest.mark.parametrize("rule", RULE_TOKENS)
+    def test_scheme_column(self, rule):
+        expected = {"ppr-md": "md", "ppr-adaptive": "adaptive"}.get(rule, rule[-3:])
+        assert summarize([_record(10)], _spec(rule=rule)).scheme == expected
 
     def test_two_point_stderr(self):
         row = summarize([_record(1), _record(3)], _spec(replications=2))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modestop.instances import (
+    PATH_CHUNK,
     DiscreteInstance,
     SamplePath,
     TallyState,
@@ -66,11 +67,12 @@ class TestSampling:
 
     def test_index_reads_the_drawn_chunks(self):
         inst = DiscreteInstance((0.5, 0.25, 0.25))
-        path = SamplePath(inst, derive_stream(3, 1), chunk=16)
-        last = path[40]  # draws chunks 0..2
+        path = SamplePath(inst, derive_stream(3, 1))
+        last = path[2100]  # draws chunks 0..2
         drawn = np.concatenate([path.chunk(c) for c in range(3)])
-        assert [path[t] for t in range(48)] == drawn.tolist()
-        assert last == drawn[40]
+        assert len(drawn) == 3 * PATH_CHUNK
+        assert [path[t] for t in range(3 * PATH_CHUNK)] == drawn.tolist()
+        assert last == drawn[2100]
         assert type(last) is int
 
     def test_chi_square_goodness_of_fit(self):

@@ -33,6 +33,7 @@ from modestop.stopping import (
     declaration_time,
     make_rule,
     pair_test_alpha,
+    parse_rule_token,
     run_mode_estimation,
     scan_per_sample,
 )
@@ -90,6 +91,16 @@ class TestGeneric1v1:
             t_fast, d_fast = declaration_time(P1, "ppr-1v1", 0.01, path)
             t_gen, d_gen = scan_per_sample(Generic1v1Rule("ppr", 3, 0.01), 3, path)
             assert (t_fast, d_fast) == (t_gen, d_gen)
+
+    @given(st.lists(st.integers(0, 60), min_size=2, max_size=10), st.sampled_from([0.01, 0.3]))
+    @settings(max_examples=300, deadline=None)
+    def test_ppr_1v1_runner_up_decides(self, counts, delta):
+        # the ppr-1v1 rule tests the runner-up alone; by the monotonicity of
+        # the density at 1/2 it agrees with testing every rival
+        tally = TallyState(len(counts))
+        tally.add_counts(counts)
+        expected = Generic1v1Rule("ppr", len(counts), delta).check(tally)
+        assert make_rule("ppr-1v1", len(counts), delta).check(tally) == expected
 
     def test_all_zero_continues(self):
         for kind in ("ppr", "lucb", "kl-lucb", "kl-sn", "a1"):
@@ -350,6 +361,47 @@ class TestPprAdaptiveParity:
                 rec = run_verification(pool, "ppr-adaptive", 0.005, None, derive_stream(5, r))
                 expected = _observed_verification(pool, 0.005, derive_stream(5, r))
                 assert (rec.samples, rec.declared) == expected
+
+
+class TestRuleTokens:
+    @pytest.mark.parametrize("token", RULE_TOKENS)
+    def test_round_trip(self, token):
+        kind, scheme = parse_rule_token(token)
+        assert f"{kind}-{scheme}" == token
+        assert kind in ("ppr", "lucb", "kl-lucb", "kl-sn", "a1")
+        assert scheme in ("1v1", "1vr", "md", "adaptive")
+
+    def test_examples(self):
+        assert parse_rule_token("kl-sn-1vr") == ("kl-sn", "1vr")
+        assert parse_rule_token("kl-lucb-1v1") == ("kl-lucb", "1v1")
+        assert parse_rule_token("ppr-adaptive") == ("ppr", "adaptive")
+        assert parse_rule_token("ppr-md") == ("ppr", "md")
+
+    @pytest.mark.parametrize("token", ["foo", "", "kl-1vr", "ppr-1v1 ", "a1-md", "lucb-adaptive"])
+    def test_unknown_token_lists_tokens(self, token):
+        with pytest.raises(ValueError) as info:
+            parse_rule_token(token)
+        assert str(info.value) == f"unknown rule token {token!r}; expected one of {RULE_TOKENS}"
+        with pytest.raises(ValueError, match="unknown rule token"):
+            make_rule(token, 3, 0.1)
+
+    @pytest.mark.parametrize("token", RULE_TOKENS)
+    @pytest.mark.parametrize("delta", [0.0, 1.0, 2.5, -0.1, math.nan])
+    def test_rejects_bad_delta(self, token, delta):
+        with pytest.raises(ValueError, match=rf"delta must lie in \(0, 1\), got {delta}"):
+            make_rule(token, 3, delta)
+
+    @pytest.mark.parametrize("token", [t for t in RULE_TOKENS if t != "ppr-adaptive"])
+    @pytest.mark.parametrize("k", [1, 0])
+    def test_rejects_too_few_values(self, token, k):
+        with pytest.raises(ValueError, match=f"needs K >= 2 values, got K={k}"):
+            make_rule(token, k, 0.1)
+
+    def test_ppr_1v1_is_the_generic_rule_on_ppr(self):
+        rule = make_rule("ppr-1v1", 4, 0.03)
+        assert isinstance(rule, Generic1v1Rule)
+        assert rule.engine == Generic1v1Rule("ppr", 4, 0.03).engine
+        assert rule.engine.alpha == 0.03 / 3
 
 
 class TestRunner:
