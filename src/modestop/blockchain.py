@@ -66,10 +66,6 @@ class NodePool:
     def byzantine_count(self) -> int:
         return int(self.byzantine_fraction * self.n_nodes)
 
-    @property
-    def query_fraction(self) -> float:
-        return self.batch_size / self.n_nodes
-
     def colors(self) -> np.ndarray:
         """Node counts per answer: honest nodes first, then the wrong answers
         in round-robin shares."""

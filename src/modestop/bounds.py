@@ -11,12 +11,19 @@ For all five engines the two-sided intervals are mirror images under
 p -> 1 - p, so the predicates are exactly equivalent to the interval
 comparisons while avoiding the numeric inversions in the per-sample loop
 (the equivalence is asserted in the test suite).
+
+On the ppr engine the two predicates compare a log density with the
+engine's ``log_alpha``: ``log_beta_pdf_half`` for the pair and
+``ppr_separation_log_density`` for one-vs-rest. These two functions are the
+only statements of the ppr-1v1 and ppr-1vr statistics; the chunk screens in
+``stopping`` and the crossing-inequality sweep in ``theory`` call them (or
+their array twins) too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -173,12 +180,17 @@ class BoundEngine:
     """One confidence-bound computation with its per-test mistake probability.
 
     Engines are immutable; the KL-SN root is computed eagerly at construction
-    so that shared engines never race on the cache.
+    so that shared engines never race on the cache. ``log_alpha`` is ln alpha,
+    derived once here: the ppr tests compare log densities against it.
     """
 
     kind: str
     alpha: float
     gamma: float = 0.0
+    log_alpha: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "log_alpha", math.log(self.alpha))
 
     def interval(self, s: int, t: int) -> Interval:
         return _INTERVAL_FUNCS[self.kind](s, t, self.alpha)
@@ -204,7 +216,7 @@ def pair_beats_half(engine: BoundEngine, s_lead: int, s_trail: int) -> bool:
     kind = engine.kind
     if kind == "ppr":
         # the posterior level set excludes 1/2 iff the density there is <= alpha
-        return log_beta_pdf_half(s_lead, s_trail) <= math.log(engine.alpha)
+        return log_beta_pdf_half(s_lead, s_trail) <= engine.log_alpha
     p_hat = s_lead / t
     if kind == "lucb":
         return p_hat - math.sqrt(lucb_exploration_rate(t, engine.alpha) / (2.0 * t)) >= 0.5
@@ -277,7 +289,7 @@ def one_vs_rest_separated(engine: BoundEngine, s_lead: int, s_trail: int, t: int
         x = min(max(x, 1e-15), 1.0 - 1e-15)
         return t * kl_bernoulli(p_lead, x) >= beta
     if kind == "ppr":
-        return ppr_separation_log_density(s_lead, s_trail, t) <= math.log(alpha)
+        return ppr_separation_log_density(s_lead, s_trail, t) <= engine.log_alpha
     raise ValueError(f"unknown bound engine {kind!r}")
 
 

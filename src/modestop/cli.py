@@ -20,7 +20,6 @@ def _add_common(parser: argparse.ArgumentParser, reps_default: int = 100) -> Non
     parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     parser.add_argument("--reps", type=int, default=reps_default, help="replications per cell")
     parser.add_argument("--out", type=str, default=None, help="summary CSV path")
-    parser.add_argument("--fast", action="store_true", help="reduced-cost variant for CI")
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -64,6 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table1", help="six-instance 1v1/1vr comparison suite")
     p.add_argument("--instances", type=str, default=None, help="subset, e.g. P1,P3")
+    p.add_argument("--fast", action="store_true",
+                   help="cap the two slow instances (P5, P6) at 20 replications")
     _add_common(p)
 
     p = sub.add_parser("bounds", help="closed-form sample-complexity calculators")

@@ -190,7 +190,7 @@ def synthetic_election() -> ElectionInstance:
 
 
 class _ConstituencyState:
-    __slots__ = ("index", "cum", "true_winner", "tally", "winner", "lcb", "ucb")
+    __slots__ = ("index", "cum", "tally", "winner", "lcb", "ucb")
 
     def __init__(self, index: int, con: Constituency) -> None:
         k = len(con.votes)
@@ -199,14 +199,10 @@ class _ConstituencyState:
         cum /= cum[-1]
         cum[-1] = 1.0
         self.cum = cum
-        self.true_winner = con.winner
         self.tally = TallyState(k)
         self.winner: int | None = None
         self.lcb: np.ndarray | None = None
         self.ucb: np.ndarray | None = None
-
-    def leader(self) -> int | None:
-        return self.tally.first if self.tally.total > 0 else None
 
 
 class ElectionRun:
@@ -215,9 +211,7 @@ class ElectionRun:
     Vote samples are drawn with replacement from each constituency's
     normalized counts. wins / losses move only when a constituency resolves:
     the resolved winner gains a win and every other party a loss, so
-    LCB_party = wins and UCB_party = C - losses. leads counts unresolved
-    constituencies where a party is currently the most sampled (lowest index
-    on ties).
+    LCB_party = wins and UCB_party = C - losses.
     """
 
     def __init__(
@@ -252,7 +246,6 @@ class ElectionRun:
         self.states = [_ConstituencyState(i, con) for i, con in enumerate(instance.constituencies)]
         self.wins = [0] * self.k
         self.losses = [0] * self.k
-        self.leads = [0] * self.k
         self.samples = 0
         self.unresolved = self.c
         self._rr_cursor = 0
@@ -287,7 +280,6 @@ class ElectionRun:
         st.ucb = ucb
 
     def _sample_batch(self, st: _ConstituencyState) -> None:
-        old_leader = st.leader()
         us = self.stream.uniforms(self.batch)
         idxs = np.searchsorted(st.cum, us, side="right")
         st.tally.add_counts(np.bincount(idxs, minlength=self.k))
@@ -296,21 +288,12 @@ class ElectionRun:
         if declared is not None:
             st.winner = declared
             self.unresolved -= 1
-            if old_leader is not None:
-                self.leads[old_leader] -= 1
             self.wins[declared] += 1
             for j in range(self.k):
                 if j != declared:
                     self.losses[j] += 1
-        else:
-            new_leader = st.leader()
-            if new_leader != old_leader:
-                if old_leader is not None:
-                    self.leads[old_leader] -= 1
-                if new_leader is not None:
-                    self.leads[new_leader] += 1
-            if self._needs_widths:
-                self._refresh_widths(st)
+        elif self._needs_widths:
+            self._refresh_widths(st)
 
     # -- selection policies ------------------------------------------------
 
@@ -334,8 +317,15 @@ class ElectionRun:
         return max(ucb[j, party] - lcb[party, j] for j in range(k) if j != party)
 
     def dcb_contenders(self) -> tuple[int, int]:
+        """The party with the most wins plus leads, where a party leads an
+        unresolved constituency it is currently the most sampled in (lowest
+        index on ties), and the rival with the most possible seats."""
         k = self.k
-        a = max(range(k), key=lambda i: (self.wins[i] + self.leads[i], -i))
+        leads = [0] * k
+        for st in self.states:
+            if st.winner is None and st.tally.total > 0:
+                leads[st.tally.first] += 1
+        a = max(range(k), key=lambda i: (self.wins[i] + leads[i], -i))
         b = max((i for i in range(k) if i != a), key=lambda i: (self.c - self.losses[i], -i))
         return a, b
 

@@ -31,7 +31,6 @@ class DiscreteInstance:
     """
 
     probs: tuple[float, ...]
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if len(self.probs) < 2:
@@ -47,10 +46,6 @@ class DiscreteInstance:
         top = max(self.probs)
         if sum(1 for p in self.probs if p == top) != 1:
             raise ValueError("the mode must be strictly unique")
-        if not self.labels:
-            object.__setattr__(self, "labels", tuple(f"v{i}" for i in range(len(self.probs))))
-        elif len(self.labels) != len(self.probs):
-            raise ValueError("labels and probs must have equal length")
         cum = np.cumsum(np.asarray(self.probs, dtype=np.float64))
         cum[-1] = 1.0
         object.__setattr__(self, "_cumulative", cum)
@@ -178,10 +173,6 @@ class TallyState:
         self.first = 0
         self.second = 1
         self.order: list[int] = []
-
-    @property
-    def k(self) -> int:
-        return len(self.counts)
 
     def update(self, idx: int) -> None:
         counts = self.counts

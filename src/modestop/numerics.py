@@ -236,7 +236,7 @@ def kl_bernoulli(p: float, q: float) -> float:
     return acc if acc > 0.0 else 0.0
 
 
-def invert_kl_lower(p_hat: float, t: int, beta: float, tol: float = BISECT_TOL) -> float:
+def invert_kl_lower(p_hat: float, t: int, beta: float) -> float:
     """Smallest q in [0, p_hat] with t * D(p_hat || q) <= beta.
 
     D(p_hat || q) decreases in q on (0, p_hat], so the feasible set is an
@@ -244,8 +244,6 @@ def invert_kl_lower(p_hat: float, t: int, beta: float, tol: float = BISECT_TOL) 
     0 when the constraint already holds as q -> 0+ (only possible for
     p_hat = 0, where the divergence vanishes at the left edge).
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     if not 0.0 <= p_hat <= 1.0:
         raise ValueError(f"p_hat must lie in [0, 1], got {p_hat}")
     if beta <= 0.0:
@@ -264,23 +262,21 @@ def invert_kl_lower(p_hat: float, t: int, beta: float, tol: float = BISECT_TOL) 
             hi = mid
         else:
             lo = mid
-        if hi - lo <= tol and abs(t * kl_bernoulli(p_hat, hi) - beta) <= residual_tol:
+        if hi - lo <= BISECT_TOL and abs(t * kl_bernoulli(p_hat, hi) - beta) <= residual_tol:
             break
     return hi
 
 
-def invert_kl_upper(p_hat: float, t: int, beta: float, tol: float = BISECT_TOL) -> float:
+def invert_kl_upper(p_hat: float, t: int, beta: float) -> float:
     """Largest q in [p_hat, 1] with t * D(p_hat || q) <= beta.
 
     Mirror image of invert_kl_lower under p -> 1 - p, q -> 1 - q, which
     leaves the divergence invariant.
     """
-    return 1.0 - invert_kl_lower(1.0 - p_hat, t, beta, tol)
+    return 1.0 - invert_kl_lower(1.0 - p_hat, t, beta)
 
 
-def _bisect_flank(
-    a: int, b: int, log_level: float, x_fail: float, x_ok: float, tol: float
-) -> float:
+def _bisect_flank(a: int, b: int, log_level: float, x_fail: float, x_ok: float) -> float:
     """Crossing of log Beta(a, b) density with log_level on a monotone flank.
 
     x_fail is the endpoint where the density is below the level, x_ok the one
@@ -294,12 +290,12 @@ def _bisect_flank(
             x_ok = mid
         else:
             x_fail = mid
-        if abs(x_ok - x_fail) <= tol:
+        if abs(x_ok - x_fail) <= BISECT_TOL:
             break
     return x_ok
 
 
-def posterior_level_crossings(a: int, b: int, level: float, tol: float = BISECT_TOL) -> Interval:
+def posterior_level_crossings(a: int, b: int, level: float) -> Interval:
     """Leftmost and rightmost solutions of Beta(x; a, b) = level.
 
     The Beta density with integer shapes a, b >= 1 is unimodal with mode
@@ -314,8 +310,6 @@ def posterior_level_crossings(a: int, b: int, level: float, tol: float = BISECT_
         raise ValueError(f"level must be positive, got {level}")
     if a < 1 or b < 1:
         raise ValueError(f"integer shapes must be >= 1, got a={a}, b={b}")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     log_level = math.log(level)
     if a == 1 and b == 1:
         if log_level > 1e-12:
@@ -337,11 +331,11 @@ def posterior_level_crossings(a: int, b: int, level: float, tol: float = BISECT_
     if mode == 0.0 or log_beta_pdf(0.0, a, b) >= log_level:
         lo = 0.0
     else:
-        lo = _bisect_flank(a, b, log_level, x_fail=0.0, x_ok=mode, tol=tol)
+        lo = _bisect_flank(a, b, log_level, x_fail=0.0, x_ok=mode)
     if mode == 1.0 or log_beta_pdf(1.0, a, b) >= log_level:
         hi = 1.0
     else:
-        hi = _bisect_flank(a, b, log_level, x_fail=1.0, x_ok=mode, tol=tol)
+        hi = _bisect_flank(a, b, log_level, x_fail=1.0, x_ok=mode)
     if lo > hi:  # both flanks collapsed onto the mode within tolerance
         lo = hi = mode
     return Interval(lo, hi)

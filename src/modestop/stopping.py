@@ -19,8 +19,13 @@ checked row at once. Each row the screen passes is confirmed, in order, by
 the rule's own ``check`` on exactly those counts, so the kernels give the
 per-sample verdicts and sample counts. The ``ppr-1v1`` screen is
 bit-identical to ``Ppr1v1Rule.check``; the ``ppr-1vr`` screen goes through
-numpy's exp and log and passes rows within a slack. Every other token runs
-the per-sample loop ``scan_per_sample``.
+numpy's exp and log and passes rows within a slack. Both compare with the
+rule engine's ``log_alpha``, the threshold ``check`` uses. Every other token
+runs the per-sample loop ``scan_per_sample``.
+
+``PprMdRule.slice_log_quantities`` is the one statement of the ppr-md
+statistic: ``check`` compares its values with the rule's log threshold, and
+the Dirichlet oracles in the tests read the same values.
 """
 
 from __future__ import annotations
@@ -190,25 +195,12 @@ class PprMdRule(_Rule):
         self._k = k
         self._log_threshold = math.log(delta) - ln_gamma_int(k)
 
-    def slice_log_quantity(self, counts, j: int, first: int) -> float:
-        """Log of (prod x*_i^{s_i}) (t+K-1)! / prod s_i! at the j-slice maximizer."""
-        t = sum(counts)
-        lg = LOG_GAMMA
-        log_t = math.log(t)
-        acc = lg(t + self._k)
-        for i, c in enumerate(counts):
-            acc -= lg(c + 1)
-            if c > 0 and i != first and i != j:
-                acc += c * (math.log(c) - log_t)
-        pair = counts[first] + counts[j]
-        if pair > 0:
-            acc += pair * (math.log(pair) - log_t - math.log(2.0))
-        return acc
-
-    def check(self, tally: TallyState) -> int | None:
+    def slice_log_quantities(self, tally: TallyState):
+        """Yield (j, log quantity at the j-slice maximizer) for each rival j of
+        the leader, in index order; the quantity is
+        (prod x*_i^{s_i}) (t+K-1)! / prod s_i!, the Dirichlet posterior
+        density there. Needs a non-empty tally."""
         t = tally.total
-        if t == 0:
-            return None
         counts = tally.counts
         first = tally.first
         lg = LOG_GAMMA
@@ -221,16 +213,22 @@ class PprMdRule(_Rule):
                 base += c * (math.log(c) - log_t)
         c_first = counts[first]
         term_first = c_first * (math.log(c_first) - log_t) if c_first else 0.0
-        threshold = self._log_threshold
         for j, c_j in enumerate(counts):
             if j == first:
                 continue
             term_j = c_j * (math.log(c_j) - log_t) if c_j else 0.0
             pair = c_first + c_j
             slice_term = pair * (math.log(pair) - log_t - math.log(2.0)) if pair else 0.0
-            if log_coeff + base - term_first - term_j + slice_term > threshold:
+            yield j, log_coeff + base - term_first - term_j + slice_term
+
+    def check(self, tally: TallyState) -> int | None:
+        if tally.total == 0:
+            return None
+        threshold = self._log_threshold
+        for _, log_q in self.slice_log_quantities(tally):
+            if log_q > threshold:
                 return None
-        return first
+        return tally.first
 
 
 class PprAdaptiveRule(_Rule):
@@ -341,14 +339,14 @@ def scan_per_sample(
 
 def _ppr_1v1_screen(rule: Ppr1v1Rule, lead, trail, totals) -> np.ndarray:
     """Rows where ``rule.check`` declares, by the same floats."""
-    return log_beta_pdf_half_array(lead, trail) <= math.log(rule.engine.alpha)
+    return log_beta_pdf_half_array(lead, trail) <= rule.engine.log_alpha
 
 
 def _ppr_1vr_screen(rule: Generic1vrRule, lead, trail, totals) -> np.ndarray:
     """Rows where the runner-up may be separated from the leader: a superset
     of the rows where ``rule.check`` declares, which tests every rival."""
     log_density, slack = ppr_separation_log_density_array(lead, trail, totals)
-    return (lead > trail) & (log_density <= math.log(rule.engine.alpha) + slack)
+    return (lead > trail) & (log_density <= rule.engine.log_alpha + slack)
 
 
 # token -> vectorised screen on the top two counts of count rows: it passes

@@ -5,7 +5,10 @@ upper bounds for the empirical-Bernstein rule, the Bernoulli posterior test,
 and its pairwise K-value generalization. The verifiers sweep the two
 inequalities that the pairwise analysis leans on: the posterior-density
 crossing inequality behind "1v1 stops before 1vr", and the monotonicity of
-the Beta density at 1/2 in its second shape parameter.
+the Beta density at 1/2 in its second shape parameter. The crossing sweep
+evaluates the statistics the ppr rules themselves compute
+(``bounds.ppr_separation_log_density`` and
+``numerics.log_beta_pdf_half``), so it checks the code that runs.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numerics import LOG_GAMMA
+from .bounds import ppr_separation_log_density
+from .numerics import log_beta_pdf_half
 
 __all__ = [
     "BoundReport",
@@ -23,7 +27,6 @@ __all__ = [
     "ppr_bernoulli_upper",
     "ppr_1v1_upper",
     "verify_thm3_margin",
-    "conjecture_theta",
     "verify_1v1_1vr_conjecture",
     "beta_pdf_half_exact",
     "verify_beta_monotonicity",
@@ -110,29 +113,10 @@ def verify_thm3_margin(p1: float, p2: float, pj: float, k: int, delta: float) ->
         raise ValueError(f"need p1 > p2 >= pj > 0, got {(p1, p2, pj)}")
     delta_prime = delta / (2.0 * (k - 1))
     q1 = p1 / (p1 + pj)
-    u = 20.775 * q1 / (q1 - 0.5) ** 2 * math.log(2.49 / ((q1 - 0.5) ** 2 * delta_prime))
+    u = ppr_bernoulli_upper(q1, delta_prime)
     t_star = ppr_1v1_upper(p1, p2, k, delta)
     slack = math.sqrt(2.0 * math.log(1.0 / delta_prime) / ((p1 + pj) * t_star))
     return u < (1.0 - slack) * (p1 + pj) * t_star
-
-
-def conjecture_theta(x: int, y: int, f: int) -> float:
-    """The density-crossing point theta* with
-    theta*/(1-theta*) = [x! (y+f)! / (y! (x+f)!)]^(1/(x-y)), in log space."""
-    if not (x > y >= 1 and f >= 1):
-        raise ValueError(f"need x > y >= 1 and f >= 1, got {(x, y, f)}")
-    lg = LOG_GAMMA
-    log_odds = (lg(x + 1) + lg(y + f + 1) - lg(y + 1) - lg(x + f + 1)) / (x - y)
-    if log_odds >= 0:
-        z = math.exp(-log_odds)
-        return 1.0 / (1.0 + z)
-    z = math.exp(log_odds)
-    return z / (1.0 + z)
-
-
-def _log_beta_fn(a: int, b: int) -> float:
-    lg = LOG_GAMMA
-    return lg(a) + lg(b) - lg(a + b)
 
 
 def verify_1v1_1vr_conjecture(
@@ -141,26 +125,22 @@ def verify_1v1_1vr_conjecture(
     """Sweep the crossing inequality over 1 <= y < x <= x_max, y <= y_max,
     1 <= f <= f_max and return the failing triples.
 
-    The checked inequality is
-        theta*^x (1-theta*)^(y+f) / B(x+1, y+f+1)
-            >= F / (2^(x+y) B(x+1, y+1))
-    with F = 1 in the strong form (k is None) and F = (k-1)/k otherwise; the
-    strong form implies the k-form for every k.
+    With counts x, y, f (t = x + y + f) the checked inequality is
+        ppr_separation_log_density(x, y, t) >= ln F + log_beta_pdf_half(x, y)
+    with F = 1 in the strong form (k is None) and F = (k-1)/k otherwise: the
+    ppr-1vr statistic (the leader's posterior density where it crosses the
+    runner-up's) is at least the ppr-1v1 statistic (the pair's density at
+    1/2) scaled by F. As ppr-1vr tests at delta/K and ppr-1v1 at
+    delta/(K-1), the k-form says 1v1 declares whenever 1vr does; the strong
+    form implies the k-form for every k.
     """
-    LOG_GAMMA.ensure(x_max + f_max + 3)
     log_factor = 0.0 if k is None else math.log((k - 1) / k)
-    ln2 = math.log(2.0)
     failures: list[tuple[int, int, int]] = []
     for x in range(2, x_max + 1):
         for y in range(1, min(x - 1, y_max) + 1):
+            rhs = log_factor + log_beta_pdf_half(x, y)
             for f in range(1, f_max + 1):
-                theta = conjecture_theta(x, y, f)
-                lhs = (
-                    x * math.log(theta)
-                    + (y + f) * math.log1p(-theta)
-                    - _log_beta_fn(x + 1, y + f + 1)
-                )
-                rhs = log_factor - (x + y) * ln2 - _log_beta_fn(x + 1, y + 1)
+                lhs = ppr_separation_log_density(x, y, x + y + f)
                 if lhs < rhs - 1e-9 * max(1.0, abs(rhs)):
                     failures.append((x, y, f))
     return failures

@@ -14,7 +14,7 @@ import pytest
 from modestop.blockchain import sweep_f
 from modestop.elections import load_election_csv, run_election, synthetic_election
 from modestop.harness import TABLE1_INSTANCES, ExperimentSpec, run_experiment
-from modestop.instances import DiscreteInstance, SamplePath, derive_stream
+from modestop.instances import DiscreteInstance, SamplePath, TallyState, derive_stream
 from modestop.stopping import declaration_time, run_mode_estimation
 from modestop.theory import (
     lower_bound,
@@ -482,7 +482,9 @@ class TestCriterion12:
             counts = [int(rng.integers(1, 12)) for _ in range(3)]
             counts.sort(reverse=True)
             t = sum(counts)
-            got = rule.slice_log_quantity(counts, j=1, first=0)
+            tally = TallyState(3)
+            tally.add_counts(counts)
+            got = dict(rule.slice_log_quantities(tally))[1]
             best = -math.inf
             coeff = math.lgamma(t + 3) - sum(math.lgamma(c + 1) for c in counts)
             for z in np.arange(5e-4, 0.5, 1e-3):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from modestop.bounds import (
     ENGINE_KINDS,
+    BoundEngine,
     a1_bounds,
     hoeffding_lucb_bounds,
     kl_lucb_bounds,
@@ -173,6 +174,12 @@ class TestEngineInvariants:
         trail_iv = engine.interval(trail, t)
         expected = lead_iv.lo >= trail_iv.hi - 1e-9 and lead > trail
         assert got == expected
+
+    def test_log_alpha_is_derived(self):
+        # the ppr predicates compare with it; it cannot be passed out of step
+        assert make_engine("ppr", 0.003).log_alpha == math.log(0.003)
+        with pytest.raises(TypeError):
+            BoundEngine("ppr", 0.003, 0.0, math.log(0.003))
 
 
 class TestPprCoverage:

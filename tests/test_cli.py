@@ -42,6 +42,17 @@ class TestModeSim:
         assert main(["mode-sim", "--probs", "0.5,0.4", "--rule", "ppr-1v1"]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["mode-sim", "--probs", "0.6,0.4", "--rule", "ppr-1v1", "--reps", "2"],
+        ["figure1", "--p1", "0.9", "--reps", "2"],
+    ])
+    def test_rejects_fast(self, command, capsys):
+        # --fast caps table1's slow instances; no other subcommand takes it
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--fast"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --fast" in capsys.readouterr().err
+
 
 class TestBounds:
     def test_text_output(self, capsys):

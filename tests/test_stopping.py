@@ -132,6 +132,22 @@ class TestGeneric1vr:
         t_1vr, _ = declaration_time(inst, f"{kind}-1vr", 0.01, path)
         assert t_1v1 <= t_1vr
 
+    @given(st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_ppr_1vr_declaration_implies_1v1(self, data):
+        # criteria 3 and 8 on a single tally: whenever ppr-1vr declares,
+        # ppr-1v1 declares the same value
+        k = data.draw(st.integers(2, 10))
+        lead = data.draw(st.integers(1, 3000))
+        counts = data.draw(st.lists(st.integers(0, lead), min_size=k, max_size=k))
+        counts[data.draw(st.integers(0, k - 1))] = lead
+        delta = data.draw(st.floats(1e-8, 0.99))
+        tally = TallyState(k)
+        tally.add_counts(counts)
+        declared = make_rule("ppr-1vr", k, delta).check(tally)
+        if declared is not None:
+            assert make_rule("ppr-1v1", k, delta).check(tally) == declared
+
 
 class TestPprMd:
     def test_symmetric_tie_never_declares(self):
@@ -162,7 +178,9 @@ class TestPprMd:
         t = sum(counts)
         k = 3
         rule = PprMdRule(k, 0.01)
-        log_coeff_term = rule.slice_log_quantity(counts, j=1, first=0)
+        tally = TallyState(k)
+        tally.add_counts(counts)
+        log_coeff_term = dict(rule.slice_log_quantities(tally))[1]
         # independent grid evaluation of the Dirichlet density restricted to
         # the slice, rescaled to the same quantity
         best = -math.inf
@@ -185,7 +203,9 @@ class TestPprMd:
         counts = [7, 4, 1]
         t = sum(counts)
         rule = PprMdRule(3, 0.01)
-        got = rule.slice_log_quantity(counts, j=1, first=0)
+        tally = TallyState(3)
+        tally.add_counts(counts)
+        got = dict(rule.slice_log_quantities(tally))[1]
         pair = (counts[0] + counts[1]) / (2.0 * t)
         x_star = (pair, pair, counts[2] / t)
         expected = dirichlet_logpdf(x_star, counts)

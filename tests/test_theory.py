@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modestop.bounds import ppr_separation_log_density
+from modestop.numerics import log_beta_pdf
 from modestop.theory import (
     a1_upper_bound,
     beta_pdf_half_exact,
     bound_report,
-    conjecture_theta,
     lower_bound,
     ppr_1v1_upper,
     ppr_bernoulli_upper,
@@ -110,9 +111,10 @@ class TestConjecture:
         assert verify_1v1_1vr_conjecture(8, 8, 8, k=3) == []
 
     def test_single_triple_direct(self):
-        # x=2, y=1, f=1: theta*/(1-theta*) = (2!*2!)/(1!*3!) = 2/3
-        theta = conjecture_theta(2, 1, 1)
-        assert theta == pytest.approx(0.4, rel=1e-12)
+        # x=2, y=1, f=1: theta*/(1-theta*) = (2!*2!)/(1!*3!) = 2/3, so the
+        # statistic is the Beta(3, 3) density 30 x^2 (1-x)^2 at theta* = 0.4
+        got = ppr_separation_log_density(2, 1, 4)
+        assert got == pytest.approx(math.log(30 * 0.4**2 * 0.6**2), rel=1e-12)
         assert verify_1v1_1vr_conjecture(2, 1, 1) == []
 
     @given(
@@ -122,11 +124,18 @@ class TestConjecture:
     )
     @settings(max_examples=200, deadline=None)
     def test_theta_within_mean_range(self, x, y, f):
+        # between the empirical means y/t < x/t the leader's posterior density
+        # rises and the runner-up's falls; the statistic is their common value
+        # at the crossing theta*, so theta* >= y/t iff it is at least the
+        # leader's density at y/t, and theta* <= x/t iff it is at least the
+        # runner-up's density at x/t
         if y >= x:
             y = x - 1
-        theta = conjecture_theta(x, y, f)
-        total = x + y + f
-        assert y / total - 1e-12 <= theta <= x / total + 1e-12
+        t = x + y + f
+        got = ppr_separation_log_density(x, y, t)
+        lead_at_trail_mean = log_beta_pdf(y / t, x + 1, t - x + 1)
+        trail_at_lead_mean = log_beta_pdf(x / t, y + 1, t - y + 1)
+        assert got >= max(lead_at_trail_mean, trail_at_lead_mean) - 1e-12 * (1 + abs(got))
 
 
 class TestBoundComparison:
