@@ -52,15 +52,15 @@ class NodePool:
 
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
-            raise ValueError("need at least one node")
+            raise ValueError(f"need at least one node, got N={self.n_nodes}")
         if not 0.0 <= self.byzantine_fraction < 0.5:
             raise ValueError(
                 f"the Byzantine fraction must lie in [0, 1/2), got {self.byzantine_fraction}"
             )
         if not 1 <= self.batch_size <= self.n_nodes:
-            raise ValueError("batch size must lie in [1, N]")
+            raise ValueError(f"batch size must lie in [1, N={self.n_nodes}], got {self.batch_size}")
         if self.n_answers < 2:
-            raise ValueError("need at least two possible answers")
+            raise ValueError(f"need at least two possible answers, got K={self.n_answers}")
 
     @property
     def byzantine_count(self) -> int:

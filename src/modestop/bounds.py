@@ -15,9 +15,13 @@ comparisons while avoiding the numeric inversions in the per-sample loop
 On the ppr engine the two predicates compare a log density with the
 engine's ``log_alpha``: ``log_beta_pdf_half`` for the pair and
 ``ppr_separation_log_density`` for one-vs-rest. These two functions are the
-only statements of the ppr-1v1 and ppr-1vr statistics; the chunk screens in
-``stopping`` and the crossing-inequality sweep in ``theory`` call them (or
-their array twins) too.
+only statements of the ppr-1v1 and ppr-1vr statistics; the crossing-inequality
+sweep in ``theory`` calls them, and the chunk screens their array twins.
+
+``pair_margin_array`` and ``one_vs_rest_margin_array`` are the predicates'
+array twins for all five engines: over arrays of counts they return each
+test's statistic minus its threshold, with a slack for numpy's rounding.
+The stopping rules screen whole chunks of a sample path with them.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .numerics import (
     invert_kl_upper,
     kl_bernoulli,
     log_beta_pdf_half,
+    log_beta_pdf_half_array,
     posterior_level_crossings,
 )
 
@@ -54,6 +59,8 @@ __all__ = [
     "one_vs_rest_separated",
     "ppr_separation_log_density",
     "ppr_separation_log_density_array",
+    "pair_margin_array",
+    "one_vs_rest_margin_array",
 ]
 
 ENGINE_KINDS = ("ppr", "lucb", "kl-lucb", "kl-sn", "a1")
@@ -306,6 +313,12 @@ def ppr_separation_log_density(s_lead: int, s_trail: int, t: int) -> float:
     return log_norm_lead + s_lead * math.log(x) + (t - s_lead) * math.log1p(-x)
 
 
+def _logistic_array(z: np.ndarray) -> np.ndarray:
+    """``_logistic`` over an array, overflow-free."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def ppr_separation_log_density_array(
     s_lead: np.ndarray, s_trail: np.ndarray, t: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -320,9 +333,124 @@ def ppr_separation_log_density_array(
     lg = LOG_GAMMA.as_array(int(t.max()) + 2)
     log_norm_lead = lg[t + 2] - lg[s_lead + 1] - lg[t - s_lead + 1]
     log_norm_trail = lg[t + 2] - lg[s_trail + 1] - lg[t - s_trail + 1]
-    z = (log_norm_trail - log_norm_lead) / np.maximum(s_lead - s_trail, 1)
-    e = np.exp(-np.abs(z))
-    x = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))  # _logistic, overflow-free
+    x = _logistic_array((log_norm_trail - log_norm_lead) / np.maximum(s_lead - s_trail, 1))
     np.clip(x, 1e-300, 1.0 - 1e-16, out=x)
     log_density = log_norm_lead + s_lead * np.log(x) + (t - s_lead) * np.log1p(-x)
     return log_density, 1e-7 * (1.0 + np.abs(log_norm_lead))
+
+
+# Array twins of the two predicates. Each returns (margin, slack) per row of
+# counts: the test's statistic minus its threshold, oriented so that the
+# scalar predicate holds exactly when the scalar margin is <= 0, and a bound
+# on how far numpy's exp/log/pow may move the array margin from the scalar
+# one. Each slack is 1e-7 times the size of the terms that cancel, like
+# ``ppr_separation_log_density_array``'s. The expressions repeat the scalar
+# operations in the scalar order, so only the elementwise functions differ.
+# Rows the scalar predicate rejects before testing (a tie, too few samples
+# for the engine) get margin +inf.
+
+
+def _lucb_rate_array(t: np.ndarray, alpha: float) -> np.ndarray:
+    return np.log(LUCB_SCALE * t**LUCB_POWER / alpha)
+
+
+def _kl_rate_array(engine: BoundEngine, t: np.ndarray) -> np.ndarray:
+    """The rate a KL engine compares t * kl with; kl-sn callers mask the
+    rows below t = 3, which are evaluated at t = 3 here."""
+    if engine.kind == "kl-lucb":
+        return _lucb_rate_array(t, engine.alpha)
+    gamma = engine.gamma
+    coeff = gamma * (1.0 + math.log(gamma)) / ((gamma - 1.0) * math.log(gamma))
+    return coeff * np.log(np.log(np.maximum(t, 3))) + gamma
+
+
+def _a1_width_array(s: np.ndarray, t: np.ndarray, alpha: float) -> np.ndarray:
+    # rows below t = 2 are masked by the callers; t - 1 is floored at 1 for them
+    t_less_1 = np.maximum(t - 1.0, 1.0)
+    variance = s * (t - s) / (t * t_less_1)
+    budget = np.log(4.0 * t * t / alpha)
+    return np.sqrt(2.0 * variance * budget / t) + 7.0 * budget / (3.0 * t_less_1)
+
+
+def _kl_terms_array(p: np.ndarray, q) -> tuple[np.ndarray, np.ndarray]:
+    """The two terms of ``kl_bernoulli(p, q)``, 0 where p is 0 or 1."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        head = np.where(p > 0.0, p * np.log(p / q), 0.0)
+        tail = np.where(p < 1.0, (1.0 - p) * np.log((1.0 - p) / (1.0 - q)), 0.0)
+    return head, tail
+
+
+def _neg_entropy_array(p: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        head = np.where(p > 0.0, p * np.log(p), 0.0)
+        return head + np.where(p < 1.0, (1.0 - p) * np.log1p(-p), 0.0)
+
+
+def pair_margin_array(
+    engine: BoundEngine, s_lead: np.ndarray, s_trail: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | float]:
+    """``pair_beats_half`` over int64 arrays with s_lead >= s_trail and
+    s_lead >= 1, as (margin, slack); the pair passes where margin <= 0.
+
+    On the ppr engine the margin is ``log_beta_pdf_half_array`` minus
+    ``log_alpha``, bit-identical to the scalar test, and the slack is 0.
+    """
+    kind = engine.kind
+    if kind == "ppr":
+        return log_beta_pdf_half_array(s_lead, s_trail) - engine.log_alpha, 0.0
+    t = s_lead + s_trail
+    p_hat = s_lead / t
+    if kind == "lucb":
+        w = np.sqrt(_lucb_rate_array(t, engine.alpha) / (2.0 * t))
+        return 0.5 - (p_hat - w), 1e-7 * (1.0 + w)
+    if kind == "a1":
+        w = _a1_width_array(s_lead, t, engine.alpha)
+        return np.where(t >= 2, 0.5 - (p_hat - w), np.inf), 1e-7 * (1.0 + w)
+    if kind not in ("kl-lucb", "kl-sn"):
+        raise ValueError(f"unknown bound engine {kind!r}")
+    beta = _kl_rate_array(engine, t)
+    head, tail = _kl_terms_array(p_hat, 0.5)
+    margin = beta - t * np.maximum(head + tail, 0.0)
+    passable = p_hat > 0.5 if kind == "kl-lucb" else (p_hat > 0.5) & (t >= 3)
+    slack = 1e-7 * (1.0 + beta + t * (np.abs(head) + np.abs(tail)))
+    return np.where(passable, margin, np.inf), slack
+
+
+def one_vs_rest_margin_array(
+    engine: BoundEngine, s_lead: np.ndarray, s_trail: np.ndarray, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``one_vs_rest_separated`` over int64 arrays with t >= 1, as
+    (margin, slack); the two values are separated where margin <= 0."""
+    kind = engine.kind
+    if kind == "ppr":
+        log_density, slack = ppr_separation_log_density_array(s_lead, s_trail, t)
+        margin = log_density - engine.log_alpha
+    elif kind == "lucb":
+        w = np.sqrt(_lucb_rate_array(t, engine.alpha) / (2.0 * t))
+        margin = 2.0 * w - (s_lead - s_trail) / t
+        slack = 1e-7 * (1.0 + w)
+    elif kind == "a1":
+        w_lead = _a1_width_array(s_lead, t, engine.alpha)
+        w_trail = _a1_width_array(s_trail, t, engine.alpha)
+        margin = np.where(t >= 2, (s_trail / t + w_trail) - (s_lead / t - w_lead), np.inf)
+        slack = 1e-7 * (1.0 + w_lead + w_trail)
+    elif kind in ("kl-lucb", "kl-sn"):
+        beta = _kl_rate_array(engine, t)
+        p_lead = s_lead / t
+        p_trail = s_trail / t
+        ent_lead = _neg_entropy_array(p_lead)
+        ent_trail = _neg_entropy_array(p_trail)
+        gap = np.where(s_lead > s_trail, p_lead - p_trail, 1.0)
+        x = np.clip(_logistic_array((ent_lead - ent_trail) / gap), 1e-15, 1.0 - 1e-15)
+        head, tail = _kl_terms_array(p_lead, x)
+        margin = beta - t * np.maximum(head + tail, 0.0)
+        if kind == "kl-sn":
+            margin = np.where(t >= 3, margin, np.inf)
+        # the crossing's rounding, scaled by the divergence's slope there,
+        # moves t * kl by about t times the rounding of the entropies
+        slack = 1e-7 * (
+            1.0 + beta + t * (np.abs(head) + np.abs(tail) + np.abs(ent_lead) + np.abs(ent_trail))
+        )
+    else:
+        raise ValueError(f"unknown bound engine {kind!r}")
+    return np.where(s_lead > s_trail, margin, np.inf), slack

@@ -88,8 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     vt.add_argument("--p1", type=float, default=None)
     vt.add_argument("--p2", type=float, default=None)
     vt.add_argument("--pj", type=float, default=None)
-    vt.add_argument("--k", type=int, default=3)
-    vt.add_argument("--delta", type=float, default=0.01)
+    vt.add_argument("--k", type=int, default=3, help="K at the --p1/--p2/--pj point")
+    vt.add_argument("--delta", type=float, default=0.01, help="delta at the --p1/--p2/--pj point")
 
     p = sub.add_parser("election-sim", help="indirect-election winner forecasting")
     p.add_argument("--data", type=str, default="synthetic50",
@@ -196,7 +196,11 @@ def _cmd_verify(args) -> int:
         print(f"beta monotonicity sweep to ({args.a_max}, {args.b_max}):", "ok" if ok else "FAILED")
         return 0 if ok else 1
     if args.verifier == "thm3-margin":
-        if args.p1 is not None:
+        given = {"--p1": args.p1, "--p2": args.p2, "--pj": args.pj}
+        missing = [flag for flag, value in given.items() if value is None]
+        if 0 < len(missing) < 3:
+            raise ValueError(f"--p1, --p2 and --pj go together; missing {', '.join(missing)}")
+        if not missing:
             points = [(args.p1, args.p2, args.pj, args.k, args.delta)]
         else:
             points = [

@@ -127,6 +127,8 @@ def load_election_csv(path) -> ElectionInstance:
             if len(row) < 3:
                 raise ElectionDataError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
             cid, party = row[0].strip(), row[1].strip()
+            if not cid or not party:
+                raise ElectionDataError(f"{path}:{lineno}: empty constituency or party name")
             try:
                 votes = int(row[2])
             except ValueError as exc:

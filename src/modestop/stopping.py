@@ -12,16 +12,18 @@ splits delta into per-test budgets: delta/(K-1) per pair for 1v1 (see
 ``pair_test_alpha``) and delta/K per interval for 1vr. A rule on an engine
 keeps that engine, with its budget, as ``rule.engine``.
 
-``declaration_time`` runs ``ppr-1v1`` and ``ppr-1vr`` through chunked numpy
-kernels: for each drawn chunk of the sample path it builds the cumulative
-counts of every row and evaluates a screen on the top two counts of every
-checked row at once. Each row the screen passes is confirmed, in order, by
-the rule's own ``check`` on exactly those counts, so the kernels give the
-per-sample verdicts and sample counts. The ``ppr-1v1`` screen is
-bit-identical to ``Ppr1v1Rule.check``; the ``ppr-1vr`` screen goes through
-numpy's exp and log and passes rows within a slack. Both compare with the
-rule engine's ``log_alpha``, the threshold ``check`` uses. Every other token
-runs the per-sample loop ``scan_per_sample``.
+Besides ``check``, every rule has one vectorised method,
+``margin_rows(rows, totals)``: over a block of cumulative count rows it
+returns, per row, the statistic of the test ``check`` finds hardest minus
+its threshold, and a slack bounding how far numpy's floats may drift from
+the scalar ones. ``check`` can declare only on rows where the margin is at
+most the slack. ``declaration_time`` runs every token one drawn chunk of the
+sample path at a time: it builds the chunk's cumulative counts, screens
+every checked row with ``margin_rows``, and confirms each passing row, in
+order, with ``check`` on exactly those counts, so its verdicts and sample
+counts are those of the per-sample loop ``scan_per_sample``, which the tests
+keep as the reference. The ``ppr-1v1`` and ``ppr-adaptive`` screens are
+bit-identical to their scalar statistics and have slack 0.
 
 ``PprMdRule.slice_log_quantities`` is the one statement of the ppr-md
 statistic: ``check`` compares its values with the rule's log threshold, and
@@ -38,12 +40,13 @@ import numpy as np
 from .bounds import (
     ENGINE_KINDS,
     make_engine,
+    one_vs_rest_margin_array,
     one_vs_rest_separated,
     pair_beats_half,
-    ppr_separation_log_density_array,
+    pair_margin_array,
 )
 from .instances import DiscreteInstance, SamplePath, SeededStream, TallyState
-from .numerics import LOG_GAMMA, ln_gamma_int, log_beta_pdf_half, log_beta_pdf_half_array
+from .numerics import LN2, LOG_GAMMA, ln_gamma_int, log_beta_pdf_half, log_beta_pdf_half_array
 
 __all__ = [
     "SampleCapExceeded",
@@ -90,6 +93,24 @@ class _Rule:
     def check(self, tally: TallyState) -> int | None:
         raise NotImplementedError
 
+    def margin_rows(self, rows: np.ndarray, totals: np.ndarray):
+        """(margin, slack) for an (n, K) int64 array of cumulative counts,
+        row r holding totals[r] >= 1 samples: ``check`` declares on row r's
+        counts only where margin[r] <= slack[r]."""
+        raise NotImplementedError
+
+
+def _top_two(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The largest and second-largest count of each row, by a running
+    maximum over the columns (faster than ``np.partition`` up to K = 10)."""
+    columns = rows.T
+    lead = columns[0]
+    trail = np.zeros_like(lead)
+    for c in columns[1:]:
+        trail = np.maximum(trail, np.minimum(lead, c))
+        lead = np.maximum(lead, c)
+    return lead, trail
+
 
 def _validate(delta: float, k: int = 2) -> None:
     """The precondition every rule shares: K >= 2 values, delta in (0, 1)."""
@@ -134,12 +155,17 @@ class Generic1v1Rule(_Rule):
                 return None
         return first
 
+    def margin_rows(self, rows, totals):
+        """The runner-up pair's margin, which ``check`` tests first."""
+        return pair_margin_array(self.engine, *_top_two(rows))
+
 
 class Ppr1v1Rule(Generic1v1Rule):
     """``Generic1v1Rule`` on the ppr engine, testing the runner-up alone:
     the density at 1/2 is non-decreasing when any lower count is substituted
     for second's (see theory.verify_beta_monotonicity), so every other pair
-    passes when that one does."""
+    passes when that one does. Its ``margin_rows`` is therefore exact: the
+    first row with margin <= 0 is the declaration."""
 
     __slots__ = ()
 
@@ -176,6 +202,10 @@ class Generic1vrRule(_Rule):
             if j != first and j != second and not one_vs_rest_separated(engine, c_first, c, t):
                 return None
         return first
+
+    def margin_rows(self, rows, totals):
+        """The runner-up's separation margin, which ``check`` tests first."""
+        return one_vs_rest_margin_array(self.engine, *_top_two(rows), totals)
 
 
 class PprMdRule(_Rule):
@@ -230,6 +260,31 @@ class PprMdRule(_Rule):
                 return None
         return tally.first
 
+    def margin_rows(self, rows, totals):
+        """The runner-up's slice log quantity minus the log threshold: every
+        rival's quantity is non-decreasing in its count up to the leader's,
+        so the runner-up's is the largest. ``log_coeff`` takes the table
+        terms in the scalar order and is bit-identical; the other terms go
+        through numpy's log, so the slack is 1e-7 times the terms that
+        cancel."""
+        lead, trail = _top_two(rows)
+        lg = LOG_GAMMA.as_array(int(totals[-1]) + self._k)
+        log_t = np.log(totals)
+
+        def term(c):  # c (ln c - ln t), which is 0 at c = 0
+            return c * (np.log(np.maximum(c, 1)) - log_t)
+
+        log_coeff = lg[totals + self._k]
+        base = 0.0
+        for c in rows.T:
+            log_coeff = log_coeff - lg[c + 1]
+            base = base + term(c)
+        pair = lead + trail  # >= 1 on every row
+        slice_term = pair * (np.log(pair) - log_t - LN2)
+        log_q = log_coeff + base - term(lead) - term(trail) + slice_term
+        slack = 1e-7 * (1.0 + np.abs(log_coeff) - base - slice_term)
+        return log_q - self._log_threshold, slack
+
 
 class PprAdaptiveRule(_Rule):
     """Pairwise posterior tests over an unknown, growing answer set.
@@ -270,6 +325,16 @@ class PprAdaptiveRule(_Rule):
             ):
                 return None
         return first
+
+    def margin_rows(self, rows, totals):
+        """The runner-up pair's statistic against kδ, the largest budget any
+        pair holds, so it is at most the margin of the runner-up's own test;
+        bit-identical, slack 0. A tie or a lone discovered value cannot
+        declare and gets +inf."""
+        lead, trail = _top_two(rows)
+        margin = log_beta_pdf_half_array(lead, trail) - math.log(self._k_delta)
+        margin[(trail == 0) | (trail == lead)] = np.inf
+        return margin, 0.0
 
 
 RULE_TOKENS = tuple(
@@ -337,45 +402,35 @@ def scan_per_sample(
     return None
 
 
-def _ppr_1v1_screen(rule: Ppr1v1Rule, lead, trail, totals) -> np.ndarray:
-    """Rows where ``rule.check`` declares, by the same floats."""
-    return log_beta_pdf_half_array(lead, trail) <= rule.engine.log_alpha
-
-
-def _ppr_1vr_screen(rule: Generic1vrRule, lead, trail, totals) -> np.ndarray:
-    """Rows where the runner-up may be separated from the leader: a superset
-    of the rows where ``rule.check`` declares, which tests every rival."""
-    log_density, slack = ppr_separation_log_density_array(lead, trail, totals)
-    return (lead > trail) & (log_density <= rule.engine.log_alpha + slack)
-
-
-# token -> vectorised screen on the top two counts of count rows: it passes
-# every row where rule.check declares, and rule.check confirms each it passes
-_CHUNK_KERNELS = {
-    "ppr-1v1": _ppr_1v1_screen,
-    "ppr-1vr": _ppr_1vr_screen,
-}
-
-
 def _scan_chunks(
-    screen, rule: _Rule, k: int, path: SamplePath, check_every: int, sample_cap: int
+    rule: _Rule, k: int, path: SamplePath, check_every: int, sample_cap: int
 ) -> tuple[int, int] | None:
-    """``scan_per_sample`` one drawn chunk of the path at a time."""
-    labels = np.arange(k)
-    carry = np.zeros(k, dtype=np.int64)
+    """``scan_per_sample`` one drawn chunk of the path at a time: every row
+    that passes the rule's ``margin_rows`` screen is confirmed, in order, by
+    ``rule.check`` on the tally the per-sample loop holds there."""
+    labels = np.arange(k)[:, None]
+    carry = np.zeros((k, 1), dtype=np.int64)
+    first_seen = np.zeros(k, dtype=np.int64)  # sample index of each value's first appearance
     for t0, idx in _path_chunks(path, sample_cap):
-        counts = np.cumsum(idx[:, None] == labels, axis=0, dtype=np.int64)
+        # value-major, so that each value's column of the rows is contiguous
+        counts = np.cumsum(idx == labels, axis=1, dtype=np.int64)
+        new = (carry[:, 0] == 0) & (counts[:, -1] > 0)
+        if new.any():
+            first_seen[new] = t0 + np.argmax(counts[new] > 0, axis=1)
         counts += carry
-        carry = counts[-1].copy()
+        carry = counts[:, -1:].copy()
         # the first row whose sample count t0 + row + 1 is a multiple of check_every
         start = (check_every - 1 - t0) % check_every
-        rows = counts[start::check_every]
+        rows = counts[:, start::check_every].T
         if len(rows):
             totals = np.arange(t0 + start + 1, t0 + len(idx) + 1, check_every)
-            top = np.partition(rows, k - 2, axis=1)
-            for r in np.flatnonzero(screen(rule, top[:, -1], top[:, -2], totals)):
+            margin, slack = rule.margin_rows(rows, totals)
+            for r in np.flatnonzero(margin <= slack):
                 tally = TallyState(k)
                 tally.add_counts(rows[r])
+                # add_counts discovers a batch in index order; the loop's tally
+                # lists values in order of first appearance
+                tally.order.sort(key=first_seen.__getitem__)
                 verdict = rule.check(tally)
                 if verdict is not None:
                     return int(totals[r]), verdict
@@ -398,12 +453,7 @@ def declaration_time(
     if check_every < 1:
         raise ValueError("check_every must be >= 1")
     k = instance.k
-    rule = make_rule(rule_token, k, delta)
-    screen = _CHUNK_KERNELS.get(rule_token)
-    if screen is None:
-        found = scan_per_sample(rule, k, path, check_every, sample_cap)
-    else:
-        found = _scan_chunks(screen, rule, k, path, check_every, sample_cap)
+    found = _scan_chunks(make_rule(rule_token, k, delta), k, path, check_every, sample_cap)
     if found is None:
         raise SampleCapExceeded(
             f"rule {rule_token} did not declare within {sample_cap} samples "

@@ -56,6 +56,11 @@ def _check_gap(p1: float, p2: float) -> None:
         raise ValueError(f"need 1 >= p1 > p2 >= 0, got p1={p1}, p2={p2}")
 
 
+def _check_k(k: int) -> None:
+    if k < 2:
+        raise ValueError(f"need K >= 2, got {k}")
+
+
 def lower_bound(p1: float, p2: float, delta: float) -> float:
     """p1 / (p1 - p2)^2 * ln(1 / (2.4 delta)): expected samples any
     delta-correct rule must draw."""
@@ -68,8 +73,7 @@ def lower_bound(p1: float, p2: float, delta: float) -> float:
 def a1_upper_bound(p1: float, p2: float, k: int, delta: float) -> float:
     """(592/3) p1/(p1-p2)^2 ln((592/3) sqrt(K/delta) p1/(p1-p2)^2)."""
     _check_gap(p1, p2)
-    if k < 2:
-        raise ValueError(f"need K >= 2, got {k}")
+    _check_k(k)
     c = 592.0 / 3.0
     lead = c * p1 / (p1 - p2) ** 2
     return lead * math.log(c * math.sqrt(k / delta) * p1 / (p1 - p2) ** 2)
@@ -86,8 +90,7 @@ def ppr_bernoulli_upper(p1: float, delta: float) -> float:
 def ppr_1v1_upper(p1: float, p2: float, k: int, delta: float) -> float:
     """194.07 p1/(p1-p2)^2 ln(sqrt(79.68 (K-1)/delta) p1/(p1-p2))."""
     _check_gap(p1, p2)
-    if k < 2:
-        raise ValueError(f"need K >= 2, got {k}")
+    _check_k(k)
     gap = p1 - p2
     return 194.07 * p1 / gap**2 * math.log(math.sqrt(79.68 * (k - 1) / delta) * p1 / gap)
 
@@ -111,6 +114,9 @@ def verify_thm3_margin(p1: float, p2: float, pj: float, k: int, delta: float) ->
     """
     if not (p1 > p2 >= pj > 0.0):
         raise ValueError(f"need p1 > p2 >= pj > 0, got {(p1, p2, pj)}")
+    _check_k(k)
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
     delta_prime = delta / (2.0 * (k - 1))
     q1 = p1 / (p1 + pj)
     u = ppr_bernoulli_upper(q1, delta_prime)
@@ -134,6 +140,8 @@ def verify_1v1_1vr_conjecture(
     delta/(K-1), the k-form says 1v1 declares whenever 1vr does; the strong
     form implies the k-form for every k.
     """
+    if k is not None:
+        _check_k(k)
     log_factor = 0.0 if k is None else math.log((k - 1) / k)
     failures: list[tuple[int, int, int]] = []
     for x in range(2, x_max + 1):

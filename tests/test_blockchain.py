@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modestop.blockchain import (
     NodePool,
@@ -14,6 +16,55 @@ from modestop.blockchain import (
     sweep_f,
 )
 from modestop.instances import derive_stream
+
+
+@st.composite
+def _pool_args(draw):
+    n = draw(st.integers(1, 5000))
+    return (
+        n,
+        draw(st.floats(0.0, 0.5, exclude_max=True)),
+        draw(st.integers(1, n)),
+        draw(st.integers(2, 40)),
+    )
+
+
+class TestNodePoolProperties:
+    @given(_pool_args())
+    @settings(max_examples=300, deadline=None)
+    def test_valid_pool_counts_agree(self, args):
+        n, f, m, k = args
+        pool = NodePool(n, f, m, n_answers=k)
+        byz = pool.byzantine_count
+        assert byz == int(f * n) and 0 <= byz < n / 2 + 1
+        colors = pool.colors()
+        assert len(colors) == k
+        assert colors.sum() == n and colors[0] == n - byz
+        # round-robin: the wrong answers' shares differ by at most one node
+        assert colors[1:].sum() == byz and colors[1:].max() - colors[1:].min() <= 1
+
+    @given(_pool_args(), st.sampled_from(["n", "f", "m", "k"]), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_invalid_argument_is_named(self, args, field, data):
+        n, f, m, k = args
+        if field == "n":
+            n = bad = data.draw(st.integers(-10, 0))
+            m = 1
+            expected = f"need at least one node, got N={bad}"
+        elif field == "f":
+            f = bad = data.draw(st.one_of(
+                st.floats(0.5, 10.0), st.floats(-10.0, 0.0, exclude_max=True), st.just(math.nan)
+            ))
+            expected = f"the Byzantine fraction must lie in [0, 1/2), got {bad}"
+        elif field == "m":
+            m = bad = data.draw(st.one_of(st.integers(-5, 0), st.integers(n + 1, n + 50)))
+            expected = f"batch size must lie in [1, N={n}], got {bad}"
+        else:
+            k = bad = data.draw(st.integers(-5, 1))
+            expected = f"need at least two possible answers, got K={bad}"
+        with pytest.raises(ValueError) as err:
+            NodePool(n, f, m, n_answers=k)
+        assert str(err.value) == expected
 
 
 class TestThreshold:

@@ -77,6 +77,30 @@ class TestVerify:
     def test_margin_ok(self):
         assert main(["verify", "thm3-margin"]) == 0
 
+    @pytest.mark.parametrize("k", ["0", "1"])
+    def test_conjecture_rejects_bad_k(self, k, capsys):
+        assert main(["verify", "conjecture", "--x-max", "4", "--k", k]) == 1
+        assert capsys.readouterr() == ("", f"error: need K >= 2, got {k}\n")
+
+    @pytest.mark.parametrize("args, message", [
+        (["--k", "1"], "need K >= 2, got 1"),
+        (["--delta", "1.5"], "delta must lie in (0, 1), got 1.5"),
+    ])
+    def test_margin_rejects_bad_point(self, args, message, capsys):
+        point = ["--p1", "0.5", "--p2", "0.25", "--pj", "0.25"]
+        assert main(["verify", "thm3-margin", *point, *args]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("given, missing", [
+        (["--p1", "0.5"], "--p2, --pj"),
+        (["--p2", "0.25", "--pj", "0.2"], "--p1"),
+    ])
+    def test_margin_needs_all_three_probabilities(self, given, missing, capsys):
+        assert main(["verify", "thm3-margin", *given]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: --p1, --p2 and --pj go together; missing {missing}\n"
+        )
+
 
 class TestElectionSim:
     def test_synthetic_run(self, tmp_path, capsys):

@@ -1,6 +1,8 @@
 import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modestop.bounds import make_engine
 from modestop.elections import (
@@ -82,6 +84,58 @@ class TestLoader:
         inst = load_election_csv(_write(tmp_path, "\n".join(lines) + "\n"))
         assert inst.c == 543
         assert inst.k == 5
+
+
+_NAMES = st.text("abcdefghijklmnopqrstuvwxyz0123456789_", min_size=1, max_size=6)
+
+
+@st.composite
+def _elections(draw):
+    parties = tuple(draw(st.lists(_NAMES, min_size=2, max_size=5, unique=True)))
+    cids = draw(st.lists(_NAMES, min_size=1, max_size=8, unique=True))
+    constituencies = []
+    for i, cid in enumerate(cids):
+        # every party polls in the first constituency, so the file lists the
+        # parties in index order
+        floor = 1 if i == 0 else 0
+        votes = draw(
+            st.lists(st.integers(floor, 10**6), min_size=len(parties), max_size=len(parties))
+            .filter(lambda v: sum(1 for x in v if x == max(v)) == 1)
+        )
+        constituencies.append(Constituency(cid, tuple(votes)))
+    return ElectionInstance(parties, tuple(constituencies))
+
+
+_MALFORMED_ROWS = [
+    "c1,A",  # too few columns
+    "c1,A,many",  # votes not an integer
+    "c1,A,1.5",
+    "c1,A,-3",  # negative votes
+    ",A,5",  # empty constituency
+    "c1, ,5",  # empty party
+]
+
+
+class TestLoaderProperties:
+    @given(_elections())
+    @settings(max_examples=100, deadline=None)
+    def test_write_then_load_is_identity(self, tmp_path_factory, inst):
+        path = tmp_path_factory.mktemp("roundtrip") / "votes.csv"
+        write_election_csv(inst, path)
+        assert load_election_csv(path) == inst
+
+    @given(_elections(), st.sampled_from(_MALFORMED_ROWS), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_malformed_row_names_its_line(self, tmp_path_factory, inst, bad_row, data):
+        path = tmp_path_factory.mktemp("malformed") / "votes.csv"
+        write_election_csv(inst, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        at = data.draw(st.integers(1, len(lines)))  # after the header
+        lines.insert(at, bad_row)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ElectionDataError) as err:
+            load_election_csv(path)
+        assert f"{path}:{at + 1}: " in str(err.value)
 
 
 class TestSyntheticInstance:

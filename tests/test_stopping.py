@@ -8,8 +8,17 @@ from hypothesis import strategies as st
 
 from modestop.blockchain import NodePool, draw_batch, run_verification
 from modestop.bounds import (
+    ENGINE_KINDS,
+    _a1_width,
+    _logistic,
+    _neg_entropy,
+    kl_sn_exploration_rate,
+    lucb_exploration_rate,
     make_engine,
+    one_vs_rest_margin_array,
+    one_vs_rest_separated,
     pair_beats_half,
+    pair_margin_array,
     ppr_separation_log_density,
     ppr_separation_log_density_array,
 )
@@ -21,7 +30,7 @@ from modestop.instances import (
     TallyState,
     derive_stream,
 )
-from modestop.numerics import dirichlet_logpdf, log_beta_pdf_half
+from modestop.numerics import dirichlet_logpdf, kl_bernoulli, log_beta_pdf_half
 from modestop.stopping import (
     DEFAULT_SAMPLE_CAP,
     PI_SQUARED_OVER_6_INV,
@@ -487,19 +496,31 @@ def _oracle(inst, token, delta, path, check_every=1, sample_cap=DEFAULT_SAMPLE_C
     return scan_per_sample(make_rule(token, inst.k, delta), inst.k, path, check_every, sample_cap)
 
 
-KERNEL_TOKENS = ("ppr-1v1", "ppr-1vr")
-KERNEL_INSTANCES = dict(TABLE1_INSTANCES, K2=(0.6, 0.4), mode_last=(0.2, 0.3, 0.5))
+KERNEL_INSTANCES = dict(
+    TABLE1_INSTANCES,
+    K2=(0.6, 0.4),
+    mode_last=(0.2, 0.3, 0.5),
+    # rare values keep being discovered late, which orders ppr-adaptive's budgets
+    K10_rare=(0.3, 0.25, 0.2, 0.1, 0.05, 0.04, 0.03, 0.01, 0.01, 0.01),
+)
+EASY = DiscreteInstance((0.8, 0.1, 0.1))  # every rule declares within 1024 samples
 
 
 class TestChunkKernels:
-    """declaration_time's chunked kernels against the per-sample loop."""
+    """declaration_time's chunked screens against the per-sample loop."""
 
-    @pytest.mark.parametrize("token", KERNEL_TOKENS)
+    @pytest.mark.parametrize("token", RULE_TOKENS)
     @pytest.mark.parametrize("check_every", [1, 5, 1000])
     @pytest.mark.parametrize("name", list(KERNEL_INSTANCES))
     def test_matches_scalar_oracle(self, name, check_every, token):
         inst = DiscreteInstance(KERNEL_INSTANCES[name])
-        for i in range(4):
+        # the per-sample oracle needs seconds a trial for the slower rules on
+        # the two hard instances
+        if token in ("ppr-1v1", "ppr-1vr"):
+            streams = 4
+        else:
+            streams = 1 if name in ("P5", "P6") else 2
+        for i in range(streams):
             kernel_stream = _CountingStream(29, check_every, i)
             oracle_stream = _CountingStream(29, check_every, i)
             got = _kernel(inst, token, 0.1, SamplePath(inst, kernel_stream), check_every)
@@ -508,7 +529,7 @@ class TestChunkKernels:
             assert got == expected
             assert kernel_stream.drawn == oracle_stream.drawn
 
-    @pytest.mark.parametrize("token", KERNEL_TOKENS)
+    @pytest.mark.parametrize("token", RULE_TOKENS)
     @pytest.mark.parametrize("cap", [100, 1024, 2048])
     def test_same_sample_cap(self, token, cap):
         # inside the first chunk and exactly at chunk boundaries
@@ -522,7 +543,7 @@ class TestChunkKernels:
             assert _oracle(inst, token, 0.01, SamplePath(inst, oracle_stream), 1, cap) is None
             assert kernel_stream.drawn == oracle_stream.drawn
 
-    @pytest.mark.parametrize("token", KERNEL_TOKENS)
+    @pytest.mark.parametrize("token", RULE_TOKENS)
     @pytest.mark.parametrize("check_every", [1, 1025])
     def test_cap_one_short_of_declaration(self, token, check_every):
         # inside the first chunk, and exactly at its end for a declaration
@@ -536,16 +557,16 @@ class TestChunkKernels:
                 assert _kernel(P1, token, 0.01, path(i), check_every, cap) == expected
                 assert _oracle(P1, token, 0.01, path(i), check_every, cap) == expected
 
-    @pytest.mark.parametrize("token", KERNEL_TOKENS)
+    @pytest.mark.parametrize("token", RULE_TOKENS)
     @pytest.mark.parametrize("check_every", [1024, 1025])
     def test_declaration_at_chunk_edge(self, token, check_every):
         # the last row of the first chunk, and the first row of the second
         for i in range(5):
-            got = _kernel(P1, token, 0.01, SamplePath(P1, derive_stream(8, i)), check_every)
-            expected = _oracle(P1, token, 0.01, SamplePath(P1, derive_stream(8, i)), check_every)
+            got = _kernel(EASY, token, 0.01, SamplePath(EASY, derive_stream(8, i)), check_every)
+            expected = _oracle(EASY, token, 0.01, SamplePath(EASY, derive_stream(8, i)), check_every)
             assert got == expected == (check_every, 0)
 
-    @pytest.mark.parametrize("token", KERNEL_TOKENS)
+    @pytest.mark.parametrize("token", RULE_TOKENS)
     def test_shared_path_either_order(self, token):
         for i in range(10):
             alone = _oracle(P1, token, 0.01, SamplePath(P1, derive_stream(12, i)))
@@ -567,3 +588,135 @@ class TestChunkKernels:
             np.array([s_lead]), np.array([s_trail]), np.array([t])
         )
         assert abs(vector[0] - scalar) <= slack[0] / 10
+
+
+def _scalar_pair_margin(engine, s_lead, s_trail):
+    """pair_beats_half's statistic minus its threshold, from the scalar
+    bounds code; +inf where the predicate rejects before testing."""
+    t = s_lead + s_trail
+    p_hat = s_lead / t
+    alpha = engine.alpha
+    if engine.kind == "ppr":
+        return log_beta_pdf_half(s_lead, s_trail) - engine.log_alpha
+    if engine.kind == "lucb":
+        return 0.5 - (p_hat - math.sqrt(lucb_exploration_rate(t, alpha) / (2.0 * t)))
+    if engine.kind == "a1":
+        return 0.5 - (p_hat - _a1_width(s_lead, t, alpha)) if t >= 2 else math.inf
+    if p_hat <= 0.5 or (engine.kind == "kl-sn" and t < 3):
+        return math.inf
+    rate = (
+        kl_sn_exploration_rate(t, engine.gamma)
+        if engine.kind == "kl-sn"
+        else lucb_exploration_rate(t, alpha)
+    )
+    return rate - t * kl_bernoulli(p_hat, 0.5)
+
+
+def _scalar_separation_margin(engine, s_lead, s_trail, t):
+    """one_vs_rest_separated's statistic minus its threshold, likewise."""
+    alpha = engine.alpha
+    if s_lead <= s_trail:
+        return math.inf
+    if engine.kind == "ppr":
+        return ppr_separation_log_density(s_lead, s_trail, t) - engine.log_alpha
+    if engine.kind == "lucb":
+        return 2.0 * math.sqrt(lucb_exploration_rate(t, alpha) / (2.0 * t)) - (
+            s_lead - s_trail
+        ) / t
+    if engine.kind == "a1":
+        if t < 2:
+            return math.inf
+        return (s_trail / t + _a1_width(s_trail, t, alpha)) - (
+            s_lead / t - _a1_width(s_lead, t, alpha)
+        )
+    if engine.kind == "kl-sn" and t < 3:
+        return math.inf
+    rate = (
+        kl_sn_exploration_rate(t, engine.gamma)
+        if engine.kind == "kl-sn"
+        else lucb_exploration_rate(t, alpha)
+    )
+    p_lead, p_trail = s_lead / t, s_trail / t
+    x = _logistic((_neg_entropy(p_lead) - _neg_entropy(p_trail)) / (p_lead - p_trail))
+    return rate - t * kl_bernoulli(p_lead, min(max(x, 1e-15), 1.0 - 1e-15))
+
+
+def _assert_within_slack(margin, slack, scalar):
+    if math.isinf(scalar):
+        assert margin == scalar
+    else:
+        assert abs(margin - scalar) <= slack / 10
+
+
+ALPHAS = st.floats(1e-8, 0.99)
+
+
+class TestMarginRows:
+    """Each array margin lies within a tenth of its slack of the scalar
+    statistic minus its threshold, and the scalar predicate holds exactly
+    where that scalar margin is <= 0."""
+
+    @pytest.mark.parametrize("kind", ENGINE_KINDS)
+    @given(data=st.data(), alpha=ALPHAS)
+    @settings(max_examples=200, deadline=None)
+    def test_pair_margin(self, kind, data, alpha):
+        s_lead = data.draw(st.integers(1, 10**6))
+        s_trail = data.draw(st.integers(0, s_lead))
+        engine = make_engine(kind, alpha)
+        scalar = _scalar_pair_margin(engine, s_lead, s_trail)
+        assert pair_beats_half(engine, s_lead, s_trail) == (scalar <= 0)
+        margin, slack = pair_margin_array(engine, np.array([s_lead]), np.array([s_trail]))
+        slack = np.broadcast_to(slack, margin.shape)
+        if kind == "ppr":
+            assert margin[0] == scalar and slack[0] == 0.0  # bit-identical
+        _assert_within_slack(margin[0], slack[0], scalar)
+
+    @pytest.mark.parametrize("kind", ENGINE_KINDS)
+    @given(data=st.data(), alpha=ALPHAS)
+    @settings(max_examples=200, deadline=None)
+    def test_separation_margin(self, kind, data, alpha):
+        t = data.draw(st.integers(1, 10**6))
+        s_lead = data.draw(st.integers(1, t))
+        s_trail = data.draw(st.integers(0, min(s_lead, t - s_lead)))
+        engine = make_engine(kind, alpha)
+        scalar = _scalar_separation_margin(engine, s_lead, s_trail, t)
+        assert one_vs_rest_separated(engine, s_lead, s_trail, t) == (scalar <= 0)
+        margin, slack = one_vs_rest_margin_array(
+            engine, np.array([s_lead]), np.array([s_trail]), np.array([t])
+        )
+        _assert_within_slack(margin[0], slack[0], scalar)
+
+    @given(
+        counts=st.lists(st.integers(0, 200_000), min_size=2, max_size=6).filter(any),
+        delta=ALPHAS,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_ppr_md_margin(self, counts, delta):
+        rule = PprMdRule(len(counts), delta)
+        tally = TallyState(len(counts))
+        tally.add_counts(counts)
+        scalar = max(q for _, q in rule.slice_log_quantities(tally)) - rule._log_threshold
+        assert (rule.check(tally) is not None) == (scalar <= 0)
+        margin, slack = rule.margin_rows(np.array([counts]), np.array([sum(counts)]))
+        _assert_within_slack(margin[0], slack[0], scalar)
+
+    @given(
+        counts=st.lists(st.integers(0, 200_000), min_size=2, max_size=6).filter(any),
+        delta=ALPHAS,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_ppr_adaptive_margin_bounds_check(self, counts, delta):
+        # the screen compares with the largest budget, so it is exact when
+        # the two leaders were the first two values discovered
+        rule = PprAdaptiveRule(delta)
+        tally = TallyState(len(counts))
+        tally.add_counts(counts)
+        margin, slack = rule.margin_rows(np.array([counts]), np.array([sum(counts)]))
+        assert slack == 0.0
+        lead, trail = sorted(counts)[-1], sorted(counts)[-2]
+        if trail in (0, lead):
+            assert margin[0] == math.inf
+        else:
+            assert margin[0] == log_beta_pdf_half(lead, trail) - math.log(rule.budget(0, 1))
+        if rule.check(tally) is not None:
+            assert margin[0] <= 0.0
