@@ -29,6 +29,7 @@ from .stopping import SampleCapExceeded, make_rule, parse_rule_token
 
 __all__ = [
     "ElectionDataError",
+    "ElectionTieError",
     "Constituency",
     "ElectionInstance",
     "load_election_csv",
@@ -47,6 +48,10 @@ DEFAULT_ELECTION_SAMPLE_CAP = 2_000_000_000
 
 class ElectionDataError(ValueError):
     """Malformed or inconsistent election data."""
+
+
+class ElectionTieError(RuntimeError):
+    """Every constituency resolved, but no party holds the most seats."""
 
 
 @dataclass(frozen=True)
@@ -192,7 +197,7 @@ def synthetic_election() -> ElectionInstance:
 
 
 class _ConstituencyState:
-    __slots__ = ("index", "cum", "tally", "winner", "lcb", "ucb")
+    __slots__ = ("index", "cum", "tally", "winner")
 
     def __init__(self, index: int, con: Constituency) -> None:
         k = len(con.votes)
@@ -203,8 +208,6 @@ class _ConstituencyState:
         self.cum = cum
         self.tally = TallyState(k)
         self.winner: int | None = None
-        self.lcb: np.ndarray | None = None
-        self.ucb: np.ndarray | None = None
 
 
 class ElectionRun:
@@ -237,6 +240,10 @@ class ElectionRun:
             raise ValueError(
                 f"election rules must be <engine>-1v1 or <engine>-1vr, got {rule_token!r}"
             )
+        if instance.true_winner is None:
+            seats = instance.seat_counts
+            tied = [f"{name} {n}" for name, n in zip(instance.parties, seats) if n == max(seats)]
+            raise ElectionDataError(f"no seat winner: {', '.join(tied)} tie for the most seats")
         self.instance = instance
         self.policy = policy
         self.scheme = scheme
@@ -251,22 +258,23 @@ class ElectionRun:
         self.samples = 0
         self.unresolved = self.c
         self._rr_cursor = 0
-        self._needs_widths = policy == "dcb"
-        if self._needs_widths:
+        self.lcb = self.ucb = None  # DCB widths, one (K, K) block per constituency
+        if policy == "dcb":
+            self.lcb = np.zeros((self.c, self.k, self.k))
+            self.ucb = np.ones((self.c, self.k, self.k))
             for st in self.states:
                 self._refresh_widths(st)
 
     # -- per-constituency bookkeeping -------------------------------------
 
     def _refresh_widths(self, st: _ConstituencyState) -> None:
-        """Under 1v1, entry (i, j) is party i's pair interval on counts i and
-        j; under 1vr, row i repeats party i's interval at the shared total."""
+        """Rewrite row st.index of the widths: 1v1 entry (i, j) is party i's pair
+        interval on counts i and j; 1vr row i repeats i's interval at the total."""
         counts = st.tally.counts
         t = st.tally.total
         k = self.k
         interval = self.rule.engine.interval
-        lcb = np.zeros((k, k))
-        ucb = np.ones((k, k))
+        lcb, ucb = self.lcb[st.index], self.ucb[st.index]
         for i in range(k):
             if self.scheme == "1vr":
                 iv = interval(counts[i], t)
@@ -278,8 +286,6 @@ class ElectionRun:
                     iv = interval(counts[i], counts[i] + counts[j])
                     lcb[i, j] = iv.lo
                     ucb[i, j] = iv.hi
-        st.lcb = lcb
-        st.ucb = ucb
 
     def _sample_batch(self, st: _ConstituencyState) -> None:
         us = self.stream.uniforms(self.batch)
@@ -294,7 +300,7 @@ class ElectionRun:
             for j in range(self.k):
                 if j != declared:
                     self.losses[j] += 1
-        elif self._needs_widths:
+        elif self.lcb is not None:
             self._refresh_widths(st)
 
     # -- selection policies ------------------------------------------------
@@ -310,13 +316,6 @@ class ElectionRun:
             if st.winner is None:
                 return st.index
         raise AssertionError("unreachable: unresolved count out of sync")
-
-    def _dcb_score(self, st: _ConstituencyState, party: int, kind: str) -> float:
-        k = self.k
-        lcb, ucb = st.lcb, st.ucb
-        if kind == "c1":
-            return min(ucb[party, j] - lcb[j, party] for j in range(k) if j != party)
-        return max(ucb[j, party] - lcb[party, j] for j in range(k) if j != party)
 
     def dcb_contenders(self) -> tuple[int, int]:
         """The party with the most wins plus leads, where a party leads an
@@ -334,21 +333,19 @@ class ElectionRun:
     def dcb_select(self) -> tuple[int, int]:
         """One promising constituency for each aggregate contender.
 
-        Ties break toward the lowest constituency id; a contender with no
-        unresolved constituency falls back to round-robin for its slot.
+        Contender a scores min_{j != a} (ucb[a, j] - lcb[j, a]) and contender
+        b scores max_{j != b} (ucb[j, b] - lcb[b, j]). Ties break toward the
+        lowest constituency id (``argmax`` takes the first maximum); with no
+        unresolved constituency left, each slot falls back to round-robin.
         """
         a, b = self.dcb_contenders()
-        picks: list[int] = []
-        for party, kind in ((a, "c1"), (b, "c2")):
-            best, best_score = None, -math.inf
-            for st in self.states:
-                if st.winner is not None:
-                    continue
-                score = self._dcb_score(st, party, kind)
-                if score > best_score:
-                    best, best_score = st.index, score
-            picks.append(best if best is not None else self.rr_select())
-        return picks[0], picks[1]
+        resolved = np.array([st.winner is not None for st in self.states])
+        if resolved.all():
+            return self.rr_select(), self.rr_select()
+        score_a = np.delete(self.ucb[:, a, :] - self.lcb[:, :, a], a, axis=1).min(axis=1)
+        score_b = np.delete(self.ucb[:, :, b] - self.lcb[:, b, :], b, axis=1).max(axis=1)
+        score_a[resolved] = score_b[resolved] = -math.inf
+        return int(np.argmax(score_a)), int(np.argmax(score_b))
 
     # -- aggregate ----------------------------------------------------------
 
@@ -369,7 +366,11 @@ class ElectionRun:
             self._sample_batch(self.states[c1])
             if self.states[c2].winner is None:  # c1's batch may have resolved it
                 self._sample_batch(self.states[c2])
-        return self.aggregate_check()
+        winner = self.aggregate_check()
+        if winner is None and self.unresolved == 0:
+            seats = ", ".join(f"{name} {n}" for name, n in zip(self.instance.parties, self.wins))
+            raise ElectionTieError(f"every constituency resolved, but the seats tie: {seats}")
+        return winner
 
 
 @dataclass(frozen=True)

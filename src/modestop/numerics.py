@@ -10,6 +10,11 @@ Dirichlet rule) is built from four primitives kept in this module:
 
 All densities are evaluated in log space through the shared table so that
 every caller sees bit-identical values for the same integer counts.
+
+The Beta log density and the Bernoulli KL divergence each have one formula
+and two entry points: the checked ``log_beta_pdf`` / ``kl_bernoulli``, and the
+unchecked kernels they call, which the bisections call at every step with the
+normaliser or 1 - p_hat computed once. Both give the same floats.
 """
 
 from __future__ import annotations
@@ -152,15 +157,20 @@ def log_beta_pdf(x: float, a: int, b: int) -> float:
     if a < 1 or b < 1:
         raise ValueError(f"integer shapes must be >= 1, got a={a}, b={b}")
     lg = LOG_GAMMA
-    acc = lg(a + b) - lg(a) - lg(b)
-    if a > 1:
+    return _log_beta_pdf(x, lg(a + b) - lg(a) - lg(b), a - 1, b - 1)
+
+
+def _log_beta_pdf(x: float, log_norm: float, a1: int, b1: int) -> float:
+    """Unchecked ``log_beta_pdf``; log_norm = lg(a+b) - lg(a) - lg(b), a1 = a-1, b1 = b-1."""
+    acc = log_norm
+    if a1:
         if x == 0.0:
             return -math.inf
-        acc += (a - 1) * math.log(x)
-    if b > 1:
+        acc += a1 * math.log(x)
+    if b1:
         if x == 1.0:
             return -math.inf
-        acc += (b - 1) * math.log1p(-x)
+        acc += b1 * math.log1p(-x)
     return acc
 
 
@@ -227,11 +237,16 @@ def kl_bernoulli(p: float, q: float) -> float:
         raise ValueError(f"q must lie strictly inside (0, 1), got {q}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
+    return _kl_bernoulli(p, q, 1.0 - p)
+
+
+def _kl_bernoulli(p: float, q: float, p_bar: float) -> float:
+    """``kl_bernoulli`` without its checks, given p_bar = 1.0 - p."""
     acc = 0.0
     if p > 0.0:
         acc += p * math.log(p / q)
     if p < 1.0:
-        acc += (1.0 - p) * math.log((1.0 - p) / (1.0 - q))
+        acc += p_bar * math.log(p_bar / (1.0 - q))
     # rounding can push the value a hair below zero when p ~ q
     return acc if acc > 0.0 else 0.0
 
@@ -252,18 +267,20 @@ def invert_kl_lower(p_hat: float, t: int, beta: float) -> float:
         return 0.0
     lo, hi = 0.0, p_hat  # constraint fails at lo (divergence -> inf), holds at hi
     residual_tol = 1e-9 * max(1.0, beta)
+    p_bar = 1.0 - p_hat
     # tiny p_hat can put the root in the subnormal range, far more than 200
     # halvings below p_hat; iterate until the bracket exhausts float precision
     for _ in range(1200):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if t * kl_bernoulli(p_hat, mid) <= beta:
+        if t * _kl_bernoulli(p_hat, mid, p_bar) <= beta:
             hi = mid
         else:
             lo = mid
-        if hi - lo <= BISECT_TOL and abs(t * kl_bernoulli(p_hat, hi) - beta) <= residual_tol:
-            break
+        if hi - lo <= BISECT_TOL:
+            if abs(t * _kl_bernoulli(p_hat, hi, p_bar) - beta) <= residual_tol:
+                break
     return hi
 
 
@@ -282,11 +299,13 @@ def _bisect_flank(a: int, b: int, log_level: float, x_fail: float, x_ok: float) 
     x_fail is the endpoint where the density is below the level, x_ok the one
     where it is at or above; the two may be in either order.
     """
+    lg = LOG_GAMMA
+    log_norm, a1, b1 = lg(a + b) - lg(a) - lg(b), a - 1, b - 1
     for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (x_fail + x_ok)
         if mid == x_fail or mid == x_ok:
             break
-        if log_beta_pdf(mid, a, b) >= log_level:
+        if _log_beta_pdf(mid, log_norm, a1, b1) >= log_level:
             x_ok = mid
         else:
             x_fail = mid

@@ -174,6 +174,31 @@ class TestElectionSim:
             b"dcb,kl-sn,1vr,0.01,1,29400,alpha,31,True\r\n"
         )
 
+    @pytest.mark.parametrize("policy", ["rr", "dcb"])
+    def test_rejects_tied_seats(self, policy, tmp_path, capsys):
+        data = tmp_path / "tie.csv"
+        data.write_text("constituency,party,votes\nc0,A,70\nc0,B,30\nc1,A,35\nc1,B,65\n")
+        assert main(["election-sim", "--data", str(data), "--policy", policy, "--seeds", "1"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: no seat winner: A 1, B 1 tie for the most seats\n"
+        )
+
+    @pytest.mark.parametrize("policy, seed", [("rr", 9), ("dcb", 47)])
+    def test_names_resolved_seat_tie(self, policy, seed, tmp_path, capsys):
+        # A holds three seats, but at delta 0.9 the close c3 resolves for B
+        # on these seeds, and the resolved seats end 2-2
+        data = tmp_path / "close.csv"
+        data.write_text(
+            "constituency,party,votes\nc0,A,90\nc0,B,10\nc1,A,90\nc1,B,10\n"
+            "c2,A,10\nc2,B,90\nc3,A,55\nc3,B,45\n"
+        )
+        code = main(["election-sim", "--data", str(data), "--policy", policy, "--delta", "0.9",
+                     "--batch", "1", "--seeds", "1", "--seed", str(seed)])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", "error: every constituency resolved, but the seats tie: A 2, B 2\n"
+        )
+
     def test_rejects_unknown_rule(self, capsys):
         assert main(["election-sim", "--rule", "foo", "--seeds", "1"]) == 1
         err = capsys.readouterr().err

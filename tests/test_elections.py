@@ -1,5 +1,6 @@
 import statistics
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from modestop.elections import (
     ElectionDataError,
     ElectionInstance,
     ElectionRun,
+    ElectionTieError,
     load_election_csv,
     run_election,
     synthetic_election,
@@ -194,6 +196,30 @@ class TestSelection:
             run.unresolved -= 1
         assert run.dcb_select() == (2, 2)
 
+    @pytest.mark.parametrize("rule", ["ppr-1v1", "kl-sn-1vr"])
+    def test_dcb_ties_go_to_lowest_open_id(self, rule):
+        # c0 has the widest bounds, c1 and c2 identical votes and tallies, c3
+        # narrow bounds; ties must go to the lowest id and resolved c0 be skipped
+        inst = ElectionInstance(
+            ("A", "B"),
+            (
+                Constituency("c0", (60, 40)),
+                Constituency("c1", (55, 45)),
+                Constituency("c2", (55, 45)),
+                Constituency("c3", (30, 70)),
+            ),
+        )
+        run = ElectionRun(inst, "dcb", rule, 0.1, 10, derive_stream(0, 0))
+        for st, counts in zip(run.states, [(1, 1), (6, 4), (6, 4), (300, 200)]):
+            st.tally.add_counts(np.array(counts))
+            run._refresh_widths(st)
+        assert run.lcb[1].tolist() == run.lcb[2].tolist()
+        assert run.ucb[1].tolist() == run.ucb[2].tolist()
+        assert run.dcb_select() == (0, 0)
+        run.states[0].winner = 0
+        run.unresolved -= 1
+        assert run.dcb_select() == (1, 1)
+
     def test_dcb_matches_straight_line_reimplementation(self):
         for rule in DCB_ALPHA:
             for inst in (self._tiny(), self._three()):
@@ -290,6 +316,49 @@ class TestAccounting:
         assert run.aggregate_check() is None
 
 
+class TestTiedSeats:
+    def test_tied_instance_rejected_up_front(self):
+        inst = ElectionInstance(
+            ("A", "B", "C"),
+            (
+                Constituency("c0", (60, 30, 10)),
+                Constituency("c1", (30, 60, 10)),
+                Constituency("c2", (10, 30, 60)),
+                Constituency("c3", (50, 20, 30)),
+                Constituency("c4", (20, 50, 30)),
+            ),
+        )
+        for policy in ("rr", "dcb"):
+            with pytest.raises(
+                ElectionDataError, match=r"^no seat winner: A 2, B 2 tie for the most seats$"
+            ):
+                ElectionRun(inst, policy, "ppr-1v1", 0.1, 10, derive_stream(0, 0))
+
+    @pytest.mark.parametrize("policy", ["rr", "dcb"])
+    def test_resolved_seat_tie_named(self, policy):
+        inst = ElectionInstance(
+            ("A", "B"),
+            (
+                Constituency("c0", (90, 10)),
+                Constituency("c1", (90, 10)),
+                Constituency("c2", (10, 90)),
+                Constituency("c3", (55, 45)),
+            ),
+        )
+        run = ElectionRun(inst, policy, "ppr-1v1", 0.1, 200, derive_stream(0, 0))
+        # c3 resolves the wrong way, as it may with probability up to delta / C
+        run.states[3].winner = 1
+        run.unresolved -= 1
+        run.wins[1] += 1
+        run.losses[0] += 1
+        with pytest.raises(
+            ElectionTieError, match=r"^every constituency resolved, but the seats tie: A 2, B 2$"
+        ):
+            for _ in range(100):
+                assert run.step() is None
+        assert run.unresolved == 0
+
+
 class TestRunElection:
     def test_single_constituency_reduces_to_mode_estimation(self):
         inst = ElectionInstance(("A", "B"), (Constituency("only", (100, 0)),))
@@ -347,3 +416,39 @@ class TestRunElection:
                 ]
                 means[rule] = statistics.mean(r.samples for r in recs)
             assert means["ppr-1v1"] < means["kl-sn-1v1"] < means["a1-1v1"], (policy, means)
+
+
+# (samples, winner, seats_resolved) of `election-sim` on synthetic50 at delta
+# 0.01, batch 200, streams derive_stream(0, 0..2), as the per-constituency
+# scalar DCB selection gave them: every bound float and every selection feeds
+# these, so a speedup that moves either shows here
+ELECTION_PINS = {
+    ("ppr-1v1", "rr"): [(26000, "alpha", 35), (20200, "alpha", 35), (19800, "alpha", 35)],
+    ("ppr-1v1", "dcb"): [(17200, "alpha", 35), (16800, "alpha", 35), (16200, "alpha", 35)],
+    ("ppr-1vr", "rr"): [(27400, "alpha", 35), (29600, "alpha", 35), (25600, "alpha", 35)],
+    ("ppr-1vr", "dcb"): [(22800, "alpha", 34), (17800, "alpha", 34), (21200, "alpha", 35)],
+    ("lucb-1v1", "rr"): [(41800, "alpha", 35), (37200, "alpha", 35), (42400, "alpha", 35)],
+    ("lucb-1v1", "dcb"): [(30000, "alpha", 34), (29600, "alpha", 30), (28800, "alpha", 30)],
+    ("lucb-1vr", "rr"): [(61800, "alpha", 35), (47200, "alpha", 35), (59800, "alpha", 35)],
+    ("lucb-1vr", "dcb"): [(44400, "alpha", 30), (37600, "alpha", 30), (35600, "alpha", 30)],
+    ("kl-lucb-1v1", "rr"): [(41800, "alpha", 35), (40400, "alpha", 35), (38000, "alpha", 35)],
+    ("kl-lucb-1v1", "dcb"): [(30800, "alpha", 34), (34800, "alpha", 30), (29000, "alpha", 30)],
+    ("kl-lucb-1vr", "rr"): [(51400, "alpha", 35), (53000, "alpha", 35), (44800, "alpha", 35)],
+    ("kl-lucb-1vr", "dcb"): [(41000, "alpha", 30), (37000, "alpha", 30), (35200, "alpha", 30)],
+    ("kl-sn-1v1", "rr"): [(32600, "alpha", 35), (30400, "alpha", 35), (23800, "alpha", 35)],
+    ("kl-sn-1v1", "dcb"): [(27400, "alpha", 33), (21200, "alpha", 34), (20800, "alpha", 34)],
+    ("kl-sn-1vr", "rr"): [(44800, "alpha", 35), (42600, "alpha", 35), (38000, "alpha", 35)],
+    ("kl-sn-1vr", "dcb"): [(30200, "alpha", 34), (29400, "alpha", 31), (32800, "alpha", 30)],
+    ("a1-1v1", "rr"): [(95200, "alpha", 35), (89400, "alpha", 35), (94400, "alpha", 35)],
+    ("a1-1v1", "dcb"): [(74400, "alpha", 30), (64800, "alpha", 30), (72600, "alpha", 30)],
+    ("a1-1vr", "rr"): [(108000, "alpha", 35), (108400, "alpha", 35), (101600, "alpha", 35)],
+    ("a1-1vr", "dcb"): [(80800, "alpha", 30), (72800, "alpha", 30), (75000, "alpha", 30)],
+}
+
+
+@pytest.mark.parametrize("rule, policy", list(ELECTION_PINS))
+def test_election_pins(rule, policy):
+    inst = synthetic_election()
+    records = [run_election(inst, policy, rule, 0.01, 200, derive_stream(0, s)) for s in range(3)]
+    got = [(r.samples, r.winner, r.seats_resolved) for r in records]
+    assert got == ELECTION_PINS[rule, policy]

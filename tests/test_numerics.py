@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modestop import numerics
 from modestop.numerics import (
     EmptyLevelSetError,
     Interval,
@@ -16,6 +17,7 @@ from modestop.numerics import (
     invert_kl_upper,
     kl_bernoulli,
     ln_gamma_int,
+    log_beta_pdf,
     log_beta_pdf_half,
     log_beta_pdf_half_array,
     posterior_level_crossings,
@@ -233,6 +235,12 @@ class TestKlInversion:
         assert invert_kl_lower(1.0, 10, 1e9) == pytest.approx(0.0, abs=1e-6)
         assert invert_kl_upper(0.0, 10, 1e9) == pytest.approx(1.0, abs=1e-6)
 
+    def test_root_next_to_one(self):
+        # t * D(1 || q) <= beta for q >= exp(-beta / t) = 1 - 1e-12
+        q = invert_kl_lower(1.0, 10**6, 1e-6)
+        assert q == pytest.approx(math.exp(-1e-12), abs=1e-14)
+        assert invert_kl_upper(0.0, 10**6, 1e-6) == pytest.approx(1e-12, rel=1e-3)
+
     def test_lower_matches_grid_oracle(self):
         got = invert_kl_lower(0.6, 100, 2.0)
         assert got == pytest.approx(_grid_min_q(0.6, 100, 2.0), abs=1e-6)
@@ -301,6 +309,136 @@ class TestPosteriorLevelCrossings:
         assert iv.lo <= mode + 1e-12
         assert iv.hi >= mode - 1e-12
         assert 0.0 <= iv.lo <= iv.hi <= 1.0
+
+
+# Float-for-float oracles: the bisection loops as they were before the
+# normaliser and 1 - p_hat were hoisted out of them, calling the checked
+# log_beta_pdf and kl_bernoulli at every step. The library must return the
+# very same floats.
+
+
+def _oracle_bisect_flank(a, b, log_level, x_fail, x_ok):
+    for _ in range(200):
+        mid = 0.5 * (x_fail + x_ok)
+        if mid == x_fail or mid == x_ok:
+            break
+        if log_beta_pdf(mid, a, b) >= log_level:
+            x_ok = mid
+        else:
+            x_fail = mid
+        if abs(x_ok - x_fail) <= 1e-9:
+            break
+    return x_ok
+
+
+def _oracle_invert_kl_lower(p_hat, t, beta):
+    if beta <= 0.0:
+        return p_hat
+    if p_hat == 0.0:
+        return 0.0
+    lo, hi = 0.0, p_hat
+    residual_tol = 1e-9 * max(1.0, beta)
+    for _ in range(1200):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if t * kl_bernoulli(p_hat, mid) <= beta:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-9 and abs(t * kl_bernoulli(p_hat, hi) - beta) <= residual_tol:
+            break
+    return hi
+
+
+def _oracle_crossings(a, b, level):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numerics, "_bisect_flank", _oracle_bisect_flank)
+        return posterior_level_crossings(a, b, level)
+
+
+def _assert_lower_matches_oracle(p_hat, t, beta):
+    got = invert_kl_lower(p_hat, t, beta)
+    try:
+        want = _oracle_invert_kl_lower(p_hat, t, beta)
+    except ValueError:
+        # the oracle's residual check evaluates kl_bernoulli(1, 1), which
+        # raises, when p_hat = 1 and the root lies within 1e-9 of 1; the
+        # library returns the root instead
+        assert p_hat == 1.0 and 0.0 < got <= 1.0
+        assert got == 1.0 or abs(t * kl_bernoulli(p_hat, got) - beta) <= 1e-6 * max(1.0, beta)
+        return
+    assert got == want
+
+
+def _assert_kl_inversions_match(p_hat, t, beta):
+    _assert_lower_matches_oracle(p_hat, t, beta)
+    _assert_lower_matches_oracle(1.0 - p_hat, t, beta)
+    assert invert_kl_upper(p_hat, t, beta) == 1.0 - invert_kl_lower(1.0 - p_hat, t, beta)
+
+
+_SHAPES = st.integers(min_value=1, max_value=20_000)
+_LEVELS = st.floats(min_value=1e-12, max_value=1.0)
+
+
+class TestBisectionOracles:
+    @given(_SHAPES, _SHAPES, _LEVELS)
+    @settings(max_examples=300, deadline=None)
+    def test_crossings_match_oracle(self, a, b, level):
+        assert posterior_level_crossings(a, b, level) == _oracle_crossings(a, b, level)
+
+    @pytest.mark.parametrize("other", [1, 2, 3, 17, 500, 20_000])
+    @pytest.mark.parametrize("level", [1e-9, 1e-4, 0.01, 0.5, 1.0])
+    def test_crossings_match_oracle_at_unit_shapes(self, other, level):
+        for a, b in ((1, other), (other, 1)):
+            assert posterior_level_crossings(a, b, level) == _oracle_crossings(a, b, level)
+
+    @given(
+        st.integers(min_value=2, max_value=20_000),
+        st.integers(min_value=2, max_value=20_000),
+        st.integers(min_value=0, max_value=40),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_flank_ties_match_oracle(self, a, b, depth, left):
+        # a level equal to the density at one of the oracle's midpoints makes
+        # that comparison an exact tie, so a density one ulp off flips it
+        mode = (a - 1) / (a + b - 2)
+        x_fail, x_ok = (0.0, mode) if left else (1.0, mode)
+        mid = 0.5 * (x_fail + x_ok)
+        # the density rises toward the mode, so the bisection's first depth
+        # midpoints fall below the level and it reaches mid
+        for _ in range(depth):
+            x_fail = mid
+            mid = 0.5 * (x_fail + x_ok)
+        log_level = log_beta_pdf(mid, a, b)
+        start = (0.0 if left else 1.0, mode)
+        got = numerics._bisect_flank(a, b, log_level, *start)
+        assert got == _oracle_bisect_flank(a, b, log_level, *start)
+
+    @given(
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=1, max_value=100_000),
+        st.floats(min_value=-1.0, max_value=60.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_kl_inversions_match_oracle(self, p_hat, t, beta):
+        _assert_kl_inversions_match(p_hat, t, beta)
+
+    @given(st.integers(min_value=1, max_value=100_000), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_kl_inversions_match_oracle_at_count_ratios(self, t, data):
+        # the engines invert at p_hat = s / t
+        s = data.draw(st.integers(min_value=0, max_value=t))
+        beta = data.draw(st.floats(min_value=1.0, max_value=40.0))
+        _assert_kl_inversions_match(s / t, t, beta)
+
+    @pytest.mark.parametrize("p_hat", [0.0, 5e-324, 1e-310, 1e-300, 1e-200, 1e-12, 1.0 - 1e-16, 1.0])
+    @pytest.mark.parametrize("beta", [-1.0, 0.0, 1e-6, 3.0, 40.0, 700.0])
+    @pytest.mark.parametrize("t", [1, 7, 10**6])
+    def test_kl_inversions_match_oracle_at_edges(self, p_hat, t, beta):
+        # tiny p_hat puts the lower root in the subnormal range
+        _assert_kl_inversions_match(p_hat, t, beta)
 
 
 class TestInterval:
