@@ -61,6 +61,14 @@ class NodePool:
             raise ValueError(f"batch size must lie in [1, N={self.n_nodes}], got {self.batch_size}")
         if self.n_answers < 2:
             raise ValueError(f"need at least two possible answers, got K={self.n_answers}")
+        byz = self.byzantine_count
+        wrong = self.n_answers - 1
+        base, extra = divmod(byz, wrong)
+        sizes = [self.n_nodes - byz]
+        sizes.extend(base + (1 if w < extra else 0) for w in range(wrong))
+        colors = np.asarray(sizes, dtype=np.int64)
+        colors.setflags(write=False)
+        object.__setattr__(self, "_colors", colors)
 
     @property
     def byzantine_count(self) -> int:
@@ -68,13 +76,8 @@ class NodePool:
 
     def colors(self) -> np.ndarray:
         """Node counts per answer: honest nodes first, then the wrong answers
-        in round-robin shares."""
-        byz = self.byzantine_count
-        wrong = self.n_answers - 1
-        base, extra = divmod(byz, wrong)
-        sizes = [self.n_nodes - byz]
-        sizes.extend(base + (1 if w < extra else 0) for w in range(wrong))
-        return np.asarray(sizes, dtype=np.int64)
+        in round-robin shares. One read-only array, built with the pool."""
+        return self._colors  # type: ignore[attr-defined]
 
 
 def sprt_threshold(delta: float, n: int, m: int, f_max: float) -> float:
@@ -160,6 +163,8 @@ def run_verification(
     """
     if policy not in BLOCKCHAIN_POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {BLOCKCHAIN_POLICIES}")
+    if step_cap < 1:
+        raise ValueError(f"step_cap must be >= 1, got {step_cap}")
     m = pool.batch_size
     if policy == "sprt":
         if f_max is None:
@@ -175,7 +180,7 @@ def run_verification(
     tally = TallyState(pool.n_answers)
     for step in range(1, step_cap + 1):
         # answers new in a batch are discovered in answer-index order
-        tally.add_counts(draw_batch(pool, stream))
+        tally.add_counts(draw_batch(pool, stream).tolist())
         declared = rule.check(tally)
         if declared is not None:
             return VerificationRecord(step * m, declared, declared == 0)

@@ -76,9 +76,15 @@ class SeededStream:
     """A reproducible uniform stream: (master_seed, *indices) -> PCG64.
 
     The derivation rule is fixed for the whole repository: the seed material
-    is the tuple (master_seed, index...) fed to numpy's SeedSequence, and all
-    draws consume one double each from the resulting PCG64 bit stream, so
-    chunked and scalar consumption produce identical sequences.
+    is the tuple (master_seed mod 2**64, index...) fed to numpy's
+    SeedSequence, and all draws consume one double each from the resulting
+    PCG64 bit stream, so chunked and scalar consumption produce identical
+    sequences. Every index must be a non-negative int.
+
+    SeedSequence turns a tuple of ints into the concatenation of each int's
+    little-endian uint32 words, and a value below 2**32 is one word; so when
+    every value is below 2**32 the same words are passed as a uint32 array,
+    which gives the same state without the per-int conversion.
     """
 
     __slots__ = ("master_seed", "indices", "generator")
@@ -86,8 +92,13 @@ class SeededStream:
     def __init__(self, master_seed: int, *indices: int) -> None:
         self.master_seed = int(master_seed)
         self.indices = tuple(int(i) for i in indices)
-        seq = np.random.SeedSequence((self.master_seed & 0xFFFFFFFFFFFFFFFF, *self.indices))
-        self.generator = np.random.Generator(np.random.PCG64(seq))
+        for pos, i in enumerate(self.indices):
+            if i < 0:
+                raise ValueError(f"stream index {pos} must be non-negative, got {i}")
+        words = (self.master_seed & 0xFFFFFFFFFFFFFFFF, *self.indices)
+        if max(words) <= 0xFFFFFFFF:
+            words = np.array(words, dtype=np.uint32)
+        self.generator = np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
 
     @property
     def stream_index(self) -> int:

@@ -143,17 +143,19 @@ class Generic1v1Rule(_Rule):
 
     def check(self, tally: TallyState) -> int | None:
         counts = tally.counts
-        first = tally.first
-        second = tally.second
-        c_first = counts[first]
+        c_first = counts[tally.first]
+        c_second = counts[tally.second]
         engine = self.engine
         # the runner-up is the hardest pair; test it first to fail fast
-        if not pair_beats_half(engine, c_first, counts[second]):
+        if not pair_beats_half(engine, c_first, c_second):
             return None
-        for j, c in enumerate(counts):
-            if j != first and j != second and not pair_beats_half(engine, c_first, c):
+        # a pair test reads only the two counts, so each distinct rival count
+        # is tested once; a rival holding c_first ties, and the runner-up then
+        # holds it too, so that value is covered by the test above
+        for c in set(counts) - {c_first, c_second}:
+            if not pair_beats_half(engine, c_first, c):
                 return None
-        return first
+        return tally.first
 
     def margin_rows(self, rows, totals):
         """The runner-up pair's margin, which ``check`` tests first."""
@@ -191,17 +193,17 @@ class Generic1vrRule(_Rule):
 
     def check(self, tally: TallyState) -> int | None:
         counts = tally.counts
-        first = tally.first
-        second = tally.second
-        c_first = counts[first]
+        c_first = counts[tally.first]
+        c_second = counts[tally.second]
         t = tally.total
         engine = self.engine
-        if not one_vs_rest_separated(engine, c_first, counts[second], t):
+        if not one_vs_rest_separated(engine, c_first, c_second, t):
             return None
-        for j, c in enumerate(counts):
-            if j != first and j != second and not one_vs_rest_separated(engine, c_first, c, t):
+        # one test per distinct rival count, as in Generic1v1Rule.check
+        for c in set(counts) - {c_first, c_second}:
+            if not one_vs_rest_separated(engine, c_first, c, t):
                 return None
-        return first
+        return tally.first
 
     def margin_rows(self, rows, totals):
         """The runner-up's separation margin, which ``check`` tests first."""
@@ -387,6 +389,8 @@ def scan_per_sample(
     """Feed the path to the rule one sample at a time, checking at every
     multiple of check_every up to sample_cap. Returns (samples, declared
     index), or None when the rule has not declared by sample_cap."""
+    if sample_cap < 1:
+        raise ValueError(f"sample_cap must be >= 1, got {sample_cap}")
     tally = TallyState(k)
     check = rule.check
     update = tally.update
@@ -452,6 +456,8 @@ def declaration_time(
     """
     if check_every < 1:
         raise ValueError("check_every must be >= 1")
+    if sample_cap < 1:
+        raise ValueError(f"sample_cap must be >= 1, got {sample_cap}")
     k = instance.k
     found = _scan_chunks(make_rule(rule_token, k, delta), k, path, check_every, sample_cap)
     if found is None:

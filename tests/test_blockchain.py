@@ -43,6 +43,20 @@ class TestNodePoolProperties:
         # round-robin: the wrong answers' shares differ by at most one node
         assert colors[1:].sum() == byz and colors[1:].max() - colors[1:].min() <= 1
 
+    @given(_pool_args())
+    @settings(max_examples=100, deadline=None)
+    def test_colors_built_once_and_read_only(self, args):
+        n, f, m, k = args
+        pool = NodePool(n, f, m, n_answers=k)
+        colors = pool.colors()
+        assert pool.colors() is colors
+        byz = int(f * n)
+        expected = [n - byz] + [byz // (k - 1) + (w < byz % (k - 1)) for w in range(k - 1)]
+        assert colors.tolist() == expected
+        with pytest.raises(ValueError, match="read-only"):
+            colors[0] = 0
+        assert pool == NodePool(n, f, m, n_answers=k)
+
     @given(_pool_args(), st.sampled_from(["n", "f", "m", "k"]), st.data())
     @settings(max_examples=300, deadline=None)
     def test_invalid_argument_is_named(self, args, field, data):
@@ -178,6 +192,14 @@ class TestRunVerification:
         rec = run_verification(pool, "ppr-adaptive", 0.005, None, derive_stream(7, 1))
         assert rec.correct
         assert rec.samples % 20 == 0
+
+    @pytest.mark.parametrize("policy", ["sprt", "ppr-1vr"])
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_rejects_step_cap_below_one(self, policy, cap):
+        pool = NodePool(1600, 0.1, 20)
+        with pytest.raises(ValueError) as err:
+            run_verification(pool, policy, 0.005, 0.1, derive_stream(0, 0), step_cap=cap)
+        assert str(err.value) == f"step_cap must be >= 1, got {cap}"
 
     def test_sprt_requires_fmax(self):
         pool = NodePool(1600, 0.1, 20)

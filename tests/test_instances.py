@@ -9,10 +9,13 @@ from modestop.instances import (
     PATH_CHUNK,
     DiscreteInstance,
     SamplePath,
+    SeededStream,
     TallyState,
     derive_stream,
     first_second_scan,
 )
+
+MASK64 = 2**64 - 1
 
 
 class TestDiscreteInstance:
@@ -121,6 +124,51 @@ class TestSeededStream:
 
     def test_multi_index_streams(self):
         assert derive_stream(1, 2, 3).uniform() != derive_stream(1, 3, 2).uniform()
+
+    @staticmethod
+    def _assert_seeded_as_tuple(words):
+        # the stream is the one SeedSequence gives for the tuple of ints,
+        # whether the words go in as a uint32 array or as that tuple
+        expected = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence((words[0] & MASK64, *words[1:])))
+        ).random(16)
+        assert np.array_equal(SeededStream(*words).generator.random(16), expected)
+
+    @pytest.mark.parametrize(
+        "words",
+        [
+            (0,),
+            (2**32 - 1, 0),
+            (2**32, 5),
+            (2**64 - 1, 7),
+            (-1, 3),
+            (5, 2**32),
+            (7, 0, 2**32 - 1, 12),
+        ],
+    )
+    def test_seeding_equals_tuple_seed_sequence(self, words):
+        self._assert_seeded_as_tuple(words)
+
+    @given(st.lists(st.integers(0, 2**70 - 1), min_size=1, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_seeding_equals_tuple_seed_sequence_property(self, words):
+        self._assert_seeded_as_tuple(tuple(words))
+
+    def test_master_seed_is_reduced_mod_2_64(self):
+        assert np.array_equal(derive_stream(-1, 3).uniforms(8), derive_stream(MASK64, 3).uniforms(8))
+        assert derive_stream(-1, 3).master_seed == -1
+
+    @pytest.mark.parametrize(
+        "indices, message",
+        [
+            ((-2,), "stream index 0 must be non-negative, got -2"),
+            ((0, 4, -1), "stream index 2 must be non-negative, got -1"),
+        ],
+    )
+    def test_rejects_negative_index(self, indices, message):
+        with pytest.raises(ValueError) as err:
+            derive_stream(1, *indices)
+        assert str(err.value) == message
 
 
 class TestTallyState:

@@ -35,6 +35,7 @@ from modestop.stopping import (
     DEFAULT_SAMPLE_CAP,
     PI_SQUARED_OVER_6_INV,
     Generic1v1Rule,
+    Generic1vrRule,
     PprAdaptiveRule,
     PprMdRule,
     RULE_TOKENS,
@@ -156,6 +157,53 @@ class TestGeneric1vr:
         declared = make_rule("ppr-1vr", k, delta).check(tally)
         if declared is not None:
             assert make_rule("ppr-1v1", k, delta).check(tally) == declared
+
+
+def _all_rivals_check(rule, tally):
+    """The 1v1/1vr check as it was before rival counts were deduplicated:
+    the runner-up first, then one test per rival index."""
+    counts = tally.counts
+    first = tally.first
+    second = tally.second
+    c_first = counts[first]
+    if isinstance(rule, Generic1vrRule):
+        t = tally.total
+        passes = lambda c: one_vs_rest_separated(rule.engine, c_first, c, t)  # noqa: E731
+    else:
+        passes = lambda c: pair_beats_half(rule.engine, c_first, c)  # noqa: E731
+    if not passes(counts[second]):
+        return None
+    for j, c in enumerate(counts):
+        if j != first and j != second and not passes(c):
+            return None
+    return first
+
+
+@st.composite
+def _rival_counts(draw):
+    """K in [2, 12] counts drawn from a few distinct values, so zeros,
+    leader/runner-up ties and repeated rival counts are all common."""
+    k = draw(st.integers(2, 12))
+    values = draw(st.lists(st.integers(0, 400), min_size=1, max_size=4))
+    counts = draw(st.lists(st.sampled_from(values + [0]), min_size=k, max_size=k))
+    if draw(st.booleans()):  # a clear leader, so that some states declare
+        counts[draw(st.integers(0, k - 1))] = max(counts) + draw(st.integers(1, 400))
+    return counts
+
+
+class TestDistinctRivalCounts:
+    """``check`` tests each distinct rival count once; its verdict is the
+    all-rivals loop's on every tally."""
+
+    @pytest.mark.parametrize("cls", [Generic1v1Rule, Generic1vrRule])
+    @pytest.mark.parametrize("kind", ENGINE_KINDS)
+    @given(counts=_rival_counts(), delta=st.sampled_from([0.005, 0.1, 0.5]))
+    @settings(max_examples=200, deadline=None)
+    def test_same_verdict_as_all_rivals(self, cls, kind, counts, delta):
+        rule = cls(kind, len(counts), delta)
+        tally = TallyState(len(counts))
+        tally.add_counts(counts)
+        assert rule.check(tally) == _all_rivals_check(rule, tally)
 
 
 class TestPprMd:
@@ -445,6 +493,20 @@ class TestRunner:
         inst = DiscreteInstance((0.5 + 1e-9, 0.5 - 1e-9))
         with pytest.raises(SampleCapExceeded):
             run_mode_estimation(inst, "ppr-1v1", 0.01, derive_stream(0, 0), sample_cap=100)
+
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_rejects_sample_cap_below_one(self, cap):
+        message = f"sample_cap must be >= 1, got {cap}"
+        with pytest.raises(ValueError) as err:
+            run_mode_estimation(P1, "ppr-1v1", 0.01, derive_stream(0, 0), sample_cap=cap)
+        assert str(err.value) == message
+        path = SamplePath(P1, derive_stream(0, 0))
+        with pytest.raises(ValueError) as err:
+            declaration_time(P1, "kl-sn-1vr", 0.01, path, sample_cap=cap)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            scan_per_sample(make_rule("ppr-md", 3, 0.01), 3, path, sample_cap=cap)
+        assert str(err.value) == message
 
     def test_check_every_delays_declaration_to_multiple(self):
         inst = DiscreteInstance((1.0, 0.0))
