@@ -16,9 +16,13 @@ __all__ = [
     "SamplePath",
 ]
 
-# samples per SamplePath chunk; a fixed size is what makes a shared path draw
-# the same uniforms whichever rule reads it first
+# SamplePath chunk sizes follow one fixed schedule: PATH_CHUNK, PATH_CHUNK,
+# 2 * PATH_CHUNK, then PATH_CHUNK_MAX for every later chunk, so chunks end at
+# samples 1024, 2048, 4096, 8192, 12288, ... A fixed schedule is what makes a
+# shared path draw the same uniforms whichever rule reads it first; the grown
+# chunks cut the numpy passes of long trials, and short trials still make one.
 PATH_CHUNK = 1024
+PATH_CHUNK_MAX = 4 * PATH_CHUNK
 
 
 @dataclass(frozen=True)
@@ -119,12 +123,15 @@ def derive_stream(master_seed: int, *indices: int) -> SeededStream:
 class SamplePath:
     """Lazily drawn i.i.d. sample path from one instance and stream.
 
-    Uniforms are drawn ``PATH_CHUNK`` at a time; each drawn chunk is kept as
-    an array of sample indices of the smallest unsigned type that holds K - 1
-    (1 byte a sample for K <= 256), and this list of chunks is the path's
-    only storage. Readers walk it chunk by chunk; ``path[t]`` indexes into
-    the chunk holding sample t. A path shared across stopping rules gives
-    every rule the same sample sequence, whichever rule reads first.
+    Uniforms are drawn one chunk at a time, on the schedule at
+    ``PATH_CHUNK``; each drawn chunk is kept as an array of sample indices of
+    the smallest unsigned type that holds K - 1 (1 byte a sample for
+    K <= 256), and this list of chunks is the path's only storage. PCG64
+    draws ``random(a)`` then ``random(b)`` as ``random(a + b)``, so the
+    samples do not depend on the schedule. Readers walk the path chunk by
+    chunk; ``path[t]`` indexes into the chunk holding sample t. A path shared
+    across stopping rules gives every rule the same sample sequence, whichever
+    rule reads first.
     """
 
     __slots__ = ("_cum", "_stream", "_chunks")
@@ -135,16 +142,28 @@ class SamplePath:
         self._chunks: list[np.ndarray] = []
 
     def chunk(self, c: int) -> np.ndarray:
-        """Samples c*PATH_CHUNK .. (c+1)*PATH_CHUNK - 1 as an integer array."""
+        """Samples _chunk_start(c) .. _chunk_start(c + 1) - 1 as an integer array."""
         chunks = self._chunks
         while c >= len(chunks):
-            us = self._stream.uniforms(PATH_CHUNK)
+            n = len(chunks)
+            us = self._stream.uniforms(_chunk_start(n + 1) - _chunk_start(n))
             idx = np.searchsorted(self._cum, us, side="right")
             chunks.append(idx.astype(np.min_scalar_type(len(self._cum) - 1)))
         return chunks[c]
 
     def __getitem__(self, t: int) -> int:
-        return int(self.chunk(t // PATH_CHUNK)[t % PATH_CHUNK])
+        if t < 0:
+            raise IndexError(f"sample index must be non-negative, got {t}")
+        if t < PATH_CHUNK_MAX:
+            c = min(t // PATH_CHUNK, 2)
+        else:
+            c = t // PATH_CHUNK_MAX + 2
+        return int(self.chunk(c)[t - _chunk_start(c)])
+
+
+def _chunk_start(c: int) -> int:
+    """Index of the first sample of SamplePath chunk c."""
+    return c * PATH_CHUNK if c <= 2 else (c - 2) * PATH_CHUNK_MAX
 
 
 def first_second_scan(counts) -> tuple[int, int]:

@@ -389,6 +389,8 @@ def scan_per_sample(
     """Feed the path to the rule one sample at a time, checking at every
     multiple of check_every up to sample_cap. Returns (samples, declared
     index), or None when the rule has not declared by sample_cap."""
+    if check_every < 1:
+        raise ValueError("check_every must be >= 1")
     if sample_cap < 1:
         raise ValueError(f"sample_cap must be >= 1, got {sample_cap}")
     tally = TallyState(k)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from modestop.instances import (
     PATH_CHUNK,
+    PATH_CHUNK_MAX,
     DiscreteInstance,
     SamplePath,
     SeededStream,
@@ -71,12 +72,47 @@ class TestSampling:
     def test_index_reads_the_drawn_chunks(self):
         inst = DiscreteInstance((0.5, 0.25, 0.25))
         path = SamplePath(inst, derive_stream(3, 1))
-        last = path[2100]  # draws chunks 0..2
-        drawn = np.concatenate([path.chunk(c) for c in range(3)])
-        assert len(drawn) == 3 * PATH_CHUNK
-        assert [path[t] for t in range(3 * PATH_CHUNK)] == drawn.tolist()
-        assert last == drawn[2100]
+        last = path[9000]  # draws chunks 0..4, which end at sample 12288
+        drawn = np.concatenate([path.chunk(c) for c in range(5)])
+        assert [len(path.chunk(c)) for c in range(5)] == [
+            PATH_CHUNK, PATH_CHUNK, 2 * PATH_CHUNK, PATH_CHUNK_MAX, PATH_CHUNK_MAX
+        ]
+        assert len(drawn) == 3 * PATH_CHUNK_MAX
+        assert [path[t] for t in range(len(drawn))] == drawn.tolist()
+        assert last == drawn[9000]
         assert type(last) is int
+
+    @given(
+        n=st.integers(1, 20_000),
+        seed=st.integers(0, 2**64 - 1),
+        probs=st.sampled_from([(0.5, 0.25, 0.25), (0.6, 0.4), (0.1,) * 4 + (0.6,)]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_chunks_are_one_long_draw(self, n, seed, probs):
+        # the chunk schedule splits one stream of uniforms, whatever its sizes
+        inst = DiscreteInstance(probs)
+        path = SamplePath(inst, derive_stream(seed, 2))
+        chunks = []
+        while sum(map(len, chunks)) < n:
+            chunks.append(path.chunk(len(chunks)))
+        us = derive_stream(seed, 2).uniforms(n)
+        expected = np.searchsorted(inst.cumulative, us, side="right")
+        assert np.array_equal(np.concatenate(chunks)[:n], expected)
+
+    @pytest.mark.parametrize("t", [1023, 1024, 2047, 2048, 4095, 4096, 8191, 8192, 12287, 12288])
+    def test_index_at_chunk_boundaries(self, t):
+        inst = DiscreteInstance((0.5, 0.25, 0.25))
+        us = derive_stream(4, 0).uniforms(t + 1)
+        expected = np.searchsorted(inst.cumulative, us, side="right")
+        assert SamplePath(inst, derive_stream(4, 0))[t] == expected[t]
+
+    def test_rejects_negative_index(self):
+        path = SamplePath(DiscreteInstance((0.5, 0.25, 0.25)), derive_stream(5, 0))
+        with pytest.raises(IndexError, match="got -1$"):
+            path[-1]
+        path[5000]
+        with pytest.raises(IndexError, match="got -1$"):
+            path[-1]
 
     def test_chi_square_goodness_of_fit(self):
         inst = DiscreteInstance((0.5, 0.25, 0.25))

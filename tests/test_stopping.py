@@ -508,6 +508,14 @@ class TestRunner:
             scan_per_sample(make_rule("ppr-md", 3, 0.01), 3, path, sample_cap=cap)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("check_every", [0, -2])
+    def test_rejects_check_every_below_one(self, check_every):
+        path = SamplePath(P1, derive_stream(0, 0))
+        with pytest.raises(ValueError, match="^check_every must be >= 1$"):
+            declaration_time(P1, "kl-sn-1vr", 0.01, path, check_every=check_every)
+        with pytest.raises(ValueError, match="^check_every must be >= 1$"):
+            scan_per_sample(make_rule("ppr-md", 3, 0.01), 3, path, check_every=check_every)
+
     def test_check_every_delays_declaration_to_multiple(self):
         inst = DiscreteInstance((1.0, 0.0))
         rec = run_mode_estimation(inst, "ppr-1v1", 0.01, derive_stream(0, 0), check_every=5)
@@ -592,9 +600,10 @@ class TestChunkKernels:
             assert kernel_stream.drawn == oracle_stream.drawn
 
     @pytest.mark.parametrize("token", RULE_TOKENS)
-    @pytest.mark.parametrize("cap", [100, 1024, 2048])
+    @pytest.mark.parametrize("cap", [100, 1024, 2048, 4096, 5000, 8192, 12288])
     def test_same_sample_cap(self, token, cap):
-        # inside the first chunk and exactly at chunk boundaries
+        # inside the first chunk, exactly at chunk boundaries, and inside a
+        # grown chunk
         inst = DiscreteInstance((0.5 + 1e-9, 0.5 - 1e-9))
         for i in range(3):
             kernel_stream = _CountingStream(0, i)
@@ -620,9 +629,10 @@ class TestChunkKernels:
                 assert _oracle(P1, token, 0.01, path(i), check_every, cap) == expected
 
     @pytest.mark.parametrize("token", RULE_TOKENS)
-    @pytest.mark.parametrize("check_every", [1024, 1025])
+    @pytest.mark.parametrize("check_every", [1024, 1025, 4096, 4097, 8192, 8193])
     def test_declaration_at_chunk_edge(self, token, check_every):
-        # the last row of the first chunk, and the first row of the second
+        # the last row of a chunk, and the first row of the next: chunks end
+        # at samples 1024, 2048, 4096 and then every 4096
         for i in range(5):
             got = _kernel(EASY, token, 0.01, SamplePath(EASY, derive_stream(8, i)), check_every)
             expected = _oracle(EASY, token, 0.01, SamplePath(EASY, derive_stream(8, i)), check_every)
