@@ -1,0 +1,171 @@
+"""Exact integer stopping boundaries for two-value tallies.
+
+At K = 2 every stopping rule is a test on the leader's count: after n
+samples it declares exactly when that count reaches b(n). ``PairBoundary``
+keeps b as an int32 table, built from the rule's own float margin and
+scalar test, and screens a sample path one chunk at a time with one integer
+comparison per checked sample count.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .bounds import BoundEngine, pair_beats_half, pair_margin_array
+
+__all__ = ["BOUNDARY_GROWTH", "PairBoundary"]
+
+BOUNDARY_GROWTH = 1.25  # a boundary table grows by at least this factor
+SOLVE_BLOCK = 1024  # totals solved per margin call while a table grows
+
+
+class PairBoundary:
+    """The stopping boundary of a rule at K = 2, as an int32 table.
+
+    ``table[n]`` is the smallest leader count s at which the rule declares
+    the leader of the tally (s, n - s); it is n + 1 where no count does. The
+    test is given as ``margin(lead, n) -> (margin, slack)`` over int64
+    arrays, which holds the test's verdict wherever |margin| > slack, and as
+    the scalar ``passes(lead, n)``; both are read only for lead > n / 2, and
+    the test must pass for every lead from b(n) to n. With ``needs_rival``
+    the rule also needs a trailing count above 0, which ``first_crossing``
+    checks.
+
+    Each new segment of the table is found on the float margin, mostly in
+    one vectorised call (see ``solve``); ``passes`` settles the few entries
+    whose margin at b or b - 1 lies within the slack, so the table is exact.
+    The table grows by at least ``BOUNDARY_GROWTH`` at a time, and every
+    growth checks that b steps by 0 or 1 from one n to the next.
+    """
+
+    __slots__ = ("_margin", "_passes", "needs_rival", "table")
+
+    def __init__(self, margin, passes, needs_rival: bool = False) -> None:
+        self._margin = margin
+        self._passes = passes
+        self.needs_rival = needs_rival
+        self.table = np.ones(1, dtype=np.int32)  # no count declares on 0 samples
+
+    @classmethod
+    def of_pair_test(cls, engine: BoundEngine, needs_rival: bool = False) -> PairBoundary:
+        """The boundary of an engine's pair test, ``pair_beats_half``."""
+        return cls(
+            lambda lead, n: pair_margin_array(engine, lead, n - lead),
+            lambda lead, n: pair_beats_half(engine, lead, n - lead),
+            needs_rival,
+        )
+
+    def upto(self, n: int) -> np.ndarray:
+        """The table, grown to cover totals 0 .. n."""
+        if n >= len(self.table):
+            self._grow(max(n + 1, int(BOUNDARY_GROWTH * len(self.table))))
+        return self.table
+
+    def first_crossing(self, chunks, check_every: int) -> tuple[int, int] | None:
+        """(samples, declared value) at the first checked sample count whose
+        leader count reaches the boundary, or None. ``chunks`` yields
+        (t0, samples t0 .. t0 + len - 1) as value indices 0 and 1; a count is
+        checked when it is a multiple of check_every."""
+        ones = 0  # samples of value 1 before the chunk
+        for t0, idx in chunks:
+            cum = np.cumsum(idx, dtype=np.int64)
+            first = t0 + 1 + (check_every - 1 - t0) % check_every  # first checked count
+            stop = t0 + len(idx) + 1
+            if first < stop:
+                counts = cum[first - t0 - 1 :: check_every] + ones
+                totals = np.arange(first, stop, check_every)
+                lead = np.maximum(counts, totals - counts)
+                passed = lead >= self.upto(stop - 1)[first:stop:check_every]
+                if self.needs_rival:
+                    passed &= lead < totals
+                r = int(passed.argmax())
+                if passed[r]:
+                    return int(totals[r]), int(2 * counts[r] > totals[r])
+            ones += int(cum[-1])
+        return None
+
+    def _grow(self, size: int) -> None:
+        old = self.table
+        n = np.arange(len(old), size, dtype=np.int64)
+        # in blocks, which bounds the float temporaries of the margin call
+        blocks = range(0, len(n), SOLVE_BLOCK)
+        b = np.concatenate([self.solve(n[i : i + SOLVE_BLOCK]) for i in blocks])
+        steps = np.diff(b, prepend=old[-1])
+        bad = np.flatnonzero((steps < 0) | (steps > 1))
+        if len(bad):
+            r = bad[0]
+            raise AssertionError(
+                f"stopping boundary steps by {steps[r]} at n = {n[r]}; the table screen "
+                "needs steps of 0 or 1"
+            )
+        self.table = np.concatenate([old, b.astype(np.int32)])
+
+    def solve(self, n: np.ndarray) -> np.ndarray:
+        """b at each total of an ascending int64 array n >= 1.
+
+        A few anchor totals (n's ends and the halvings of its last total)
+        are solved by the scalar test. Between them b is guessed by
+        interpolating z = (2b - n) / sqrt(n), which varies slowly, in log n.
+        One float-margin call over a window around each guess brackets b,
+        and a bisection on the float margin finishes the entries whose
+        window missed it."""
+        n_first, n_end = int(n[0]), int(n[-1])
+        halvings = (n_end >> k for k in range(n_end.bit_length()))
+        anchors = sorted({n_first} | {a for a in halvings if a >= n_first})
+        z = [(2 * self._bisect(a) - a) / math.sqrt(a) for a in anchors]
+        guess = np.ceil((n + np.interp(np.log(n), np.log(anchors), z) * np.sqrt(n)) / 2)
+        window = guess.astype(np.int64)[:, None] + np.arange(-2, 2)
+        floor = (n // 2)[:, None]  # a leader holds more than half the samples
+        real = (window > floor) & (window <= n[:, None])
+        margin, slack = self._margin(
+            np.where(real, window, n[:, None]).ravel(), np.repeat(n, window.shape[1])
+        )
+        near = (np.abs(margin) <= slack).reshape(window.shape) & real
+        passed = np.where(real, margin.reshape(window.shape) <= 0, window > floor)
+        # the window's first passing probe is hi and the one before it lo;
+        # outside the window they stay at n + 1 (no count) and n // 2
+        first = np.where(passed.any(axis=1), passed.argmax(axis=1), window.shape[1])
+        rows = np.arange(len(n))
+        at_hi = np.minimum(first, window.shape[1] - 1)
+        at_lo = np.maximum(first - 1, 0)
+        has_hi, has_lo = first < window.shape[1], first > 0
+        hi = np.where(has_hi, np.minimum(window[rows, at_hi], n + 1), n + 1)
+        lo = np.where(has_lo, np.maximum(window[rows, at_lo], n // 2), n // 2)
+        near_hi = has_hi & near[rows, at_hi]
+        near_lo = has_lo & near[rows, at_lo]
+        while True:
+            live = np.flatnonzero(hi - lo > 1)
+            if not len(live):
+                break
+            mid = (lo[live] + hi[live]) // 2
+            margin, slack = self._margin(mid, n[live])
+            passed = margin <= 0
+            near = np.abs(margin) <= slack
+            up, down = live[passed], live[~passed]
+            hi[up], near_hi[up] = mid[passed], near[passed]
+            lo[down], near_lo[down] = mid[~passed], near[~passed]
+        for r in np.flatnonzero(near_lo | near_hi).tolist():
+            hi[r] = self._settle(int(hi[r]), int(n[r]))
+        return hi
+
+    def _bisect(self, n: int) -> int:
+        """The exact boundary at total n by bisection on the scalar test."""
+        lo, hi = n // 2, n + 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self._passes(mid, n):
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+    def _settle(self, b: int, n: int) -> int:
+        """The exact boundary at total n by the scalar test, from a guess b."""
+        passes = self._passes
+        while b - 1 > n // 2 and passes(b - 1, n):
+            b -= 1
+        while b <= n and not passes(b, n):
+            b += 1
+        return b

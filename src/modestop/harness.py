@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 from .instances import DiscreteInstance, derive_stream
@@ -57,8 +58,14 @@ class ExperimentSpec:
     instance_label: str = ""
 
     def __post_init__(self) -> None:
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+        """Reject a bad spec here, before any trial runs."""
+        DiscreteInstance(self.probs)
+        parse_rule_token(self.rule)
+        reps = self.replications
+        if isinstance(reps, bool) or not isinstance(reps, numbers.Integral) or reps < 1:
+            raise ValueError(f"replications must be an int >= 1, got {reps!r}")
+        if self.check_every < 1:
+            raise ValueError(f"check_every must be >= 1, got {self.check_every}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
 

@@ -12,18 +12,23 @@ splits delta into per-test budgets: delta/(K-1) per pair for 1v1 (see
 ``pair_test_alpha``) and delta/K per interval for 1vr. A rule on an engine
 keeps that engine, with its budget, as ``rule.engine``.
 
-Besides ``check``, every rule has one vectorised method,
-``margin_rows(rows, totals)``: over a block of cumulative count rows it
-returns, per row, the statistic of the test ``check`` finds hardest minus
-its threshold, and a slack bounding how far numpy's floats may drift from
-the scalar ones. ``check`` can declare only on rows where the margin is at
-most the slack. ``declaration_time`` runs every token one drawn chunk of the
-sample path at a time: it builds the chunk's cumulative counts, screens
-every checked row with ``margin_rows``, and confirms each passing row, in
-order, with ``check`` on exactly those counts, so its verdicts and sample
-counts are those of the per-sample loop ``scan_per_sample``, which the tests
-keep as the reference. The ``ppr-1v1`` and ``ppr-adaptive`` screens are
-bit-identical to their scalar statistics and have slack 0.
+``declaration_time`` runs every token one drawn chunk of the sample path at
+a time, with the verdicts and sample counts of the per-sample loop
+``scan_per_sample``, which the tests keep as the reference.
+
+At K = 2 every rule declares exactly when the leader's count reaches an
+integer boundary b(n), kept as one table per token and delta
+(``shared_boundary``, a ``boundary.PairBoundary``); the scan screens each
+chunk with ``lead >= b[n]`` and needs no confirmation.
+
+At K > 2 the scan uses the rule's vectorised ``margin_rows(rows, totals)``:
+over a block of cumulative count rows it returns, per row, the statistic of
+the test ``check`` finds hardest minus its threshold, and a slack bounding
+how far numpy's floats may drift from the scalar ones. ``check`` can declare
+only on rows where the margin is at most the slack, and the scan confirms
+each such row, in order, with ``check`` on exactly those counts. The
+``ppr-1v1`` and ``ppr-adaptive`` margins are bit-identical to their scalar
+statistics and have slack 0.
 
 ``PprMdRule.slice_log_quantities`` is the one statement of the ppr-md
 statistic: ``check`` compares its values with the rule's log threshold, and
@@ -37,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .boundary import PairBoundary
 from .bounds import (
     ENGINE_KINDS,
     make_engine,
@@ -59,6 +65,7 @@ __all__ = [
     "Generic1vrRule",
     "PprMdRule",
     "PprAdaptiveRule",
+    "shared_boundary",
     "scan_per_sample",
     "declaration_time",
     "run_mode_estimation",
@@ -99,6 +106,20 @@ class _Rule:
         counts only where margin[r] <= slack[r]."""
         raise NotImplementedError
 
+    def pair_boundary(self) -> PairBoundary:
+        """For a rule built for K = 2: its boundary, from its own
+        ``margin_rows`` and ``check``."""
+
+        def margin(lead, n):
+            return self.margin_rows(np.stack([lead, n - lead], axis=1), n)
+
+        def passes(lead, n):
+            tally = TallyState(2)
+            tally.add_counts((lead, n - lead))
+            return self.check(tally) == 0
+
+        return PairBoundary(margin, passes)
+
 
 def _top_two(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The largest and second-largest count of each row, by a running
@@ -131,8 +152,11 @@ def pair_test_alpha(engine_kind: str, k: int, delta: float) -> float:
 class Generic1v1Rule(_Rule):
     """Pairwise tests of first(t) against every rival at mistake delta/(K-1).
 
-    Only pairs involving the current leader are tested: no other value can be
-    declared, and the stop condition still quantifies over all rivals.
+    Only the runner-up's pair is tested. A pair test passes exactly when the
+    leader's count reaches a boundary b(pair total) that never decreases, so
+    a rival with a lower count, whose pair total is smaller, passes whenever
+    the runner-up does (the per-engine argument is in ``theory``, next to
+    ``verify_beta_monotonicity``).
     """
 
     __slots__ = ("engine",)
@@ -143,42 +167,27 @@ class Generic1v1Rule(_Rule):
 
     def check(self, tally: TallyState) -> int | None:
         counts = tally.counts
-        c_first = counts[tally.first]
-        c_second = counts[tally.second]
-        engine = self.engine
-        # the runner-up is the hardest pair; test it first to fail fast
-        if not pair_beats_half(engine, c_first, c_second):
-            return None
-        # a pair test reads only the two counts, so each distinct rival count
-        # is tested once; a rival holding c_first ties, and the runner-up then
-        # holds it too, so that value is covered by the test above
-        for c in set(counts) - {c_first, c_second}:
-            if not pair_beats_half(engine, c_first, c):
-                return None
-        return tally.first
+        if pair_beats_half(self.engine, counts[tally.first], counts[tally.second]):
+            return tally.first
+        return None
 
     def margin_rows(self, rows, totals):
-        """The runner-up pair's margin, which ``check`` tests first."""
+        """The runner-up pair's margin, the one ``check`` tests."""
         return pair_margin_array(self.engine, *_top_two(rows))
+
+    def pair_boundary(self) -> PairBoundary:
+        """At K = 2 ``check`` is the engine's pair test on (lead, n - lead)."""
+        return PairBoundary.of_pair_test(self.engine)
 
 
 class Ppr1v1Rule(Generic1v1Rule):
-    """``Generic1v1Rule`` on the ppr engine, testing the runner-up alone:
-    the density at 1/2 is non-decreasing when any lower count is substituted
-    for second's (see theory.verify_beta_monotonicity), so every other pair
-    passes when that one does. Its ``margin_rows`` is therefore exact: the
-    first row with margin <= 0 is the declaration."""
+    """``Generic1v1Rule`` on the ppr engine; perfbench's tracer names the
+    ``ppr-1v1`` token by this class."""
 
     __slots__ = ()
 
     def __init__(self, k: int, delta: float) -> None:
         super().__init__("ppr", k, delta)
-
-    def check(self, tally: TallyState) -> int | None:
-        counts = tally.counts
-        if pair_beats_half(self.engine, counts[tally.first], counts[tally.second]):
-            return tally.first
-        return None
 
 
 class Generic1vrRule(_Rule):
@@ -199,7 +208,9 @@ class Generic1vrRule(_Rule):
         engine = self.engine
         if not one_vs_rest_separated(engine, c_first, c_second, t):
             return None
-        # one test per distinct rival count, as in Generic1v1Rule.check
+        # a test reads only the two counts and t, so each distinct rival
+        # count is tested once; a rival holding c_first ties, and the
+        # runner-up then holds it too, so that value is covered above
         for c in set(counts) - {c_first, c_second}:
             if not one_vs_rest_separated(engine, c_first, c, t):
                 return None
@@ -338,6 +349,14 @@ class PprAdaptiveRule(_Rule):
         margin[(trail == 0) | (trail == lead)] = np.inf
         return margin, 0.0
 
+    def pair_boundary(self) -> PairBoundary:
+        """At K = 2 the one pair holds budget(0, 1) = k delta, so the rule is
+        the ppr pair test at k delta, except that it never declares while the
+        trailing count is 0. That exception would break the boundary's
+        monotonicity, so the table is the pair test's and the screen masks
+        lead = n."""
+        return PairBoundary.of_pair_test(make_engine("ppr", self.budget(0, 1)), needs_rival=True)
+
 
 RULE_TOKENS = tuple(
     ["ppr-1v1", "ppr-md", "ppr-adaptive"]
@@ -367,6 +386,19 @@ def make_rule(token: str, k: int, delta: float) -> _Rule:
     return Ppr1v1Rule(k, delta) if kind == "ppr" else Generic1v1Rule(kind, k, delta)
 
 
+_PAIR_BOUNDARIES: dict[tuple[str, float], PairBoundary] = {}
+
+
+def shared_boundary(token: str, delta: float) -> PairBoundary:
+    """The K = 2 boundary of a rule token at delta, built once per process
+    and shared by every trial."""
+    boundary = _PAIR_BOUNDARIES.get((token, delta))
+    if boundary is None:
+        boundary = make_rule(token, 2, delta).pair_boundary()
+        _PAIR_BOUNDARIES[token, delta] = boundary
+    return boundary
+
+
 def _path_chunks(path: SamplePath, sample_cap: int):
     """Yield (t0, samples t0 .. t0 + n - 1) for each drawn chunk of the path,
     the last one cut at sample_cap."""
@@ -390,7 +422,7 @@ def scan_per_sample(
     multiple of check_every up to sample_cap. Returns (samples, declared
     index), or None when the rule has not declared by sample_cap."""
     if check_every < 1:
-        raise ValueError("check_every must be >= 1")
+        raise ValueError(f"check_every must be >= 1, got {check_every}")
     if sample_cap < 1:
         raise ValueError(f"sample_cap must be >= 1, got {sample_cap}")
     tally = TallyState(k)
@@ -457,11 +489,15 @@ def declaration_time(
     the rule has not declared after sample_cap samples.
     """
     if check_every < 1:
-        raise ValueError("check_every must be >= 1")
+        raise ValueError(f"check_every must be >= 1, got {check_every}")
     if sample_cap < 1:
         raise ValueError(f"sample_cap must be >= 1, got {sample_cap}")
     k = instance.k
-    found = _scan_chunks(make_rule(rule_token, k, delta), k, path, check_every, sample_cap)
+    if k == 2:
+        boundary = shared_boundary(rule_token, delta)
+        found = boundary.first_crossing(_path_chunks(path, sample_cap), check_every)
+    else:
+        found = _scan_chunks(make_rule(rule_token, k, delta), k, path, check_every, sample_cap)
     if found is None:
         raise SampleCapExceeded(
             f"rule {rule_token} did not declare within {sample_cap} samples "

@@ -176,3 +176,37 @@ def verify_beta_monotonicity(a_max: int, b_max: int) -> bool:
             if beta_pdf_half_exact(a, b + 1) < beta_pdf_half_exact(a, b):
                 return False
     return True
+
+
+# Pair boundaries. A pair test (``bounds.pair_beats_half``) reads the leader's
+# count s and the trailing count n - s. For each engine, at a fixed pair
+# total n it passes for every s from a boundary b(n) up to n, and b never
+# decreases in n. Then a rival with a lower count than the runner-up, whose
+# pair total n' is smaller, passes whenever the runner-up does:
+# b(n') <= b(n) <= s. That is why ``Generic1v1Rule.check`` tests the
+# runner-up alone. Per engine, with t = n - s:
+#
+# * ppr: the statistic is the Beta(s+1, t+1) density at 1/2,
+#   (n+1)! / (s! t!) 2^-n, against a fixed alpha. At fixed n it is the
+#   binomial coefficient C(n, s) up to a factor, which falls as s moves
+#   away from n/2. At fixed s it rises with t while t <= s
+#   (``verify_beta_monotonicity``, in exact rationals), so b is
+#   non-decreasing. One more leading sample multiplies the density by
+#   (n+2) / (2(s+1)) <= 1, so b also grows by at most 1 per sample.
+# * lucb: it passes iff s >= n/2 + sqrt(n beta(n) / 2). The width term
+#   depends on n only, and n beta(n) rises with n.
+# * kl-lucb, kl-sn: they pass iff s > t and n kl(s/n, 1/2) >= beta(n). The
+#   statistic s ln(2s/n) + t ln(2t/n) rises in s at fixed n (its slope is
+#   ln(s/t) > 0) and falls in t at fixed s (slope ln(2t/n) < 0), and
+#   beta(n) rises with n.
+# * a1: it passes iff s/n - w >= 1/2, where w holds the empirical variance
+#   s t / (n (n-1)). At fixed n, s/n rises and the variance falls as s goes
+#   from n/2 to n. Raising t at fixed s lowers s/n and raises the variance
+#   term, but w's second term, 7 ln(4n^2/alpha) / (3(n-1)), falls with n,
+#   so for a1 a non-decreasing b rests on the grid check below.
+#
+# For lucb, kl and a1 the threshold rises with n, so a step of at most 1
+# does not follow from these arguments alone. ``boundary.PairBoundary``
+# checks that b steps by 0 or 1 each time it grows a table, and
+# tests/test_theory.py checks it for all five engines at four alphas up to
+# n = 5000.

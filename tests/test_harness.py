@@ -1,6 +1,9 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modestop.harness import (
     ExperimentSpec,
@@ -12,6 +15,7 @@ from modestop.harness import (
     write_summary_csv,
     write_trials_jsonl,
 )
+from modestop.instances import DiscreteInstance
 from modestop.stopping import RULE_TOKENS, TrialRecord
 
 
@@ -25,6 +29,66 @@ def _spec(**kw):
     )
     base.update(kw)
     return ExperimentSpec(**base)
+
+
+# around [0, 1], with nan
+UNIT_FLOATS = st.one_of(
+    st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0, math.nan]), st.floats(-0.5, 1.5)
+)
+
+
+class TestExperimentSpec:
+    """A bad spec is rejected when it is built, naming the bad value."""
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("rule", "ppr-2v2", "unknown rule token 'ppr-2v2'"),
+            ("check_every", 0, "check_every must be >= 1, got 0"),
+            ("check_every", -3, "check_every must be >= 1, got -3"),
+            ("replications", 0, "replications must be an int >= 1, got 0"),
+            ("replications", True, "replications must be an int >= 1, got True"),
+            ("replications", 2.0, "replications must be an int >= 1, got 2.0"),
+            ("probs", (0.5, 0.4), "probabilities must sum to 1, got 0.9"),
+            ("probs", (0.5, 0.5), "the mode must be strictly unique"),
+            ("delta", 1.0, r"delta must lie in \(0, 1\), got 1.0"),
+        ],
+    )
+    def test_rejects(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            _spec(**{field: value})
+
+    @given(
+        probs=st.one_of(
+            st.sampled_from([(0.6, 0.4), (0.5, 0.25, 0.25)]),
+            st.lists(UNIT_FLOATS, min_size=1, max_size=4).map(tuple),
+        ),
+        rule=st.sampled_from(RULE_TOKENS + ("ppr", "md", "kl-1v1", "")),
+        delta=UNIT_FLOATS,
+        replications=st.one_of(st.integers(-3, 5), st.booleans(), st.floats(0, 5)),
+        check_every=st.integers(-3, 5),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_accepts_exactly_the_valid_specs(self, probs, rule, delta, replications, check_every):
+        try:
+            DiscreteInstance(probs)
+            valid_probs = True
+        except ValueError:
+            valid_probs = False
+        valid = (
+            valid_probs
+            and rule in RULE_TOKENS
+            and type(replications) is int
+            and replications >= 1
+            and check_every >= 1
+            and 0.0 < delta < 1.0
+        )
+        kw = dict(probs=probs, rule=rule, delta=delta, replications=replications)
+        if valid:
+            _spec(check_every=check_every, **kw)
+        else:
+            with pytest.raises(ValueError):
+                _spec(check_every=check_every, **kw)
 
 
 class TestSummarize:

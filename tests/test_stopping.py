@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modestop.blockchain import NodePool, draw_batch, run_verification
+from modestop.boundary import BOUNDARY_GROWTH, PairBoundary
 from modestop.bounds import (
     ENGINE_KINDS,
     _a1_width,
@@ -46,6 +47,7 @@ from modestop.stopping import (
     parse_rule_token,
     run_mode_estimation,
     scan_per_sample,
+    shared_boundary,
 )
 
 P1 = DiscreteInstance((0.5, 0.25, 0.25))
@@ -109,8 +111,8 @@ class TestGeneric1v1:
         # the density at 1/2 it agrees with testing every rival
         tally = TallyState(len(counts))
         tally.add_counts(counts)
-        expected = Generic1v1Rule("ppr", len(counts), delta).check(tally)
-        assert make_rule("ppr-1v1", len(counts), delta).check(tally) == expected
+        rule = make_rule("ppr-1v1", len(counts), delta)
+        assert rule.check(tally) == _all_rivals_check(rule, tally)
 
     def test_all_zero_continues(self):
         for kind in ("ppr", "lucb", "kl-lucb", "kl-sn", "a1"):
@@ -192,8 +194,9 @@ def _rival_counts(draw):
 
 
 class TestDistinctRivalCounts:
-    """``check`` tests each distinct rival count once; its verdict is the
-    all-rivals loop's on every tally."""
+    """A 1v1 ``check`` tests the runner-up alone and a 1vr ``check`` each
+    distinct rival count once; either verdict is the all-rivals loop's on
+    every tally."""
 
     @pytest.mark.parametrize("cls", [Generic1v1Rule, Generic1vrRule])
     @pytest.mark.parametrize("kind", ENGINE_KINDS)
@@ -511,9 +514,9 @@ class TestRunner:
     @pytest.mark.parametrize("check_every", [0, -2])
     def test_rejects_check_every_below_one(self, check_every):
         path = SamplePath(P1, derive_stream(0, 0))
-        with pytest.raises(ValueError, match="^check_every must be >= 1$"):
+        with pytest.raises(ValueError, match=f"^check_every must be >= 1, got {check_every}$"):
             declaration_time(P1, "kl-sn-1vr", 0.01, path, check_every=check_every)
-        with pytest.raises(ValueError, match="^check_every must be >= 1$"):
+        with pytest.raises(ValueError, match=f"^check_every must be >= 1, got {check_every}$"):
             scan_per_sample(make_rule("ppr-md", 3, 0.01), 3, path, check_every=check_every)
 
     def test_check_every_delays_declaration_to_multiple(self):
@@ -569,6 +572,8 @@ def _oracle(inst, token, delta, path, check_every=1, sample_cap=DEFAULT_SAMPLE_C
 KERNEL_INSTANCES = dict(
     TABLE1_INSTANCES,
     K2=(0.6, 0.4),
+    # K = 2 trials long enough to grow the boundary tables across chunks
+    K2_close=(0.55, 0.45),
     mode_last=(0.2, 0.3, 0.5),
     # rare values keep being discovered late, which orders ppr-adaptive's budgets
     K10_rare=(0.3, 0.25, 0.2, 0.1, 0.05, 0.04, 0.03, 0.01, 0.01, 0.01),
@@ -792,3 +797,95 @@ class TestMarginRows:
             assert margin[0] == log_beta_pdf_half(lead, trail) - math.log(rule.budget(0, 1))
         if rule.check(tally) is not None:
             assert margin[0] <= 0.0
+
+
+def _k2_tally(s, n):
+    tally = TallyState(2)
+    tally.add_counts((s, n - s))
+    return tally
+
+
+def _k2_expected(token, b, s, n):
+    """The verdict the boundary b = b(n) gives on the tally (s, n - s)."""
+    needs_rival = token == "ppr-adaptive"
+    if s >= b and not (needs_rival and s == n):
+        return 0
+    if n - s >= b and not (needs_rival and s == 0):
+        return 1
+    return None
+
+
+class TestPairBoundaryTables:
+    """At K = 2 the boundary table agrees with the rule's own check."""
+
+    @pytest.mark.parametrize("delta", [0.01, 0.1, 0.5])
+    def test_tables_match_check(self, delta):
+        # every leader count s up to n = 200, and up to n = 60 also the
+        # mirrored tallies, where value 1 leads; then b(n) - 1 and b(n) up
+        # to n = 5000
+        rules = {token: make_rule(token, 2, delta) for token in RULE_TOKENS}
+        tables = {token: shared_boundary(token, delta).upto(5000) for token in RULE_TOKENS}
+        for token, b in tables.items():
+            assert b[0] == 1
+            assert set(np.diff(b).tolist()) <= {0, 1}
+            tables[token] = b.tolist()
+        for n in range(1, 201):
+            for s in range(0 if n <= 60 else n // 2, n + 1):
+                tally = _k2_tally(s, n)
+                for token, rule in rules.items():
+                    expected = _k2_expected(token, tables[token][n], s, n)
+                    assert rule.check(tally) == expected, (token, n, s)
+        for n in range(201, 5001):
+            tallies = {}
+            for token, rule in rules.items():
+                b = tables[token][n]
+                for s in (b - 1, b):
+                    if n // 2 < s <= n:
+                        tally = tallies.get(s) or tallies.setdefault(s, _k2_tally(s, n))
+                        expected = _k2_expected(token, b, s, n)
+                        assert rule.check(tally) == expected, (token, n, s)
+
+    @given(
+        token=st.sampled_from(RULE_TOKENS),
+        delta=st.sampled_from([0.001, 0.01, 0.1, 0.5]),
+        n=st.integers(1, 100_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_solve_matches_check_at_large_n(self, token, delta, n):
+        # a block ending at n, so that the entries inside it are found from
+        # interpolated guesses and the float margin
+        rule = make_rule(token, 2, delta)
+        totals = np.arange(max(1, n - 64), n + 1)
+        b = rule.pair_boundary().solve(totals)
+        for m in (totals[len(totals) // 2], n):
+            bm = int(b[m - totals[0]])
+            assert m // 2 < bm <= m + 1
+            for s in (bm - 1, bm):
+                if m // 2 < s <= m:
+                    assert rule.check(_k2_tally(s, m)) == _k2_expected(token, bm, s, m)
+
+    def test_solve_matches_grown_table(self):
+        boundary = make_rule("kl-sn-1vr", 2, 0.1).pair_boundary()
+        n = np.array([1, 2, 3, 1000, 4097, 9999])
+        assert boundary.solve(n).tolist() == boundary.upto(9999)[n].tolist()
+
+    def test_growth_factor(self):
+        boundary = make_rule("ppr-1v1", 2, 0.1).pair_boundary()
+        assert len(boundary.upto(1024)) == 1025
+        assert len(boundary.upto(1025)) == int(BOUNDARY_GROWTH * 1025)
+        assert boundary.table.dtype == np.int32
+
+    def test_rejects_a_step_above_one(self):
+        # b(n) = n // 2 + 1, except 7 at n = 7: it rises by 3 there
+        def fake_b(n):
+            return np.where(n == 7, 7, n // 2 + 1)
+
+        boundary = PairBoundary(
+            lambda lead, n: (fake_b(n) - lead - 0.5, 0.0),
+            lambda lead, n: lead >= int(fake_b(np.array(n))),
+        )
+        # the spike is far from the interpolated guess, and still found
+        n = np.arange(1, 21)
+        assert boundary.solve(n).tolist() == fake_b(n).tolist()
+        with pytest.raises(AssertionError, match="steps by 3 at n = 7"):
+            boundary.upto(20)

@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modestop.bounds import ppr_separation_log_density
+from modestop.boundary import PairBoundary
+from modestop.bounds import ENGINE_KINDS, make_engine, pair_beats_half, ppr_separation_log_density
 from modestop.numerics import log_beta_pdf
 from modestop.theory import (
     a1_upper_bound,
@@ -173,3 +175,27 @@ class TestBetaMonotonicity:
         # with a < b the density at 1/2 decreases in b, so the sweep
         # restriction a >= b is what makes the property true
         assert beta_pdf_half_exact(2, 4) < beta_pdf_half_exact(2, 3)
+
+
+class TestPairBoundaries:
+    """The pair-boundary facts behind the runner-up-only 1v1 check: at a
+    fixed pair total n every engine's pair test passes exactly for the
+    leader counts s >= b(n), and b steps by 0 or 1 as n grows."""
+
+    @pytest.mark.parametrize("alpha", [0.0005, 0.01, 0.1, 0.25])
+    @pytest.mark.parametrize("kind", ENGINE_KINDS)
+    def test_steps_and_scalar_verdicts(self, kind, alpha):
+        engine = make_engine(kind, alpha)
+        b = PairBoundary.of_pair_test(engine).upto(5000)
+        assert b[0] == 1
+        assert set(np.diff(b).tolist()) <= {0, 1}
+        for n in range(1, 5001):
+            s = int(b[n])
+            assert s > n // 2
+            if s <= n:
+                assert pair_beats_half(engine, s, n - s)
+            if s - 1 > n // 2:
+                assert not pair_beats_half(engine, s - 1, n - s + 1)
+        for n in range(1, 121):
+            verdicts = [pair_beats_half(engine, s, n - s) for s in range(n // 2 + 1, n + 1)]
+            assert verdicts == [s >= b[n] for s in range(n // 2 + 1, n + 1)]
