@@ -87,7 +87,7 @@ def sprt_threshold(delta: float, n: int, m: int, f_max: float) -> float:
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if not 1 <= m <= n:
-        raise ValueError("batch size must lie in [1, N]")
+        raise ValueError(f"batch size must lie in [1, N={n}], got {m}")
     q = m / n
     return (
         math.log((1.0 - delta) / delta)
@@ -214,7 +214,7 @@ def sweep_f(
     reproducible independently of sweep order.
     """
     if runs < 1:
-        raise ValueError("runs must be >= 1")
+        raise ValueError(f"runs must be >= 1, got {runs}")
     cells: list[SweepCell] = []
     for fi, f in enumerate(f_values):
         pool = NodePool(n_nodes=n, byzantine_fraction=f, batch_size=m, n_answers=k)

@@ -231,7 +231,7 @@ class ElectionRun:
         if policy not in ELECTION_POLICIES:
             raise ValueError(f"unknown policy {policy!r}; expected one of {ELECTION_POLICIES}")
         if batch < 1:
-            raise ValueError("batch size must be >= 1")
+            raise ValueError(f"batch size must be >= 1, got {batch}")
         if not 0.0 < delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {delta}")
         _, scheme = parse_rule_token(rule_token)

@@ -38,7 +38,7 @@ class DiscreteInstance:
 
     def __post_init__(self) -> None:
         if len(self.probs) < 2:
-            raise ValueError("an instance needs K >= 2 values")
+            raise ValueError(f"an instance needs K >= 2 values, got {len(self.probs)}")
         for i, p in enumerate(self.probs):
             if not math.isfinite(p):
                 raise ValueError(f"probability {i} is not a finite number: {p}")
@@ -107,9 +107,6 @@ class SeededStream:
     @property
     def stream_index(self) -> int:
         return self.indices[0] if self.indices else 0
-
-    def uniform(self) -> float:
-        return float(self.generator.random())
 
     def uniforms(self, n: int) -> np.ndarray:
         return self.generator.random(n)
@@ -197,7 +194,7 @@ class TallyState:
 
     def __init__(self, k: int) -> None:
         if k < 2:
-            raise ValueError("tally needs K >= 2 values")
+            raise ValueError(f"tally needs K >= 2 values, got {k}")
         self.counts = [0] * k
         self.total = 0
         self.first = 0
@@ -228,17 +225,19 @@ class TallyState:
                 self.second = idx
 
     def add_counts(self, batch_counts) -> None:
-        """Bulk update from per-value counts; first/second by full scan."""
+        """Bulk update from per-value counts; first/second by full scan. A
+        batch that is not K non-negative counts is rejected before the tally
+        changes."""
+        batch = [int(c) for c in batch_counts]
         counts = self.counts
+        if len(batch) != len(counts):
+            raise ValueError(f"a batch needs K={len(counts)} counts, got {len(batch)}")
+        if min(batch) < 0:
+            raise ValueError(f"batch counts must be non-negative, got {min(batch)}")
         order = self.order
-        added = 0
-        for i, c in enumerate(batch_counts):
-            ci = int(c)
-            if ci < 0:
-                raise ValueError("batch counts must be non-negative")
-            if ci and not counts[i]:
+        for i, c in enumerate(batch):
+            if c and not counts[i]:
                 order.append(i)
-            counts[i] += ci
-            added += ci
-        self.total += added
+            counts[i] += c
+        self.total += sum(batch)
         self.first, self.second = first_second_scan(counts)

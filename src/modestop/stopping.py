@@ -22,17 +22,18 @@ integer boundary b(n), kept as one table per token and delta
 chunk with ``lead >= b[n]`` and needs no confirmation.
 
 At K > 2 the scan uses the rule's vectorised ``margin_rows(rows, totals)``:
-over a block of cumulative count rows it returns, per row, the statistic of
-the test ``check`` finds hardest minus its threshold, and a slack bounding
-how far numpy's floats may drift from the scalar ones. ``check`` can declare
-only on rows where the margin is at most the slack, and the scan confirms
-each such row, in order, with ``check`` on exactly those counts. The
-``ppr-1v1`` and ``ppr-adaptive`` margins are bit-identical to their scalar
-statistics and have slack 0.
+over a block of cumulative count rows it returns, per row, the statistic
+``check`` tests (for ``ppr-adaptive``, a bound on it) minus its threshold,
+and a slack bounding how far numpy's floats may drift from the scalar ones.
+``check`` can declare only on rows where the margin is at most the slack,
+and the scan confirms each such row, in order, with ``check`` on exactly
+those counts. The ``ppr-1v1`` and ``ppr-adaptive`` margins are
+bit-identical to their scalar statistics and have slack 0.
 
-``PprMdRule.slice_log_quantities`` is the one statement of the ppr-md
-statistic: ``check`` compares its values with the rule's log threshold, and
-the Dirichlet oracles in the tests read the same values.
+Every rule but ``ppr-adaptive`` tests the runner-up alone: each rival's
+test only gets harder as its count rises to the leader's (``theory`` has the
+per-rule arguments). ``PprMdRule.slice_log_quantity`` is the one statement
+of the ppr-md statistic, which the Dirichlet oracles in the tests read too.
 """
 
 from __future__ import annotations
@@ -150,14 +151,8 @@ def pair_test_alpha(engine_kind: str, k: int, delta: float) -> float:
 
 
 class Generic1v1Rule(_Rule):
-    """Pairwise tests of first(t) against every rival at mistake delta/(K-1).
-
-    Only the runner-up's pair is tested. A pair test passes exactly when the
-    leader's count reaches a boundary b(pair total) that never decreases, so
-    a rival with a lower count, whose pair total is smaller, passes whenever
-    the runner-up does (the per-engine argument is in ``theory``, next to
-    ``verify_beta_monotonicity``).
-    """
+    """Pairwise tests of first(t) against every rival at mistake delta/(K-1);
+    only the runner-up's pair is tested."""
 
     __slots__ = ("engine",)
 
@@ -175,10 +170,6 @@ class Generic1v1Rule(_Rule):
         """The runner-up pair's margin, the one ``check`` tests."""
         return pair_margin_array(self.engine, *_top_two(rows))
 
-    def pair_boundary(self) -> PairBoundary:
-        """At K = 2 ``check`` is the engine's pair test on (lead, n - lead)."""
-        return PairBoundary.of_pair_test(self.engine)
-
 
 class Ppr1v1Rule(Generic1v1Rule):
     """``Generic1v1Rule`` on the ppr engine; perfbench's tracer names the
@@ -192,7 +183,8 @@ class Ppr1v1Rule(Generic1v1Rule):
 
 class Generic1vrRule(_Rule):
     """One-vs-rest intervals at mistake delta/K; declare when the leader's
-    LCB clears every rival's UCB."""
+    LCB clears every rival's UCB. The runner-up's is the highest, so only it
+    is tested."""
 
     __slots__ = ("engine",)
 
@@ -202,22 +194,14 @@ class Generic1vrRule(_Rule):
 
     def check(self, tally: TallyState) -> int | None:
         counts = tally.counts
-        c_first = counts[tally.first]
-        c_second = counts[tally.second]
-        t = tally.total
-        engine = self.engine
-        if not one_vs_rest_separated(engine, c_first, c_second, t):
-            return None
-        # a test reads only the two counts and t, so each distinct rival
-        # count is tested once; a rival holding c_first ties, and the
-        # runner-up then holds it too, so that value is covered above
-        for c in set(counts) - {c_first, c_second}:
-            if not one_vs_rest_separated(engine, c_first, c, t):
-                return None
-        return tally.first
+        if one_vs_rest_separated(
+            self.engine, counts[tally.first], counts[tally.second], tally.total
+        ):
+            return tally.first
+        return None
 
     def margin_rows(self, rows, totals):
-        """The runner-up's separation margin, which ``check`` tests first."""
+        """The runner-up's separation margin, the one ``check`` tests."""
         return one_vs_rest_margin_array(self.engine, *_top_two(rows), totals)
 
 
@@ -228,7 +212,8 @@ class PprMdRule(_Rule):
     For rival j the density maximum over the tied slice x_first = x_j sits at
     x_first = x_j = (s_first + s_j) / 2t with the remaining coordinates at
     their empirical means; the rule declares once the posterior quantity at
-    every such point falls to delta / (K-1)!.
+    every such point falls to delta / (K-1)!. The runner-up's quantity is
+    the largest, so only it is tested.
     """
 
     __slots__ = ("_k", "_log_threshold")
@@ -238,48 +223,39 @@ class PprMdRule(_Rule):
         self._k = k
         self._log_threshold = math.log(delta) - ln_gamma_int(k)
 
-    def slice_log_quantities(self, tally: TallyState):
-        """Yield (j, log quantity at the j-slice maximizer) for each rival j of
-        the leader, in index order; the quantity is
+    def slice_log_quantity(self, tally: TallyState, j: int) -> float:
+        """The log quantity at the slice maximizer of the leader's rival j,
         (prod x*_i^{s_i}) (t+K-1)! / prod s_i!, the Dirichlet posterior
         density there. Needs a non-empty tally."""
         t = tally.total
         counts = tally.counts
-        first = tally.first
         lg = LOG_GAMMA
         log_t = math.log(t)
+
+        def term(c):  # c (ln c - ln t), which is 0 at c = 0
+            return c * (math.log(c) - log_t) if c else 0.0
+
         log_coeff = lg(t + self._k)
         base = 0.0
         for c in counts:
             log_coeff -= lg(c + 1)
-            if c > 0:
-                base += c * (math.log(c) - log_t)
-        c_first = counts[first]
-        term_first = c_first * (math.log(c_first) - log_t) if c_first else 0.0
-        for j, c_j in enumerate(counts):
-            if j == first:
-                continue
-            term_j = c_j * (math.log(c_j) - log_t) if c_j else 0.0
-            pair = c_first + c_j
-            slice_term = pair * (math.log(pair) - log_t - math.log(2.0)) if pair else 0.0
-            yield j, log_coeff + base - term_first - term_j + slice_term
+            base += term(c)
+        c_first = counts[tally.first]
+        c_j = counts[j]
+        pair = c_first + c_j  # >= 1, as the leader's count is
+        slice_term = pair * (math.log(pair) - log_t - LN2)
+        return log_coeff + base - term(c_first) - term(c_j) + slice_term
 
     def check(self, tally: TallyState) -> int | None:
-        if tally.total == 0:
-            return None
-        threshold = self._log_threshold
-        for _, log_q in self.slice_log_quantities(tally):
-            if log_q > threshold:
-                return None
-        return tally.first
+        if tally.total and self.slice_log_quantity(tally, tally.second) <= self._log_threshold:
+            return tally.first
+        return None
 
     def margin_rows(self, rows, totals):
-        """The runner-up's slice log quantity minus the log threshold: every
-        rival's quantity is non-decreasing in its count up to the leader's,
-        so the runner-up's is the largest. ``log_coeff`` takes the table
-        terms in the scalar order and is bit-identical; the other terms go
-        through numpy's log, so the slack is 1e-7 times the terms that
-        cancel."""
+        """The runner-up's slice log quantity minus the log threshold, the
+        one ``check`` tests. ``log_coeff`` takes the table terms in the
+        scalar order and is bit-identical; the other terms go through
+        numpy's log, so the slack is 1e-7 times the terms that cancel."""
         lead, trail = _top_two(rows)
         lg = LOG_GAMMA.as_array(int(totals[-1]) + self._k)
         log_t = np.log(totals)

@@ -178,35 +178,54 @@ def verify_beta_monotonicity(a_max: int, b_max: int) -> bool:
     return True
 
 
-# Pair boundaries. A pair test (``bounds.pair_beats_half``) reads the leader's
-# count s and the trailing count n - s. For each engine, at a fixed pair
-# total n it passes for every s from a boundary b(n) up to n, and b never
-# decreases in n. Then a rival with a lower count than the runner-up, whose
-# pair total n' is smaller, passes whenever the runner-up does:
-# b(n') <= b(n) <= s. That is why ``Generic1v1Rule.check`` tests the
-# runner-up alone. Per engine, with t = n - s:
+# Why every rule but ppr-adaptive tests the runner-up alone. Each argument
+# holds in exact arithmetic; tests/test_theory.py checks the float tests of
+# all five engines at four alphas on grids, and tests/test_stopping.py
+# checks each rule against a test of every rival.
+#
+# 1v1 (``bounds.pair_beats_half``). At a fixed pair total n each engine's
+# test passes for every leader count s from a boundary b(n) up to n, and b
+# never decreases in n, so a rival with a lower count, whose pair total
+# n' is smaller, passes whenever the runner-up does: b(n') <= b(n) <= s.
+# Per engine, with t = n - s:
 #
 # * ppr: the statistic is the Beta(s+1, t+1) density at 1/2,
-#   (n+1)! / (s! t!) 2^-n, against a fixed alpha. At fixed n it is the
-#   binomial coefficient C(n, s) up to a factor, which falls as s moves
-#   away from n/2. At fixed s it rises with t while t <= s
-#   (``verify_beta_monotonicity``, in exact rationals), so b is
-#   non-decreasing. One more leading sample multiplies the density by
-#   (n+2) / (2(s+1)) <= 1, so b also grows by at most 1 per sample.
-# * lucb: it passes iff s >= n/2 + sqrt(n beta(n) / 2). The width term
-#   depends on n only, and n beta(n) rises with n.
-# * kl-lucb, kl-sn: they pass iff s > t and n kl(s/n, 1/2) >= beta(n). The
-#   statistic s ln(2s/n) + t ln(2t/n) rises in s at fixed n (its slope is
-#   ln(s/t) > 0) and falls in t at fixed s (slope ln(2t/n) < 0), and
-#   beta(n) rises with n.
-# * a1: it passes iff s/n - w >= 1/2, where w holds the empirical variance
-#   s t / (n (n-1)). At fixed n, s/n rises and the variance falls as s goes
-#   from n/2 to n. Raising t at fixed s lowers s/n and raises the variance
-#   term, but w's second term, 7 ln(4n^2/alpha) / (3(n-1)), falls with n,
-#   so for a1 a non-decreasing b rests on the grid check below.
+#   (n+1)! / (s! t!) 2^-n, which at fixed n falls as s moves away from n/2
+#   and at fixed s rises with t while t <= s (``verify_beta_monotonicity``).
+#   One more leading sample multiplies it by (n+2) / (2(s+1)) <= 1, so b
+#   also grows by at most 1 per sample.
+# * lucb: it passes iff s >= n/2 + sqrt(n beta(n) / 2), and n beta(n) rises.
+# * kl-lucb, kl-sn: they pass iff s > t and n kl(s/n, 1/2) >= beta(n); the
+#   statistic rises in s at fixed n (slope ln(s/t) > 0), falls in t at
+#   fixed s (slope ln(2t/n) < 0), and beta(n) rises with n.
+# * a1: it passes iff s/n - w >= 1/2, with the empirical variance
+#   s t / (n (n-1)) in w. At fixed n, s/n rises and the variance falls as s
+#   goes from n/2 to n. But w's second term, 7 ln(4n^2/alpha) / (3(n-1)),
+#   falls with n, so a non-decreasing b rests on the grid check.
 #
 # For lucb, kl and a1 the threshold rises with n, so a step of at most 1
-# does not follow from these arguments alone. ``boundary.PairBoundary``
-# checks that b steps by 0 or 1 each time it grows a table, and
-# tests/test_theory.py checks it for all five engines at four alphas up to
-# n = 5000.
+# does not follow; ``boundary.PairBoundary`` checks it at every growth.
+#
+# 1vr (``bounds.one_vs_rest_separated``). Both intervals are taken at the
+# shared total t, so the test reads the leader's count s, the rival's
+# c < s and t, with s + c <= t. At fixed s and t the leader's LCB and the
+# rate are fixed and the rival's UCB does not fall as c rises, so the test
+# passes for c from 0 up to some c*. Per engine, with logit(x) = ln(x/(1-x)):
+#
+# * lucb: it passes iff (s - c) / t >= 2 sqrt(beta(t) / 2t).
+# * a1: the variance term c (t - c) rises while c < t/2, as c < s and
+#   c + s <= t make it.
+# * kl-lucb, kl-sn: the test is t kl(s/t, x) >= beta(t) at the crossing x
+#   of kl(s/t, .) and kl(c/t, .). logit(x) is the secant slope of the convex
+#   p ln p + (1-p) ln(1-p) between c/t and s/t, so x rises with c, and
+#   kl(s/t, x) falls as x rises towards s/t.
+# * ppr: the test reads the leader's log density f_s at its crossing x_c
+#   with f_c, where f_j(x) = ln((t+1)! / (j! (t-j)!)) + j ln x +
+#   (t-j) ln(1-x). As f_{j+1} - f_j = logit(x) - logit((j+1)/(t+1)),
+#   logit(x_c) is the mean of logit((j+1)/(t+1)) over j = c .. s-1, so
+#   (c+1)/(t+1) <= x_c < s/t, the mode of f_s. At x_c, f_{c+1} >= f_c = f_s,
+#   so x_{c+1} >= x_c and f_s(x_{c+1}) >= f_s(x_c).
+#
+# ppr-md. Within one tally, the part of rival j's slice log quantity that
+# depends on its count c is (s + c) ln((s + c) / 2t) - c ln(c / t), whose
+# derivative in c is ln((s + c) / 2c) >= 0 for c <= s.

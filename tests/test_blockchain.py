@@ -98,6 +98,11 @@ class TestThreshold:
         with pytest.raises(ValueError):
             sprt_threshold(0.005, 1600, 20, 0.5)
 
+    @pytest.mark.parametrize("m", [0, 1601])
+    def test_rejects_batch_size_outside_pool(self, m):
+        with pytest.raises(ValueError, match=rf"^batch size must lie in \[1, N=1600\], got {m}$"):
+            sprt_threshold(0.005, 1600, m, 0.1)
+
 
 class TestSprtState:
     def test_unanimous_batches(self):
@@ -214,6 +219,11 @@ class TestRunVerification:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("runs", [0, -4])
+    def test_rejects_runs_below_one(self, runs):
+        with pytest.raises(ValueError, match=rf"^runs must be >= 1, got {runs}$"):
+            sweep_f(1600, 20, 2, 0.005, 0.1, [0.1], ["sprt"], runs, 0)
+
     def test_single_cell_shape(self):
         cells = sweep_f(1600, 20, 2, 0.005, 0.1, [0.1], ["sprt"], 5, 0)
         assert len(cells) == 1

@@ -172,6 +172,11 @@ class TestSelection:
             ),
         )
 
+    @pytest.mark.parametrize("batch", [0, -1])
+    def test_rejects_batch_below_one(self, batch):
+        with pytest.raises(ValueError, match=rf"^batch size must be >= 1, got {batch}$"):
+            ElectionRun(self._tiny(), "rr", "ppr-1v1", 0.1, batch, derive_stream(0, 0))
+
     def test_rr_cycles_in_id_order(self):
         run = ElectionRun(self._tiny(), "rr", "ppr-1v1", 0.1, 10, derive_stream(0, 0))
         assert [run.rr_select() for _ in range(5)] == [0, 1, 2, 0, 1]

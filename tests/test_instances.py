@@ -52,8 +52,10 @@ class TestDiscreteInstance:
             DiscreteInstance.from_string("0.5,nan,0.5")
 
     def test_rejects_single_value(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^an instance needs K >= 2 values, got 1$"):
             DiscreteInstance((1.0,))
+        with pytest.raises(ValueError, match=r"^an instance needs K >= 2 values, got 0$"):
+            DiscreteInstance(())
 
     def test_from_string(self):
         inst = DiscreteInstance.from_string("0.5,0.25,0.25")
@@ -139,27 +141,28 @@ class TestSeededStream:
 
     def test_adjacent_indices_differ(self):
         differing = sum(
-            derive_stream(s, 0).uniform() != derive_stream(s, 1).uniform() for s in range(64)
+            derive_stream(s, 0).uniforms(1)[0] != derive_stream(s, 1).uniforms(1)[0]
+            for s in range(64)
         )
         assert differing >= 60
 
     def test_adjacent_seeds_differ(self):
         differing = sum(
-            derive_stream(s, 0).uniform() != derive_stream(s + 1, 0).uniform()
+            derive_stream(s, 0).uniforms(1)[0] != derive_stream(s + 1, 0).uniforms(1)[0]
             for s in range(64)
         )
         assert differing >= 60
 
     def test_chunked_consumption_matches_scalar(self):
         # the sampling loop relies on chunked draws consuming the bit stream
-        # exactly like repeated scalar draws
+        # exactly like repeated one-value draws
         chunked = derive_stream(9, 9).uniforms(257)
         scalar_stream = derive_stream(9, 9)
-        scalars = np.array([scalar_stream.uniform() for _ in range(257)])
+        scalars = np.concatenate([scalar_stream.uniforms(1) for _ in range(257)])
         assert np.array_equal(chunked, scalars)
 
     def test_multi_index_streams(self):
-        assert derive_stream(1, 2, 3).uniform() != derive_stream(1, 3, 2).uniform()
+        assert derive_stream(1, 2, 3).uniforms(1)[0] != derive_stream(1, 3, 2).uniforms(1)[0]
 
     @staticmethod
     def _assert_seeded_as_tuple(words):
@@ -254,6 +257,31 @@ class TestTallyState:
         for idx in sorted(updates, reverse=True):
             tally.update(idx)
         assert (tally.first, tally.second) == first_second_scan(tally.counts)
+
+    @pytest.mark.parametrize("k", [1, 0])
+    def test_rejects_too_few_values(self, k):
+        with pytest.raises(ValueError, match=rf"^tally needs K >= 2 values, got {k}$"):
+            TallyState(k)
+
+    @pytest.mark.parametrize(
+        "batch, message",
+        [
+            ([3, -1], r"^batch counts must be non-negative, got -1$"),
+            ([-2, 5], r"^batch counts must be non-negative, got -2$"),
+            ([1, 2, 3], r"^a batch needs K=2 counts, got 3$"),
+            ([4], r"^a batch needs K=2 counts, got 1$"),
+            ([], r"^a batch needs K=2 counts, got 0$"),
+        ],
+    )
+    @pytest.mark.parametrize("before", [[], [0, 2]])
+    def test_rejected_batch_leaves_tally_unchanged(self, batch, message, before):
+        tally = TallyState(2)
+        if before:
+            tally.add_counts(before)
+        state = (list(tally.counts), tally.total, tally.first, tally.second, list(tally.order))
+        with pytest.raises(ValueError, match=message):
+            tally.add_counts(batch)
+        assert (tally.counts, tally.total, tally.first, tally.second, tally.order) == state
 
     def test_bulk_add_matches_scan(self):
         tally = TallyState(4)

@@ -162,8 +162,8 @@ class TestGeneric1vr:
 
 
 def _all_rivals_check(rule, tally):
-    """The 1v1/1vr check as it was before rival counts were deduplicated:
-    the runner-up first, then one test per rival index."""
+    """The 1v1/1vr check over every rival: the runner-up first, then one
+    test per rival index."""
     counts = tally.counts
     first = tally.first
     second = tally.second
@@ -194,9 +194,8 @@ def _rival_counts(draw):
 
 
 class TestDistinctRivalCounts:
-    """A 1v1 ``check`` tests the runner-up alone and a 1vr ``check`` each
-    distinct rival count once; either verdict is the all-rivals loop's on
-    every tally."""
+    """The 1v1, 1vr and ppr-md checks test the runner-up alone; each verdict
+    is that of a loop over every rival, on every tally."""
 
     @pytest.mark.parametrize("cls", [Generic1v1Rule, Generic1vrRule])
     @pytest.mark.parametrize("kind", ENGINE_KINDS)
@@ -207,6 +206,18 @@ class TestDistinctRivalCounts:
         tally = TallyState(len(counts))
         tally.add_counts(counts)
         assert rule.check(tally) == _all_rivals_check(rule, tally)
+
+    @given(counts=_rival_counts(), delta=st.sampled_from([0.005, 0.1, 0.5]))
+    @settings(max_examples=200, deadline=None)
+    def test_ppr_md_same_verdict_as_all_rivals(self, counts, delta):
+        rule = PprMdRule(len(counts), delta)
+        tally = TallyState(len(counts))
+        tally.add_counts(counts)
+        rivals = [j for j in range(len(counts)) if j != tally.first]
+        passes = tally.total > 0 and all(
+            rule.slice_log_quantity(tally, j) <= rule._log_threshold for j in rivals
+        )
+        assert rule.check(tally) == (tally.first if passes else None)
 
 
 class TestPprMd:
@@ -232,44 +243,47 @@ class TestPprMd:
             assert (t_md, d_md) == (t_11, d_11)
 
     def test_slice_maximizer_against_grid_search(self):
-        # K=3 slice x_first = x_j: the Lagrange point must dominate a dense
-        # grid scan of the constrained posterior density
+        # K=3 slice x_first = x_j for each rival j: the Lagrange point must
+        # dominate a dense grid scan of the constrained posterior density
         counts = [5, 3, 2]
         t = sum(counts)
         k = 3
         rule = PprMdRule(k, 0.01)
         tally = TallyState(k)
         tally.add_counts(counts)
-        log_coeff_term = dict(rule.slice_log_quantities(tally))[1]
-        # independent grid evaluation of the Dirichlet density restricted to
-        # the slice, rescaled to the same quantity
-        best = -math.inf
-        for z in np.arange(1e-4, 0.5, 1e-3):
-            x = (z, z, 1.0 - 2.0 * z)
-            log_q = (
-                counts[0] * math.log(x[0])
-                + counts[1] * math.log(x[1])
-                + counts[2] * math.log(x[2])
-                + math.lgamma(t + k)
-                - sum(math.lgamma(c + 1) for c in counts)
-            )
-            best = max(best, log_q)
-        assert log_coeff_term >= best - 1e-12
-        assert math.exp(log_coeff_term) == pytest.approx(math.exp(best), abs=1e-4)
+        for j in (1, 2):
+            log_coeff_term = rule.slice_log_quantity(tally, j)
+            # independent grid evaluation of the Dirichlet density restricted
+            # to the slice, rescaled to the same quantity
+            best = -math.inf
+            for z in np.arange(1e-4, 0.5, 1e-3):
+                x = [z, z, z]
+                x[3 - j] = 1.0 - 2.0 * z
+                log_q = (
+                    counts[0] * math.log(x[0])
+                    + counts[1] * math.log(x[1])
+                    + counts[2] * math.log(x[2])
+                    + math.lgamma(t + k)
+                    - sum(math.lgamma(c + 1) for c in counts)
+                )
+                best = max(best, log_q)
+            assert log_coeff_term >= best - 1e-12
+            assert math.exp(log_coeff_term) == pytest.approx(math.exp(best), abs=1e-4)
 
     def test_slice_quantity_matches_dirichlet_density(self):
-        # the stopping quantity is exactly the posterior Dirichlet density at
-        # the slice maximizer; the (K-1)! factor lives in the threshold
+        # for each rival j the stopping quantity is exactly the posterior
+        # Dirichlet density at the slice maximizer; the (K-1)! factor lives
+        # in the threshold
         counts = [7, 4, 1]
         t = sum(counts)
         rule = PprMdRule(3, 0.01)
         tally = TallyState(3)
         tally.add_counts(counts)
-        got = dict(rule.slice_log_quantities(tally))[1]
-        pair = (counts[0] + counts[1]) / (2.0 * t)
-        x_star = (pair, pair, counts[2] / t)
-        expected = dirichlet_logpdf(x_star, counts)
-        assert got == pytest.approx(expected, rel=1e-12)
+        for j in (1, 2):
+            x_star = [(counts[0] + counts[j]) / (2.0 * t)] * 3
+            x_star[3 - j] = counts[3 - j] / t
+            expected = dirichlet_logpdf(x_star, counts)
+            assert rule.slice_log_quantity(tally, j) == pytest.approx(expected, rel=1e-12)
 
     def test_never_earlier_than_1v1(self):
         for i in range(30):
@@ -772,7 +786,8 @@ class TestMarginRows:
         rule = PprMdRule(len(counts), delta)
         tally = TallyState(len(counts))
         tally.add_counts(counts)
-        scalar = max(q for _, q in rule.slice_log_quantities(tally)) - rule._log_threshold
+        rivals = [j for j in range(len(counts)) if j != tally.first]
+        scalar = max(rule.slice_log_quantity(tally, j) for j in rivals) - rule._log_threshold
         assert (rule.check(tally) is not None) == (scalar <= 0)
         margin, slack = rule.margin_rows(np.array([counts]), np.array([sum(counts)]))
         _assert_within_slack(margin[0], slack[0], scalar)

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modestop.boundary import PairBoundary
-from modestop.bounds import ENGINE_KINDS, make_engine, pair_beats_half, ppr_separation_log_density
+from modestop.bounds import (
+    ENGINE_KINDS,
+    make_engine,
+    one_vs_rest_separated,
+    pair_beats_half,
+    ppr_separation_log_density,
+)
 from modestop.numerics import log_beta_pdf
 from modestop.theory import (
     a1_upper_bound,
@@ -199,3 +205,40 @@ class TestPairBoundaries:
         for n in range(1, 121):
             verdicts = [pair_beats_half(engine, s, n - s) for s in range(n // 2 + 1, n + 1)]
             assert verdicts == [s >= b[n] for s in range(n // 2 + 1, n + 1)]
+
+
+class TestOneVsRestPrefix:
+    """The fact behind the runner-up-only 1vr check: at a fixed total t and
+    leader count s, the rival counts c that ``one_vs_rest_separated``
+    passes form a prefix 0 .. c*, so the runner-up's test decides."""
+
+    @pytest.mark.parametrize("alpha", [0.0005, 0.01, 0.1, 0.25])
+    @pytest.mark.parametrize("kind", ENGINE_KINDS)
+    def test_every_count_up_to_t_80(self, kind, alpha):
+        engine = make_engine(kind, alpha)
+        for t in range(1, 81):
+            for s in range(1, t + 1):
+                verdicts = [
+                    one_vs_rest_separated(engine, s, c, t) for c in range(min(s, t - s) + 1)
+                ]
+                assert verdicts == sorted(verdicts, reverse=True), (t, s)
+
+    @pytest.mark.parametrize("kind", ENGINE_KINDS)
+    @given(data=st.data(), alpha=st.sampled_from([0.0005, 0.01, 0.1, 0.25]))
+    @settings(max_examples=50, deadline=None)
+    def test_prefix_at_large_t(self, kind, data, alpha):
+        # c* by bisection, then the counts around it and one at random
+        t = data.draw(st.integers(81, 10**6))
+        s = data.draw(st.integers(1, t))
+        top = min(s, t - s)
+        engine = make_engine(kind, alpha)
+        lo, hi = -1, top + 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if one_vs_rest_separated(engine, s, mid, t):
+                lo = mid
+            else:
+                hi = mid
+        for c in {lo - 2, lo - 1, lo, lo + 1, lo + 2, data.draw(st.integers(0, top))}:
+            if 0 <= c <= top:
+                assert one_vs_rest_separated(engine, s, c, t) == (c <= lo), (t, s, c)
