@@ -22,16 +22,23 @@ def _add_common(parser: argparse.ArgumentParser, reps_default: int = 100) -> Non
     parser.add_argument("--out", type=str, default=None, help="summary CSV path")
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
-
-
 def _parse_list(flag: str, text: str) -> list[str]:
     """Comma-separated tokens of a list option; an empty list is an error."""
     tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
     if not tokens:
         raise ValueError(f"{flag} {text!r} names no value")
     return tokens
+
+
+def _parse_floats(flag: str, text: str) -> list[float]:
+    """``_parse_list`` of numbers; a token that is not one is an error."""
+    values = []
+    for tok in _parse_list(flag, text):
+        try:
+            values.append(float(tok))
+        except ValueError:
+            raise ValueError(f"{flag} {tok!r} is not a number") from None
+    return values
 
 
 def _write_csv(path, header, rows) -> None:
@@ -120,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_mode_sim(args) -> int:
     spec = harness.ExperimentSpec(
-        probs=tuple(_parse_floats(args.probs)),
+        probs=tuple(_parse_floats("--probs", args.probs)),
         rule=args.rule,
         delta=args.delta,
         replications=args.reps,
@@ -143,8 +150,8 @@ def _cmd_mode_sim(args) -> int:
 
 def _cmd_figure1(args) -> int:
     rows = harness.figure1_sweep(
-        p1_values=_parse_floats(args.p1) if args.p1 else None,
-        delta_values=_parse_floats(args.deltas) if args.deltas else None,
+        p1_values=None if args.p1 is None else _parse_floats("--p1", args.p1),
+        delta_values=None if args.deltas is None else _parse_floats("--deltas", args.deltas),
         reps=args.reps,
         master_seed=args.seed,
     )
@@ -251,14 +258,13 @@ def _cmd_election_sim(args) -> int:
 
 def _cmd_blockchain_sim(args) -> int:
     policies = _parse_list("--policy", args.policy)
-    f_values = [float(tok) for tok in _parse_list("--f", args.f)]
     cells = blockchain.sweep_f(
         n=args.n,
         m=args.m,
         k=args.k,
         delta=args.delta,
         f_max=args.fmax,
-        f_values=f_values,
+        f_values=_parse_floats("--f", args.f),
         policies=policies,
         runs=args.runs,
         master_seed=args.seed,

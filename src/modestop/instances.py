@@ -66,15 +66,6 @@ class DiscreteInstance:
     def cumulative(self) -> np.ndarray:
         return self._cumulative  # type: ignore[attr-defined]
 
-    @staticmethod
-    def from_string(text: str) -> "DiscreteInstance":
-        """Parse a comma-separated probability list, e.g. '0.5,0.25,0.25'."""
-        try:
-            probs = tuple(float(tok) for tok in text.split(",") if tok.strip())
-        except ValueError as exc:
-            raise ValueError(f"could not parse probability list {text!r}") from exc
-        return DiscreteInstance(probs)
-
 
 class SeededStream:
     """A reproducible uniform stream: (master_seed, *indices) -> PCG64.
@@ -203,6 +194,8 @@ class TallyState:
 
     def update(self, idx: int) -> None:
         counts = self.counts
+        if not 0 <= idx < len(counts):
+            raise ValueError(f"a value index must lie in [0, {len(counts)}), got {idx}")
         c = counts[idx] + 1
         counts[idx] = c
         self.total += 1

@@ -3,7 +3,8 @@
 Everything downstream (confidence bound engines, stopping rules, the
 Dirichlet rule) is built from four primitives kept in this module:
 
-* an integer log-gamma table (``ln Gamma(n) = ln (n-1)!``), grown on demand,
+* an integer log-gamma table (``ln Gamma(n) = ln (n-1)!``), one float64
+  array grown on demand,
 * Beta and Dirichlet log densities with integer shape parameters,
 * the Bernoulli KL divergence and its monotone inversions,
 * a level-set solver for unimodal Beta densities.
@@ -78,63 +79,58 @@ class LogGammaTable:
     """ln Gamma(n) for integer n >= 1, built by the recurrence
     ln Gamma(n+1) = ln Gamma(n) + ln n.
 
-    The table grows lazily. Growth is serialized with a lock and the storage
-    is append-only, so concurrent readers never observe a partially written
-    entry (they may trigger a redundant ensure, which is harmless).
-
-    Scalar lookups read a Python list (faster per lookup than any array
-    type); vectorised callers read a float64 mirror of the same floats,
-    rebuilt only when a request outgrows it.
+    The only store is one read-only float64 array. Growth, by at least a
+    quarter, adds the ``math.log`` terms left to right after the last entry,
+    as the scalar recurrence does, and swaps in the longer array under a
+    lock. Scalar lookups read it through a memoryview, which gives Python
+    floats; ``as_array`` returns a slice of it.
     """
 
     def __init__(self, capacity: int = 1024) -> None:
         # index 0 is a filler; entries 1 and 2 are exactly 0.0
-        self._values: list[float] = [0.0, 0.0, 0.0]
-        self._mirror = np.zeros(0)
+        self._array = np.zeros(3)
+        self._array.setflags(write=False)
+        self._view = memoryview(self._array)
         self._lock = threading.Lock()
-        self.ensure(capacity)
+        self._grow(capacity)
 
     @property
     def capacity(self) -> int:
-        return len(self._values) - 1
-
-    def ensure(self, n: int) -> None:
-        if n <= len(self._values) - 1:
-            return
-        with self._lock:
-            values = self._values
-            while len(values) - 1 < n:
-                k = len(values) - 1
-                values.append(values[k] + math.log(k))
+        return len(self._array) - 1
 
     def _grow(self, n: int) -> None:
         """Make entry n available, growing the table by at least a quarter."""
-        self.ensure(max(n, (len(self._values) - 1) * 5 // 4))
+        with self._lock:
+            old = self._array
+            top = len(old) - 1
+            if n <= top:  # another thread grew it first
+                return
+            end = max(n, top * 5 // 4)
+            steps = np.fromiter(map(math.log, range(top, end)), np.float64, end - top)
+            steps[0] += old[top]
+            array = np.concatenate((old, np.add.accumulate(steps, out=steps)))
+            array.setflags(write=False)
+            self._array = array
+            self._view = memoryview(array)
 
     def __call__(self, n: int) -> float:
         if n < 1:
             raise ValueError(f"ln_gamma_int requires n >= 1, got {n}")
-        if n >= len(self._values):
+        try:
+            return self._view[n]
+        except IndexError:
             self._grow(n)
-        return self._values[n]
+            return self._view[n]
 
     def as_array(self, n: int) -> np.ndarray:
-        """Read-only array view of ln Gamma(1..n) at indices 1..n.
+        """Read-only view of ln Gamma(1..n) at indices 1..n.
 
         The table grows geometrically, as for scalar lookups, so a caller
-        asking for a few more entries at a time triggers O(log n) rebuilds.
+        asking for a few more entries at a time triggers O(log n) growths.
         """
-        mirror = self._mirror
-        if n >= len(mirror):
-            if n >= len(self._values):
-                self._grow(n)
-            with self._lock:
-                # release the outgrown mirror before building its successor
-                self._mirror = mirror = np.zeros(0)
-                mirror = np.array(self._values)
-                mirror.setflags(write=False)
-                self._mirror = mirror
-        return mirror[: n + 1]
+        if n >= len(self._array):
+            self._grow(n)
+        return self._array[: n + 1]
 
 
 LOG_GAMMA = LogGammaTable()

@@ -4,6 +4,15 @@ import pytest
 
 from modestop.cli import main
 
+# a cheap command line for each comma-separated list flag, to which the flag is appended
+_LIST_FLAG_ARGV = {
+    "--policy": ["blockchain-sim", "--runs", "2"],
+    "--f": ["blockchain-sim", "--runs", "2"],
+    "--probs": ["mode-sim", "--rule", "ppr-1v1", "--reps", "2"],
+    "--p1": ["figure1", "--reps", "2"],
+    "--deltas": ["figure1", "--reps", "2"],
+}
+
 TINY_ELECTION = "constituency,party,votes\nc0,A,70\nc0,B,30\nc1,A,65\nc1,B,35\nc2,B,80\nc2,A,20\n"
 
 
@@ -277,11 +286,17 @@ class TestBlockchainSim:
         assert main(argv) == 1
         assert capsys.readouterr() == ("", "error: delta must lie in (0, 1), got 1.5\n")
 
-    @pytest.mark.parametrize("flag", ["--policy", "--f"])
+    @pytest.mark.parametrize("flag", ["--policy", "--f", "--probs", "--p1", "--deltas"])
     @pytest.mark.parametrize("value", ["", " , "])
     def test_rejects_empty_list(self, flag, value, capsys):
-        assert main(["blockchain-sim", "--runs", "2", flag, value]) == 1
+        assert main([*_LIST_FLAG_ARGV[flag], flag, value]) == 1
         assert capsys.readouterr() == ("", f"error: {flag} {value!r} names no value\n")
+
+    @pytest.mark.parametrize("flag", ["--f", "--probs", "--p1", "--deltas"])
+    @pytest.mark.parametrize("value, bad", [("0.5,x", "x"), ("0.5, 1e ,0.5", "1e")])
+    def test_rejects_bad_number(self, flag, value, bad, capsys):
+        assert main([*_LIST_FLAG_ARGV[flag], flag, value]) == 1
+        assert capsys.readouterr() == ("", f"error: {flag} {bad!r} is not a number\n")
 
 
 class TestSweeps:

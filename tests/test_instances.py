@@ -47,19 +47,11 @@ class TestDiscreteInstance:
         with pytest.raises(ValueError, match=f"probability {bad} is not a finite number"):
             DiscreteInstance(probs)
 
-    def test_from_string_rejects_nan(self):
-        with pytest.raises(ValueError, match="probability 1 is not a finite number: nan"):
-            DiscreteInstance.from_string("0.5,nan,0.5")
-
     def test_rejects_single_value(self):
         with pytest.raises(ValueError, match=r"^an instance needs K >= 2 values, got 1$"):
             DiscreteInstance((1.0,))
         with pytest.raises(ValueError, match=r"^an instance needs K >= 2 values, got 0$"):
             DiscreteInstance(())
-
-    def test_from_string(self):
-        inst = DiscreteInstance.from_string("0.5,0.25,0.25")
-        assert inst.probs == (0.5, 0.25, 0.25)
 
 
 class TestSampling:
@@ -281,6 +273,17 @@ class TestTallyState:
         state = (list(tally.counts), tally.total, tally.first, tally.second, list(tally.order))
         with pytest.raises(ValueError, match=message):
             tally.add_counts(batch)
+        assert (tally.counts, tally.total, tally.first, tally.second, tally.order) == state
+
+    @pytest.mark.parametrize("idx", [-1, -3, 3, 7])
+    @pytest.mark.parametrize("before", [[], [0, 2, 2]])
+    def test_rejected_update_leaves_tally_unchanged(self, idx, before):
+        tally = TallyState(3)
+        for value in before:
+            tally.update(value)
+        state = (list(tally.counts), tally.total, tally.first, tally.second, list(tally.order))
+        with pytest.raises(ValueError, match=rf"^a value index must lie in \[0, 3\), got {idx}$"):
+            tally.update(idx)
         assert (tally.counts, tally.total, tally.first, tally.second, tally.order) == state
 
     def test_bulk_add_matches_scan(self):
