@@ -2,26 +2,31 @@
 
 Each engine maps (successes s, total t, mistake probability alpha) to an
 interval that contains the empirical mean. Besides the interval surface,
-every engine exposes two closed-form predicates used by the stopping rules:
+every engine has two closed-form tests used by the stopping rules. Each is
+stated once, as a scalar margin: the test's statistic minus its threshold,
++inf where the test cannot pass (a trailing leader, too few samples).
 
-* ``pair_beats_half``    - the pair interval excludes 1/2 on the leader's side
-* ``one_vs_rest_separated`` - one value's LCB is at or above another's UCB
+* ``pair_margin``       - the pair interval excludes 1/2 on the leader's side
+* ``separation_margin`` - one value's LCB is at or above another's UCB
+
+The predicates ``pair_beats_half`` and ``one_vs_rest_separated`` are these
+margins ``<= 0``: for finite floats fl(a - b) <= 0 exactly when a <= b.
 
 For all five engines the two-sided intervals are mirror images under
-p -> 1 - p, so the predicates are exactly equivalent to the interval
+p -> 1 - p, so the tests are exactly equivalent to the interval
 comparisons while avoiding the numeric inversions in the per-sample loop
 (the equivalence is asserted in the test suite).
 
-On the ppr engine the two predicates compare a log density with the
-engine's ``log_alpha``: ``log_beta_pdf_half`` for the pair and
+On the ppr engine the two margins subtract the engine's ``log_alpha`` from
+a log density: ``log_beta_pdf_half`` for the pair and
 ``ppr_separation_log_density`` for one-vs-rest. These two functions are the
 only statements of the ppr-1v1 and ppr-1vr statistics; the crossing-inequality
 sweep in ``theory`` calls them, and the chunk screens their array twins.
 
-``pair_margin_array`` and ``one_vs_rest_margin_array`` are the predicates'
-array twins for all five engines: over arrays of counts they return each
-test's statistic minus its threshold, with a slack for numpy's rounding.
-The stopping rules screen whole chunks of a sample path with them.
+``pair_margin_array`` and ``one_vs_rest_margin_array`` are the margins'
+array twins for all five engines: over arrays of counts they return the
+same differences, with a slack for numpy's rounding. The stopping rules
+screen whole chunks of a sample path with them.
 """
 
 from __future__ import annotations
@@ -55,6 +60,8 @@ __all__ = [
     "kl_sn_bounds",
     "a1_bounds",
     "ppr_bounds",
+    "pair_margin",
+    "separation_margin",
     "pair_beats_half",
     "one_vs_rest_separated",
     "ppr_separation_log_density",
@@ -120,12 +127,16 @@ def _clip(lo: float, hi: float) -> Interval:
     return Interval(max(0.0, lo), min(1.0, hi))
 
 
+def _lucb_width(t: int, alpha: float) -> float:
+    return math.sqrt(lucb_exploration_rate(t, alpha) / (2.0 * t))
+
+
 def hoeffding_lucb_bounds(s: int, t: int, alpha: float) -> Interval:
     """p_hat +- sqrt(beta(t, alpha) / 2t), clipped to [0, 1]."""
     if t < 1:
         return FULL_INTERVAL
     p_hat = s / t
-    w = math.sqrt(lucb_exploration_rate(t, alpha) / (2.0 * t))
+    w = _lucb_width(t, alpha)
     return _clip(p_hat - w, p_hat + w)
 
 
@@ -212,34 +223,40 @@ def make_engine(kind: str, alpha: float) -> BoundEngine:
     return BoundEngine(kind, alpha, gamma)
 
 
-def pair_beats_half(engine: BoundEngine, s_lead: int, s_trail: int) -> bool:
-    """True when the pair interval of the leader excludes 1/2 from above,
-    i.e. its lower confidence bound is at or above 1/2."""
-    if s_lead < s_trail:
-        return False
+def _kl_rate(engine: BoundEngine, t: int) -> float:
+    """The rate a KL engine compares t * kl with; kl-sn needs t >= 3."""
+    if engine.kind == "kl-lucb":
+        return lucb_exploration_rate(t, engine.alpha)
+    return kl_sn_exploration_rate(t, engine.gamma)
+
+
+def pair_margin(engine: BoundEngine, s_lead: int, s_trail: int) -> float:
+    """The pair test's statistic minus its threshold: the pair interval of
+    the leader excludes 1/2 from above (its lower confidence bound is at or
+    above 1/2) exactly when this is <= 0. +inf for a trailing leader, no
+    samples, a tie on the KL engines, or too few samples for the engine."""
     t = s_lead + s_trail
-    if t == 0:
-        return False
+    if s_lead < s_trail or t == 0:
+        return math.inf
     kind = engine.kind
     if kind == "ppr":
         # the posterior level set excludes 1/2 iff the density there is <= alpha
-        return log_beta_pdf_half(s_lead, s_trail) <= engine.log_alpha
+        return log_beta_pdf_half(s_lead, s_trail) - engine.log_alpha
     p_hat = s_lead / t
     if kind == "lucb":
-        return p_hat - math.sqrt(lucb_exploration_rate(t, engine.alpha) / (2.0 * t)) >= 0.5
-    if kind == "kl-lucb":
-        return p_hat > 0.5 and t * kl_bernoulli(p_hat, 0.5) >= lucb_exploration_rate(
-            t, engine.alpha
-        )
-    if kind == "kl-sn":
-        if t < 3:
-            return False
-        return p_hat > 0.5 and t * kl_bernoulli(p_hat, 0.5) >= kl_sn_exploration_rate(
-            t, engine.gamma
-        )
+        return 0.5 - (p_hat - _lucb_width(t, engine.alpha))
     if kind == "a1":
-        return t >= 2 and p_hat - _a1_width(s_lead, t, engine.alpha) >= 0.5
-    raise ValueError(f"unknown bound engine {kind!r}")
+        return 0.5 - (p_hat - _a1_width(s_lead, t, engine.alpha)) if t >= 2 else math.inf
+    if kind not in ("kl-lucb", "kl-sn"):
+        raise ValueError(f"unknown bound engine {kind!r}")
+    if p_hat <= 0.5 or (kind == "kl-sn" and t < 3):
+        return math.inf
+    return _kl_rate(engine, t) - t * kl_bernoulli(p_hat, 0.5)
+
+
+def pair_beats_half(engine: BoundEngine, s_lead: int, s_trail: int) -> bool:
+    """True when the leader's pair LCB is at or above 1/2: ``pair_margin`` <= 0."""
+    return pair_margin(engine, s_lead, s_trail) <= 0.0
 
 
 def _neg_entropy(p: float) -> float:
@@ -259,9 +276,11 @@ def _logistic(x: float) -> float:
     return z / (1.0 + z)
 
 
-def one_vs_rest_separated(engine: BoundEngine, s_lead: int, s_trail: int, t: int) -> bool:
-    """True when the leading value's LCB is at or above the trailing value's
-    UCB, both intervals taken at the shared total t.
+def separation_margin(engine: BoundEngine, s_lead: int, s_trail: int, t: int) -> float:
+    """The one-vs-rest test's statistic minus its threshold: the leading
+    value's LCB is at or above the trailing value's UCB, both intervals
+    taken at the shared total t, exactly when this is <= 0. +inf for a tie
+    or a trailing leader, or too few samples for the engine.
 
     For the KL and PPR engines the comparison is made at the crossing point
     of the two one-parameter log densities / divergences, where the smaller
@@ -269,35 +288,33 @@ def one_vs_rest_separated(engine: BoundEngine, s_lead: int, s_trail: int, t: int
     both curves agree there, so disjointness reduces to one closed-form test.
     """
     if s_lead <= s_trail or t < 1:
-        return False
+        return math.inf
     kind = engine.kind
     alpha = engine.alpha
+    if kind == "ppr":
+        return ppr_separation_log_density(s_lead, s_trail, t) - engine.log_alpha
     if kind == "lucb":
-        return (s_lead - s_trail) / t >= 2.0 * math.sqrt(
-            lucb_exploration_rate(t, alpha) / (2.0 * t)
-        )
+        return 2.0 * _lucb_width(t, alpha) - (s_lead - s_trail) / t
     if kind == "a1":
         if t < 2:
-            return False
-        return s_lead / t - _a1_width(s_lead, t, alpha) >= s_trail / t + _a1_width(
-            s_trail, t, alpha
+            return math.inf
+        return (s_trail / t + _a1_width(s_trail, t, alpha)) - (
+            s_lead / t - _a1_width(s_lead, t, alpha)
         )
-    p_lead = s_lead / t
-    p_trail = s_trail / t
-    if kind in ("kl-lucb", "kl-sn"):
-        if kind == "kl-sn":
-            if t < 3:
-                return False
-            beta = kl_sn_exploration_rate(t, engine.gamma)
-        else:
-            beta = lucb_exploration_rate(t, alpha)
-        # crossing of D(p_lead || x) and D(p_trail || x) in x
-        x = _logistic((_neg_entropy(p_lead) - _neg_entropy(p_trail)) / (p_lead - p_trail))
-        x = min(max(x, 1e-15), 1.0 - 1e-15)
-        return t * kl_bernoulli(p_lead, x) >= beta
-    if kind == "ppr":
-        return ppr_separation_log_density(s_lead, s_trail, t) <= engine.log_alpha
-    raise ValueError(f"unknown bound engine {kind!r}")
+    if kind not in ("kl-lucb", "kl-sn"):
+        raise ValueError(f"unknown bound engine {kind!r}")
+    if kind == "kl-sn" and t < 3:
+        return math.inf
+    p_lead, p_trail = s_lead / t, s_trail / t
+    # crossing of D(p_lead || x) and D(p_trail || x) in x
+    x = _logistic((_neg_entropy(p_lead) - _neg_entropy(p_trail)) / (p_lead - p_trail))
+    x = min(max(x, 1e-15), 1.0 - 1e-15)
+    return _kl_rate(engine, t) - t * kl_bernoulli(p_lead, x)
+
+
+def one_vs_rest_separated(engine: BoundEngine, s_lead: int, s_trail: int, t: int) -> bool:
+    """True when the leader's LCB is at or above the trailer's UCB at total t."""
+    return separation_margin(engine, s_lead, s_trail, t) <= 0.0
 
 
 def ppr_separation_log_density(s_lead: int, s_trail: int, t: int) -> float:
@@ -339,15 +356,13 @@ def ppr_separation_log_density_array(
     return log_density, 1e-7 * (1.0 + np.abs(log_norm_lead))
 
 
-# Array twins of the two predicates. Each returns (margin, slack) per row of
-# counts: the test's statistic minus its threshold, oriented so that the
-# scalar predicate holds exactly when the scalar margin is <= 0, and a bound
-# on how far numpy's exp/log/pow may move the array margin from the scalar
-# one. Each slack is 1e-7 times the size of the terms that cancel, like
-# ``ppr_separation_log_density_array``'s. The expressions repeat the scalar
-# operations in the scalar order, so only the elementwise functions differ.
-# Rows the scalar predicate rejects before testing (a tie, too few samples
-# for the engine) get margin +inf.
+# Array twins of the two scalar margins. Each returns (margin, slack) per row
+# of counts: ``pair_margin`` or ``separation_margin`` over the rows, and a
+# bound on how far numpy's exp/log/pow may move the array margin from the
+# scalar one. Each slack is 1e-7 times the size of the terms that cancel,
+# like ``ppr_separation_log_density_array``'s. The expressions repeat the
+# scalar operations in the scalar order, so only the elementwise functions
+# differ, and rows where the scalar margin is +inf get +inf.
 
 
 def _lucb_rate_array(t: np.ndarray, alpha: float) -> np.ndarray:
@@ -389,11 +404,11 @@ def _neg_entropy_array(p: np.ndarray) -> np.ndarray:
 def pair_margin_array(
     engine: BoundEngine, s_lead: np.ndarray, s_trail: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray | float]:
-    """``pair_beats_half`` over int64 arrays with s_lead >= s_trail and
+    """``pair_margin`` over int64 arrays with s_lead >= s_trail and
     s_lead >= 1, as (margin, slack); the pair passes where margin <= 0.
 
     On the ppr engine the margin is ``log_beta_pdf_half_array`` minus
-    ``log_alpha``, bit-identical to the scalar test, and the slack is 0.
+    ``log_alpha``, bit-identical to ``pair_margin``, and the slack is 0.
     """
     kind = engine.kind
     if kind == "ppr":
@@ -419,7 +434,7 @@ def pair_margin_array(
 def one_vs_rest_margin_array(
     engine: BoundEngine, s_lead: np.ndarray, s_trail: np.ndarray, t: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``one_vs_rest_separated`` over int64 arrays with t >= 1, as
+    """``separation_margin`` over int64 arrays with t >= 1, as
     (margin, slack); the two values are separated where margin <= 0."""
     kind = engine.kind
     if kind == "ppr":

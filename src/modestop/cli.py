@@ -8,7 +8,6 @@ and for the verify subcommand also 1 when a sweep reports failures.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 from . import blockchain, elections, harness, theory
@@ -39,13 +38,6 @@ def _parse_floats(flag: str, text: str) -> list[float]:
         except ValueError:
             raise ValueError(f"{flag} {tok!r} is not a number") from None
     return values
-
-
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,13 +202,9 @@ def _cmd_verify(args) -> int:
         if not missing:
             points = [(args.p1, args.p2, args.pj, args.k, args.delta)]
         else:
+            # the Table-1 instances: the two leaders, the last value, K
             points = [
-                (0.5, 0.25, 0.25, 3, 0.01),
-                (0.4, 0.2, 0.2, 4, 0.01),
-                (0.2, 0.1, 0.1, 9, 0.01),
-                (0.1, 0.05, 0.05, 19, 0.01),
-                (0.35, 0.33, 0.1, 5, 0.01),
-                (0.35, 0.33, 0.04, 10, 0.01),
+                (p[0], p[1], p[-1], len(p), 0.01) for p in harness.TABLE1_INSTANCES.values()
             ]
         bad = [pt for pt in points if not theory.verify_thm3_margin(*pt)]
         print(f"margin check over {len(points)} points: {len(bad)} failures")
@@ -247,7 +235,7 @@ def _cmd_election_sim(args) -> int:
     mean = sum(r[5] for r in rows) / len(rows)
     print(f"mean samples over {args.seeds} seeds: {mean:,.0f}")
     if args.out:
-        _write_csv(
+        harness.write_csv(
             args.out,
             ["policy", "rule", "scheme", "delta", "seed",
              "samples", "winner", "seats_resolved", "correct"],
@@ -275,7 +263,7 @@ def _cmd_blockchain_sim(args) -> int:
             f"error rate {c.error_rate:.4f}"
         )
     if args.out:
-        _write_csv(
+        harness.write_csv(
             args.out,
             ["f", "policy", "runs", "mean_samples", "stderr_samples", "error_rate"],
             ([repr(c.f), c.policy, c.runs, repr(c.mean_samples),

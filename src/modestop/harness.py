@@ -22,6 +22,7 @@ __all__ = [
     "SummaryRow",
     "summarize",
     "run_experiment",
+    "write_csv",
     "write_summary_csv",
     "write_trials_jsonl",
     "figure1_sweep",
@@ -137,24 +138,19 @@ SUMMARY_COLUMNS = (
 )
 
 
-def write_summary_csv(rows: list[SummaryRow], path) -> None:
+def write_csv(path, header, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.suite,
-                    row.instance,
-                    row.rule,
-                    row.scheme,
-                    repr(row.delta),
-                    row.n,
-                    repr(row.mean_samples),
-                    repr(row.stderr_samples),
-                    repr(row.mistake_rate),
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_summary_csv(rows: list[SummaryRow], path) -> None:
+    write_csv(path, SUMMARY_COLUMNS, (
+        [row.suite, row.instance, row.rule, row.scheme, repr(row.delta), row.n,
+         repr(row.mean_samples), repr(row.stderr_samples), repr(row.mistake_rate)]
+        for row in rows
+    ))
 
 
 def write_trials_jsonl(records: list[TrialRecord], path) -> None:
@@ -174,6 +170,19 @@ def write_trials_jsonl(records: list[TrialRecord], path) -> None:
             )
 
 
+def _run_grid(suite, cells, rules, stride, master_seed) -> list[SummaryRow]:
+    """One summary row per (cell, rule), cell-major. A cell is (instance
+    label, probs, delta, replications); cell c's rule r runs on master seed
+    master_seed + stride * (c * len(rules) + r)."""
+    rows = []
+    for ci, (label, probs, delta, reps) in enumerate(cells):
+        for ri, rule in enumerate(rules):
+            seed = master_seed + stride * (ci * len(rules) + ri)
+            spec = ExperimentSpec(probs, rule, delta, reps, seed, suite=suite, instance_label=label)
+            rows.append(run_experiment(spec)[0])
+    return rows
+
+
 def figure1_sweep(
     p1_values=None,
     delta_values=None,
@@ -189,20 +198,8 @@ def figure1_sweep(
         cells.extend((0.65, d) for d in delta_values)
     if not cells:
         cells = [(p1, 0.01) for p1 in (0.55, 0.6, 0.65, 0.7, 0.8, 0.9)]
-    rows = []
-    for ci, (p1, delta) in enumerate(cells):
-        for ri, rule in enumerate(BERNOULLI_ENGINE_RULES):
-            spec = ExperimentSpec(
-                probs=(p1, 1.0 - p1),
-                rule=rule,
-                delta=delta,
-                replications=reps,
-                master_seed=master_seed + 1_000_003 * (ci * len(BERNOULLI_ENGINE_RULES) + ri),
-                suite="figure1",
-                instance_label=f"p1={p1:g},delta={delta:g}",
-            )
-            rows.append(run_experiment(spec)[0])
-    return rows
+    grid = [(f"p1={p1:g},delta={delta:g}", (p1, 1.0 - p1), delta, reps) for p1, delta in cells]
+    return _run_grid("figure1", grid, BERNOULLI_ENGINE_RULES, 1_000_003, master_seed)
 
 
 def capped_replications(instance_name: str, reps: int, fast: bool) -> int:
@@ -227,19 +224,8 @@ def table1_suite(
             raise ValueError(
                 f"unknown Table-1 instance {name!r}; expected one of {', '.join(TABLE1_INSTANCES)}"
             )
-    rows = []
-    for ni, name in enumerate(names):
-        probs = TABLE1_INSTANCES[name]
-        cell_reps = capped_replications(name, reps, fast)
-        for ri, rule in enumerate(TABLE1_RULES):
-            spec = ExperimentSpec(
-                probs=probs,
-                rule=rule,
-                delta=0.01,
-                replications=cell_reps,
-                master_seed=master_seed + 7_000_003 * (ni * len(TABLE1_RULES) + ri),
-                suite="table1",
-                instance_label=name,
-            )
-            rows.append(run_experiment(spec)[0])
-    return rows
+    grid = [
+        (name, TABLE1_INSTANCES[name], 0.01, capped_replications(name, reps, fast))
+        for name in names
+    ]
+    return _run_grid("table1", grid, TABLE1_RULES, 7_000_003, master_seed)

@@ -61,6 +61,13 @@ def _check_k(k: int) -> None:
         raise ValueError(f"need K >= 2, got {k}")
 
 
+def _check_at_least(**limits: tuple[int, int]) -> None:
+    """Reject a sweep limit below its least value, which would check nothing."""
+    for name, (value, least) in limits.items():
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def lower_bound(p1: float, p2: float, delta: float) -> float:
     """p1 / (p1 - p2)^2 * ln(1 / (2.4 delta)): expected samples any
     delta-correct rule must draw."""
@@ -140,6 +147,7 @@ def verify_1v1_1vr_conjecture(
     delta/(K-1), the k-form says 1v1 declares whenever 1vr does; the strong
     form implies the k-form for every k.
     """
+    _check_at_least(x_max=(x_max, 2), y_max=(y_max, 1), f_max=(f_max, 1))
     if k is not None:
         _check_k(k)
     log_factor = 0.0 if k is None else math.log((k - 1) / k)
@@ -171,6 +179,7 @@ def verify_beta_monotonicity(a_max: int, b_max: int) -> bool:
     counts: replacing the runner-up with any smaller count only lowers the
     density at 1/2.
     """
+    _check_at_least(a_max=(a_max, 1), b_max=(b_max, 1))
     for a in range(1, a_max + 1):
         for b in range(1, min(a, b_max) + 1):
             if beta_pdf_half_exact(a, b + 1) < beta_pdf_half_exact(a, b):

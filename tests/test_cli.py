@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import pytest
 
@@ -98,6 +99,18 @@ class TestVerify:
     def test_margin_rejects_bad_point(self, args, message, capsys):
         point = ["--p1", "0.5", "--p2", "0.25", "--pj", "0.25"]
         assert main(["verify", "thm3-margin", *point, *args]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["conjecture", "--x-max", "-5"], "x_max must be >= 2, got -5"),
+        (["conjecture", "--x-max", "1"], "x_max must be >= 2, got 1"),
+        (["conjecture", "--y-max", "0"], "y_max must be >= 1, got 0"),
+        (["conjecture", "--f-max", "-1"], "f_max must be >= 1, got -1"),
+        (["monotonic", "--a-max", "0", "--b-max", "0"], "a_max must be >= 1, got 0"),
+        (["monotonic", "--b-max", "0"], "b_max must be >= 1, got 0"),
+    ])
+    def test_rejects_sweep_that_checks_nothing(self, argv, message, capsys):
+        assert main(["verify", *argv]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("given, missing", [
@@ -300,18 +313,17 @@ class TestBlockchainSim:
 
 
 class TestSweeps:
-    def test_figure1_smoke(self, tmp_path):
-        out = tmp_path / "fig1.csv"
-        assert main(["figure1", "--p1", "0.9", "--reps", "3", "--out", str(out)]) == 0
-        assert out.exists()
-
-    def test_table1_smoke(self, tmp_path):
-        out = tmp_path / "t1.csv"
-        assert (
-            main(["table1", "--instances", "P1", "--reps", "2", "--out", str(out), "--fast"]) == 0
-        )
-        with open(out) as handle:
-            assert len(list(csv.DictReader(handle))) == 6
+    @pytest.mark.parametrize("argv, digest", [
+        (["figure1", "--p1", "0.9", "--deltas", "0.2", "--reps", "3", "--seed", "5"],
+         "c0a05a05d57bde70b7d898263b3a329340208fc4fa9608fc94160e01c18e5d9d"),
+        # --fast caps P5 at 20 replications and leaves P2 at 21
+        (["table1", "--fast", "--instances", "P2,P5", "--reps", "21", "--seed", "2"],
+         "b4197e72b5e79e1bdcad9ac4d54aa5805c8889a52cbd96a2a410eb43f710d2b1"),
+    ], ids=["figure1", "table1"])
+    def test_csv_bytes(self, argv, digest, tmp_path):
+        out = tmp_path / "summary.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("instances, bad", [("P7", "P7"), ("P1,p2", "p2")])
     def test_table1_rejects_unknown_instance(self, instances, bad, capsys):

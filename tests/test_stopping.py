@@ -10,18 +10,15 @@ from modestop.blockchain import NodePool, draw_batch, run_verification
 from modestop.boundary import BOUNDARY_GROWTH, PairBoundary
 from modestop.bounds import (
     ENGINE_KINDS,
-    _a1_width,
-    _logistic,
-    _neg_entropy,
-    kl_sn_exploration_rate,
-    lucb_exploration_rate,
     make_engine,
     one_vs_rest_margin_array,
     one_vs_rest_separated,
     pair_beats_half,
+    pair_margin,
     pair_margin_array,
     ppr_separation_log_density,
     ppr_separation_log_density_array,
+    separation_margin,
 )
 from modestop.harness import TABLE1_INSTANCES
 from modestop.instances import (
@@ -31,7 +28,7 @@ from modestop.instances import (
     TallyState,
     derive_stream,
 )
-from modestop.numerics import dirichlet_logpdf, kl_bernoulli, log_beta_pdf_half
+from modestop.numerics import dirichlet_logpdf, log_beta_pdf_half
 from modestop.stopping import (
     DEFAULT_SAMPLE_CAP,
     PI_SQUARED_OVER_6_INV,
@@ -681,57 +678,6 @@ class TestChunkKernels:
         assert abs(vector[0] - scalar) <= slack[0] / 10
 
 
-def _scalar_pair_margin(engine, s_lead, s_trail):
-    """pair_beats_half's statistic minus its threshold, from the scalar
-    bounds code; +inf where the predicate rejects before testing."""
-    t = s_lead + s_trail
-    p_hat = s_lead / t
-    alpha = engine.alpha
-    if engine.kind == "ppr":
-        return log_beta_pdf_half(s_lead, s_trail) - engine.log_alpha
-    if engine.kind == "lucb":
-        return 0.5 - (p_hat - math.sqrt(lucb_exploration_rate(t, alpha) / (2.0 * t)))
-    if engine.kind == "a1":
-        return 0.5 - (p_hat - _a1_width(s_lead, t, alpha)) if t >= 2 else math.inf
-    if p_hat <= 0.5 or (engine.kind == "kl-sn" and t < 3):
-        return math.inf
-    rate = (
-        kl_sn_exploration_rate(t, engine.gamma)
-        if engine.kind == "kl-sn"
-        else lucb_exploration_rate(t, alpha)
-    )
-    return rate - t * kl_bernoulli(p_hat, 0.5)
-
-
-def _scalar_separation_margin(engine, s_lead, s_trail, t):
-    """one_vs_rest_separated's statistic minus its threshold, likewise."""
-    alpha = engine.alpha
-    if s_lead <= s_trail:
-        return math.inf
-    if engine.kind == "ppr":
-        return ppr_separation_log_density(s_lead, s_trail, t) - engine.log_alpha
-    if engine.kind == "lucb":
-        return 2.0 * math.sqrt(lucb_exploration_rate(t, alpha) / (2.0 * t)) - (
-            s_lead - s_trail
-        ) / t
-    if engine.kind == "a1":
-        if t < 2:
-            return math.inf
-        return (s_trail / t + _a1_width(s_trail, t, alpha)) - (
-            s_lead / t - _a1_width(s_lead, t, alpha)
-        )
-    if engine.kind == "kl-sn" and t < 3:
-        return math.inf
-    rate = (
-        kl_sn_exploration_rate(t, engine.gamma)
-        if engine.kind == "kl-sn"
-        else lucb_exploration_rate(t, alpha)
-    )
-    p_lead, p_trail = s_lead / t, s_trail / t
-    x = _logistic((_neg_entropy(p_lead) - _neg_entropy(p_trail)) / (p_lead - p_trail))
-    return rate - t * kl_bernoulli(p_lead, min(max(x, 1e-15), 1.0 - 1e-15))
-
-
 def _assert_within_slack(margin, slack, scalar):
     if math.isinf(scalar):
         assert margin == scalar
@@ -744,8 +690,9 @@ ALPHAS = st.floats(1e-8, 0.99)
 
 class TestMarginRows:
     """Each array margin lies within a tenth of its slack of the scalar
-    statistic minus its threshold, and the scalar predicate holds exactly
-    where that scalar margin is <= 0."""
+    margin (``bounds.pair_margin``, ``bounds.separation_margin``, or the
+    rule's scalar statistic minus its threshold), and the scalar test holds
+    exactly where that scalar margin is <= 0."""
 
     @pytest.mark.parametrize("kind", ENGINE_KINDS)
     @given(data=st.data(), alpha=ALPHAS)
@@ -754,7 +701,7 @@ class TestMarginRows:
         s_lead = data.draw(st.integers(1, 10**6))
         s_trail = data.draw(st.integers(0, s_lead))
         engine = make_engine(kind, alpha)
-        scalar = _scalar_pair_margin(engine, s_lead, s_trail)
+        scalar = pair_margin(engine, s_lead, s_trail)
         assert pair_beats_half(engine, s_lead, s_trail) == (scalar <= 0)
         margin, slack = pair_margin_array(engine, np.array([s_lead]), np.array([s_trail]))
         slack = np.broadcast_to(slack, margin.shape)
@@ -770,7 +717,7 @@ class TestMarginRows:
         s_lead = data.draw(st.integers(1, t))
         s_trail = data.draw(st.integers(0, min(s_lead, t - s_lead)))
         engine = make_engine(kind, alpha)
-        scalar = _scalar_separation_margin(engine, s_lead, s_trail, t)
+        scalar = separation_margin(engine, s_lead, s_trail, t)
         assert one_vs_rest_separated(engine, s_lead, s_trail, t) == (scalar <= 0)
         margin, slack = one_vs_rest_margin_array(
             engine, np.array([s_lead]), np.array([s_trail]), np.array([t])
