@@ -147,6 +147,11 @@ class VerificationRecord:
     correct: bool
 
 
+def _check_policy(policy: str) -> None:
+    if policy not in BLOCKCHAIN_POLICIES:
+        raise ValueError(f"unknown policy {policy!r}; expected one of {BLOCKCHAIN_POLICIES}")
+
+
 def run_verification(
     pool: NodePool,
     policy: str,
@@ -161,8 +166,7 @@ def run_verification(
     of the answer distribution and ignore f_max; declared-vs-correct is
     judged against answer 0. Samples are counted as steps * m.
     """
-    if policy not in BLOCKCHAIN_POLICIES:
-        raise ValueError(f"unknown policy {policy!r}; expected one of {BLOCKCHAIN_POLICIES}")
+    _check_policy(policy)
     if step_cap < 1:
         raise ValueError(f"step_cap must be >= 1, got {step_cap}")
     m = pool.batch_size
@@ -211,13 +215,15 @@ def sweep_f(
     """Replicate run_verification over a grid of Byzantine fractions.
 
     Each (f, policy, run) cell draws its own derived stream, so cells are
-    reproducible independently of sweep order.
+    reproducible independently of sweep order; every pool and policy is checked first.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    pools = [NodePool(n_nodes=n, byzantine_fraction=f, batch_size=m, n_answers=k) for f in f_values]
+    for policy in policies:
+        _check_policy(policy)
     cells: list[SweepCell] = []
-    for fi, f in enumerate(f_values):
-        pool = NodePool(n_nodes=n, byzantine_fraction=f, batch_size=m, n_answers=k)
+    for fi, (f, pool) in enumerate(zip(f_values, pools)):
         for pi, policy in enumerate(policies):
             samples = np.empty(runs, dtype=np.float64)
             errors = 0

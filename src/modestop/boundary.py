@@ -13,8 +13,6 @@ import math
 
 import numpy as np
 
-from .bounds import BoundEngine, pair_beats_half, pair_margin_array
-
 __all__ = ["BOUNDARY_GROWTH", "PairBoundary"]
 
 BOUNDARY_GROWTH = 1.25  # a boundary table grows by at least this factor
@@ -29,9 +27,8 @@ class PairBoundary:
     test is given as ``margin(lead, n) -> (margin, slack)`` over int64
     arrays, which holds the test's verdict wherever |margin| > slack, and as
     the scalar ``passes(lead, n)``; both are read only for lead > n / 2, and
-    the test must pass for every lead from b(n) to n. With ``needs_rival``
-    the rule also needs a trailing count above 0, which ``first_crossing``
-    checks.
+    the test must pass for every lead from b(n) to n. Where ``needs_rival``
+    is set, ``first_crossing`` also requires a trailing count above 0.
 
     Each new segment of the table is found on the float margin, mostly in
     one vectorised call (see ``solve``); ``passes`` settles the few entries
@@ -42,20 +39,11 @@ class PairBoundary:
 
     __slots__ = ("_margin", "_passes", "needs_rival", "table")
 
-    def __init__(self, margin, passes, needs_rival: bool = False) -> None:
+    def __init__(self, margin, passes) -> None:
         self._margin = margin
         self._passes = passes
-        self.needs_rival = needs_rival
+        self.needs_rival = False
         self.table = np.ones(1, dtype=np.int32)  # no count declares on 0 samples
-
-    @classmethod
-    def of_pair_test(cls, engine: BoundEngine, needs_rival: bool = False) -> PairBoundary:
-        """The boundary of an engine's pair test, ``pair_beats_half``."""
-        return cls(
-            lambda lead, n: pair_margin_array(engine, lead, n - lead),
-            lambda lead, n: pair_beats_half(engine, lead, n - lead),
-            needs_rival,
-        )
 
     def upto(self, n: int) -> np.ndarray:
         """The table, grown to cover totals 0 .. n."""

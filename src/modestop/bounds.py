@@ -65,7 +65,6 @@ __all__ = [
     "pair_beats_half",
     "one_vs_rest_separated",
     "ppr_separation_log_density",
-    "ppr_separation_log_density_array",
     "pair_margin_array",
     "one_vs_rest_margin_array",
 ]
@@ -197,17 +196,23 @@ _INTERVAL_FUNCS = {
 class BoundEngine:
     """One confidence-bound computation with its per-test mistake probability.
 
-    Engines are immutable; the KL-SN root is computed eagerly at construction
-    so that shared engines never race on the cache. ``log_alpha`` is ln alpha,
-    derived once here: the ppr tests compare log densities against it.
+    An engine rejects an unknown kind and an alpha outside (0, 1) when it is
+    built, so the tests below need no check of their own. It derives ln alpha,
+    which the ppr tests compare with, and the KL-SN rate root (0 on the other
+    kinds), eagerly so that shared engines never race on the cache.
     """
 
     kind: str
     alpha: float
-    gamma: float = 0.0
+    gamma: float = field(init=False)
     log_alpha: float = field(init=False)
 
     def __post_init__(self) -> None:
+        if self.kind not in ENGINE_KINDS:
+            raise ValueError(f"unknown bound engine {self.kind!r}; expected one of {ENGINE_KINDS}")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        object.__setattr__(self, "gamma", kl_sn_gamma(self.alpha) if self.kind == "kl-sn" else 0.0)
         object.__setattr__(self, "log_alpha", math.log(self.alpha))
 
     def interval(self, s: int, t: int) -> Interval:
@@ -215,12 +220,7 @@ class BoundEngine:
 
 
 def make_engine(kind: str, alpha: float) -> BoundEngine:
-    if kind not in ENGINE_KINDS:
-        raise ValueError(f"unknown bound engine {kind!r}; expected one of {ENGINE_KINDS}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    gamma = kl_sn_gamma(alpha) if kind == "kl-sn" else 0.0
-    return BoundEngine(kind, alpha, gamma)
+    return BoundEngine(kind, alpha)
 
 
 def _kl_rate(engine: BoundEngine, t: int) -> float:
@@ -247,8 +247,6 @@ def pair_margin(engine: BoundEngine, s_lead: int, s_trail: int) -> float:
         return 0.5 - (p_hat - _lucb_width(t, engine.alpha))
     if kind == "a1":
         return 0.5 - (p_hat - _a1_width(s_lead, t, engine.alpha)) if t >= 2 else math.inf
-    if kind not in ("kl-lucb", "kl-sn"):
-        raise ValueError(f"unknown bound engine {kind!r}")
     if p_hat <= 0.5 or (kind == "kl-sn" and t < 3):
         return math.inf
     return _kl_rate(engine, t) - t * kl_bernoulli(p_hat, 0.5)
@@ -301,8 +299,6 @@ def separation_margin(engine: BoundEngine, s_lead: int, s_trail: int, t: int) ->
         return (s_trail / t + _a1_width(s_trail, t, alpha)) - (
             s_lead / t - _a1_width(s_lead, t, alpha)
         )
-    if kind not in ("kl-lucb", "kl-sn"):
-        raise ValueError(f"unknown bound engine {kind!r}")
     if kind == "kl-sn" and t < 3:
         return math.inf
     p_lead, p_trail = s_lead / t, s_trail / t
@@ -336,33 +332,13 @@ def _logistic_array(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def ppr_separation_log_density_array(
-    s_lead: np.ndarray, s_trail: np.ndarray, t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``ppr_separation_log_density`` over int64 arrays, with a slack.
-
-    The table terms are bit-identical to the scalar ones, but numpy's exp,
-    log and log1p may differ from ``math``'s in the last place, so each value
-    is only known to within its slack, 1e-7 (1 + |log_norm_lead|): the size of
-    the terms that cancel, times a margin far above their rounding. Rows with
-    s_lead <= s_trail carry meaningless values.
-    """
-    lg = LOG_GAMMA.as_array(int(t.max()) + 2)
-    log_norm_lead = lg[t + 2] - lg[s_lead + 1] - lg[t - s_lead + 1]
-    log_norm_trail = lg[t + 2] - lg[s_trail + 1] - lg[t - s_trail + 1]
-    x = _logistic_array((log_norm_trail - log_norm_lead) / np.maximum(s_lead - s_trail, 1))
-    np.clip(x, 1e-300, 1.0 - 1e-16, out=x)
-    log_density = log_norm_lead + s_lead * np.log(x) + (t - s_lead) * np.log1p(-x)
-    return log_density, 1e-7 * (1.0 + np.abs(log_norm_lead))
-
-
 # Array twins of the two scalar margins. Each returns (margin, slack) per row
 # of counts: ``pair_margin`` or ``separation_margin`` over the rows, and a
 # bound on how far numpy's exp/log/pow may move the array margin from the
-# scalar one. Each slack is 1e-7 times the size of the terms that cancel,
-# like ``ppr_separation_log_density_array``'s. The expressions repeat the
-# scalar operations in the scalar order, so only the elementwise functions
-# differ, and rows where the scalar margin is +inf get +inf.
+# scalar one. Each slack is 1e-7 times the size of the terms that cancel, a
+# margin far above their rounding. The expressions repeat the scalar
+# operations in the scalar order, so only the elementwise functions differ,
+# and rows where the scalar margin is +inf get +inf.
 
 
 def _lucb_rate_array(t: np.ndarray, alpha: float) -> np.ndarray:
@@ -421,8 +397,6 @@ def pair_margin_array(
     if kind == "a1":
         w = _a1_width_array(s_lead, t, engine.alpha)
         return np.where(t >= 2, 0.5 - (p_hat - w), np.inf), 1e-7 * (1.0 + w)
-    if kind not in ("kl-lucb", "kl-sn"):
-        raise ValueError(f"unknown bound engine {kind!r}")
     beta = _kl_rate_array(engine, t)
     head, tail = _kl_terms_array(p_hat, 0.5)
     margin = beta - t * np.maximum(head + tail, 0.0)
@@ -438,8 +412,14 @@ def one_vs_rest_margin_array(
     (margin, slack); the two values are separated where margin <= 0."""
     kind = engine.kind
     if kind == "ppr":
-        log_density, slack = ppr_separation_log_density_array(s_lead, s_trail, t)
-        margin = log_density - engine.log_alpha
+        # ``ppr_separation_log_density``; its table terms are bit-identical
+        lg = LOG_GAMMA.as_array(int(t.max()) + 2)
+        log_norm_lead = lg[t + 2] - lg[s_lead + 1] - lg[t - s_lead + 1]
+        log_norm_trail = lg[t + 2] - lg[s_trail + 1] - lg[t - s_trail + 1]
+        x = _logistic_array((log_norm_trail - log_norm_lead) / np.maximum(s_lead - s_trail, 1))
+        np.clip(x, 1e-300, 1.0 - 1e-16, out=x)
+        margin = log_norm_lead + s_lead * np.log(x) + (t - s_lead) * np.log1p(-x) - engine.log_alpha
+        slack = 1e-7 * (1.0 + np.abs(log_norm_lead))
     elif kind == "lucb":
         w = np.sqrt(_lucb_rate_array(t, engine.alpha) / (2.0 * t))
         margin = 2.0 * w - (s_lead - s_trail) / t
@@ -449,7 +429,7 @@ def one_vs_rest_margin_array(
         w_trail = _a1_width_array(s_trail, t, engine.alpha)
         margin = np.where(t >= 2, (s_trail / t + w_trail) - (s_lead / t - w_lead), np.inf)
         slack = 1e-7 * (1.0 + w_lead + w_trail)
-    elif kind in ("kl-lucb", "kl-sn"):
+    else:
         beta = _kl_rate_array(engine, t)
         p_lead = s_lead / t
         p_trail = s_trail / t
@@ -466,6 +446,4 @@ def one_vs_rest_margin_array(
         slack = 1e-7 * (
             1.0 + beta + t * (np.abs(head) + np.abs(tail) + np.abs(ent_lead) + np.abs(ent_trail))
         )
-    else:
-        raise ValueError(f"unknown bound engine {kind!r}")
     return np.where(s_lead > s_trail, margin, np.inf), slack

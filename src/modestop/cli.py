@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import astuple, fields
 
 from . import blockchain, elections, harness, theory
 from .instances import derive_stream
@@ -87,8 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     vt.add_argument("--p1", type=float, default=None)
     vt.add_argument("--p2", type=float, default=None)
     vt.add_argument("--pj", type=float, default=None)
-    vt.add_argument("--k", type=int, default=3, help="K at the --p1/--p2/--pj point")
-    vt.add_argument("--delta", type=float, default=0.01, help="delta at the --p1/--p2/--pj point")
+    vt.add_argument("--k", type=int, default=None, help="K at the point (default 3)")
+    vt.add_argument("--delta", type=float, default=None, help="delta at the point (default 0.01)")
 
     p = sub.add_parser("election-sim", help="indirect-election winner forecasting")
     p.add_argument("--data", type=str, default="synthetic50",
@@ -200,7 +201,10 @@ def _cmd_verify(args) -> int:
         if 0 < len(missing) < 3:
             raise ValueError(f"--p1, --p2 and --pj go together; missing {', '.join(missing)}")
         if not missing:
-            points = [(args.p1, args.p2, args.pj, args.k, args.delta)]
+            points = [(args.p1, args.p2, args.pj, 3 if args.k is None else args.k,
+                       0.01 if args.delta is None else args.delta)]
+        elif args.k is not None or args.delta is not None:
+            raise ValueError("--k and --delta apply only to a --p1/--p2/--pj point")
         else:
             # the Table-1 instances: the two leaders, the last value, K
             points = [
@@ -264,10 +268,7 @@ def _cmd_blockchain_sim(args) -> int:
         )
     if args.out:
         harness.write_csv(
-            args.out,
-            ["f", "policy", "runs", "mean_samples", "stderr_samples", "error_rate"],
-            ([repr(c.f), c.policy, c.runs, repr(c.mean_samples),
-              repr(c.stderr_samples), repr(c.error_rate)] for c in cells),
+            args.out, [f.name for f in fields(blockchain.SweepCell)], map(astuple, cells)
         )
     return 0
 

@@ -12,7 +12,8 @@ import csv
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
+from itertools import product
 
 from .instances import DiscreteInstance, derive_stream
 from .stopping import TrialRecord, parse_rule_token, run_mode_estimation
@@ -125,19 +126,6 @@ def run_experiment(spec: ExperimentSpec) -> tuple[SummaryRow, list[TrialRecord]]
     return summarize(records, spec), records
 
 
-SUMMARY_COLUMNS = (
-    "suite",
-    "instance",
-    "rule",
-    "scheme",
-    "delta",
-    "n",
-    "mean_samples",
-    "stderr_samples",
-    "mistake_rate",
-)
-
-
 def write_csv(path, header, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
@@ -146,11 +134,7 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_summary_csv(rows: list[SummaryRow], path) -> None:
-    write_csv(path, SUMMARY_COLUMNS, (
-        [row.suite, row.instance, row.rule, row.scheme, repr(row.delta), row.n,
-         repr(row.mean_samples), repr(row.stderr_samples), repr(row.mistake_rate)]
-        for row in rows
-    ))
+    write_csv(path, [f.name for f in fields(SummaryRow)], map(astuple, rows))
 
 
 def write_trials_jsonl(records: list[TrialRecord], path) -> None:
@@ -173,14 +157,13 @@ def write_trials_jsonl(records: list[TrialRecord], path) -> None:
 def _run_grid(suite, cells, rules, stride, master_seed) -> list[SummaryRow]:
     """One summary row per (cell, rule), cell-major. A cell is (instance
     label, probs, delta, replications); cell c's rule r runs on master seed
-    master_seed + stride * (c * len(rules) + r)."""
-    rows = []
-    for ci, (label, probs, delta, reps) in enumerate(cells):
-        for ri, rule in enumerate(rules):
-            seed = master_seed + stride * (ci * len(rules) + ri)
-            spec = ExperimentSpec(probs, rule, delta, reps, seed, suite=suite, instance_label=label)
-            rows.append(run_experiment(spec)[0])
-    return rows
+    master_seed + stride * (c * len(rules) + r); all specs are checked before any trial runs."""
+    specs = [
+        ExperimentSpec(probs, rule, delta, reps, master_seed + stride * i,
+                       suite=suite, instance_label=label)
+        for i, ((label, probs, delta, reps), rule) in enumerate(product(cells, rules))
+    ]
+    return [run_experiment(spec)[0] for spec in specs]
 
 
 def figure1_sweep(

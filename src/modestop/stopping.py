@@ -329,9 +329,11 @@ class PprAdaptiveRule(_Rule):
         """At K = 2 the one pair holds budget(0, 1) = k delta, so the rule is
         the ppr pair test at k delta, except that it never declares while the
         trailing count is 0. That exception would break the boundary's
-        monotonicity, so the table is the pair test's and the screen masks
-        lead = n."""
-        return PairBoundary.of_pair_test(make_engine("ppr", self.budget(0, 1)), needs_rival=True)
+        monotonicity, so the table is the ``ppr-1v1`` rule's at k delta and
+        the screen masks lead = n."""
+        boundary = Ppr1v1Rule(2, self.budget(0, 1)).pair_boundary()
+        boundary.needs_rival = True
+        return boundary
 
 
 RULE_TOKENS = tuple(
@@ -375,6 +377,13 @@ def shared_boundary(token: str, delta: float) -> PairBoundary:
     return boundary
 
 
+def _check_limits(check_every: int, sample_cap: int) -> None:
+    if check_every < 1:
+        raise ValueError(f"check_every must be >= 1, got {check_every}")
+    if sample_cap < 1:
+        raise ValueError(f"sample_cap must be >= 1, got {sample_cap}")
+
+
 def _path_chunks(path: SamplePath, sample_cap: int):
     """Yield (t0, samples t0 .. t0 + n - 1) for each drawn chunk of the path,
     the last one cut at sample_cap."""
@@ -397,10 +406,7 @@ def scan_per_sample(
     """Feed the path to the rule one sample at a time, checking at every
     multiple of check_every up to sample_cap. Returns (samples, declared
     index), or None when the rule has not declared by sample_cap."""
-    if check_every < 1:
-        raise ValueError(f"check_every must be >= 1, got {check_every}")
-    if sample_cap < 1:
-        raise ValueError(f"sample_cap must be >= 1, got {sample_cap}")
+    _check_limits(check_every, sample_cap)
     tally = TallyState(k)
     check = rule.check
     update = tally.update
@@ -464,10 +470,7 @@ def declaration_time(
     Returns (samples consumed, declared index). Raises SampleCapExceeded when
     the rule has not declared after sample_cap samples.
     """
-    if check_every < 1:
-        raise ValueError(f"check_every must be >= 1, got {check_every}")
-    if sample_cap < 1:
-        raise ValueError(f"sample_cap must be >= 1, got {sample_cap}")
+    _check_limits(check_every, sample_cap)
     k = instance.k
     if k == 2:
         boundary = shared_boundary(rule_token, delta)

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modestop import blockchain
 from modestop.blockchain import (
     NodePool,
     SPRTState,
@@ -223,6 +225,23 @@ class TestSweep:
     def test_rejects_runs_below_one(self, runs):
         with pytest.raises(ValueError, match=rf"^runs must be >= 1, got {runs}$"):
             sweep_f(1600, 20, 2, 0.005, 0.1, [0.1], ["sprt"], runs, 0)
+
+    @pytest.mark.parametrize("f_values, policies, message", [
+        ([0.1, 0.2], ["sprt", "bogus"], "unknown policy 'bogus'"),
+        ([0.1, 0.6], ["sprt"], "the Byzantine fraction must lie in [0, 1/2), got 0.6"),
+    ])
+    def test_every_cell_checked_before_any_run(self, monkeypatch, f_values, policies, message):
+        calls = []
+        real = blockchain.run_verification
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(blockchain, "run_verification", counted)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sweep_f(1600, 20, 2, 0.005, 0.1, f_values, policies, 3, 0)
+        assert calls == []
 
     def test_single_cell_shape(self):
         cells = sweep_f(1600, 20, 2, 0.005, 0.1, [0.1], ["sprt"], 5, 0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -180,6 +181,37 @@ class TestEngineInvariants:
         assert make_engine("ppr", 0.003).log_alpha == math.log(0.003)
         with pytest.raises(TypeError):
             BoundEngine("ppr", 0.003, 0.0, math.log(0.003))
+
+    @pytest.mark.parametrize("kind, alpha, message", [
+        ("bogus", 0.1,
+         "unknown bound engine 'bogus'; expected one of ('ppr', 'lucb', 'kl-lucb', 'kl-sn', 'a1')"),
+        ("ppr", 1.5, "alpha must lie in (0, 1), got 1.5"),
+        ("kl-sn", 0.0, "alpha must lie in (0, 1), got 0.0"),
+        ("a1", math.nan, "alpha must lie in (0, 1), got nan"),
+    ])
+    def test_engine_checks_itself(self, kind, alpha, message):
+        # built directly, through make_engine, or by replacing a field
+        builds = (
+            lambda: BoundEngine(kind, alpha),
+            lambda: make_engine(kind, alpha),
+            lambda: dataclasses.replace(BoundEngine("lucb", 0.1), kind=kind, alpha=alpha),
+        )
+        for build in builds:
+            with pytest.raises(ValueError) as raised:
+                build()
+            assert str(raised.value) == message
+
+    @pytest.mark.parametrize("alpha", [0.0005, 0.1, 0.9])
+    def test_kl_sn_gamma_is_derived(self, alpha):
+        engine = BoundEngine("kl-sn", alpha)
+        assert engine.gamma == kl_sn_gamma(alpha)
+        assert dataclasses.replace(engine, alpha=alpha / 2).gamma == kl_sn_gamma(alpha / 2)
+        assert BoundEngine("ppr", alpha).gamma == 0.0
+        assert pair_beats_half(engine, 1000, 0)
+        assert not pair_beats_half(engine, 5, 4)
+        assert one_vs_rest_separated(engine, 1000, 0, 1000)
+        with pytest.raises(TypeError):
+            BoundEngine("kl-sn", alpha, kl_sn_gamma(alpha))
 
 
 class TestPprCoverage:

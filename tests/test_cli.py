@@ -3,6 +3,7 @@ import hashlib
 
 import pytest
 
+from modestop import blockchain, theory
 from modestop.cli import main
 
 # a cheap command line for each comma-separated list flag, to which the flag is appended
@@ -112,6 +113,19 @@ class TestVerify:
     def test_rejects_sweep_that_checks_nothing(self, argv, message, capsys):
         assert main(["verify", *argv]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("args", [["--k", "1"], ["--delta", "5"], ["--k", "3"]])
+    def test_margin_rejects_k_or_delta_without_point(self, args, capsys):
+        assert main(["verify", "thm3-margin", *args]) == 1
+        assert capsys.readouterr() == (
+            "", "error: --k and --delta apply only to a --p1/--p2/--pj point\n"
+        )
+
+    def test_margin_point_defaults(self, monkeypatch):
+        points = []
+        monkeypatch.setattr(theory, "verify_thm3_margin", lambda *pt: points.append(pt) or True)
+        assert main(["verify", "thm3-margin", "--p1", "0.5", "--p2", "0.25", "--pj", "0.25"]) == 0
+        assert points == [(0.5, 0.25, 0.25, 3, 0.01)]
 
     @pytest.mark.parametrize("given, missing", [
         (["--p1", "0.5"], "--p2, --pj"),
@@ -293,6 +307,14 @@ class TestBlockchainSim:
             b"0.2,ppr-adaptive,5,32.0,3.7416573867739413,0.0\r\n"
         )
 
+    def test_rejects_unknown_policy_before_any_run(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(blockchain, "run_verification", lambda *a: calls.append(a))
+        assert main(["blockchain-sim", "--policy", "sprt,bogus", "--runs", "3000"]) == 1
+        assert capsys.readouterr() == ("", "error: unknown policy 'bogus'; expected one of "
+                                           "('sprt', 'ppr-1v1', 'ppr-1vr', 'ppr-adaptive')\n")
+        assert calls == []
+
     @pytest.mark.parametrize("policy", ["ppr-1vr", "ppr-1v1", "ppr-adaptive", "sprt"])
     def test_rejects_bad_delta(self, policy, capsys):
         argv = ["blockchain-sim", "--policy", policy, "--k", "10", "--delta", "1.5", "--runs", "2"]
@@ -319,7 +341,11 @@ class TestSweeps:
         # --fast caps P5 at 20 replications and leaves P2 at 21
         (["table1", "--fast", "--instances", "P2,P5", "--reps", "21", "--seed", "2"],
          "b4197e72b5e79e1bdcad9ac4d54aa5805c8889a52cbd96a2a410eb43f710d2b1"),
-    ], ids=["figure1", "table1"])
+        (["blockchain-sim", "--n", "200", "--m", "10", "--delta", "0.05", "--fmax", "0.15",
+          "--f", "0.0,0.25", "--k", "4", "--policy", "ppr-1v1,ppr-1vr,sprt", "--runs", "4",
+          "--seed", "9"],
+         "bdb9c6b45ea5e6b7d222cc599ba0c621e2a5cdd774d975ca036a73e394d9a75c"),
+    ], ids=["figure1", "table1", "blockchain-sim"])
     def test_csv_bytes(self, argv, digest, tmp_path):
         out = tmp_path / "summary.csv"
         assert main([*argv, "--out", str(out)]) == 0

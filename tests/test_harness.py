@@ -1,10 +1,12 @@
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modestop import harness
 from modestop.harness import (
     ExperimentSpec,
     capped_replications,
@@ -161,6 +163,23 @@ class TestSuites:
     def test_figure1_delta_sweep(self):
         rows = figure1_sweep(delta_values=[0.1], reps=3, master_seed=3)
         assert all("delta=0.1" in r.instance for r in rows)
+
+    @pytest.mark.parametrize("sweep, message", [
+        (dict(p1_values=[0.55, 1.5]), "probabilities must lie in [0, 1]"),
+        (dict(p1_values=[0.6], delta_values=[0.1, 1.5]), "delta must lie in (0, 1), got 1.5"),
+    ])
+    def test_every_cell_checked_before_any_trial(self, monkeypatch, sweep, message):
+        calls = []
+        real = harness.run_mode_estimation
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_mode_estimation", counted)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            figure1_sweep(**sweep, reps=2)
+        assert calls == []
 
     def test_table1_subset_fast(self):
         rows = table1_suite(reps=3, master_seed=5, fast=True, instances=["P1"])

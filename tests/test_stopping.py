@@ -16,8 +16,6 @@ from modestop.bounds import (
     pair_beats_half,
     pair_margin,
     pair_margin_array,
-    ppr_separation_log_density,
-    ppr_separation_log_density_array,
     separation_margin,
 )
 from modestop.harness import TABLE1_INSTANCES
@@ -664,18 +662,6 @@ class TestChunkKernels:
             path = SamplePath(P1, derive_stream(12, i))
             assert _oracle(P1, token, 0.01, path) == alone
             assert _kernel(P1, token, 0.01, path) == alone
-
-    @given(st.data())
-    @settings(max_examples=300, deadline=None)
-    def test_vectorised_1vr_margin_within_slack(self, data):
-        t = data.draw(st.integers(1, 10**6))
-        s_lead = data.draw(st.integers(1, t))
-        s_trail = data.draw(st.integers(0, min(s_lead - 1, t - s_lead)))
-        scalar = ppr_separation_log_density(s_lead, s_trail, t)
-        vector, slack = ppr_separation_log_density_array(
-            np.array([s_lead]), np.array([s_trail]), np.array([t])
-        )
-        assert abs(vector[0] - scalar) <= slack[0] / 10
 
 
 def _assert_within_slack(margin, slack, scalar):

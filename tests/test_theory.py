@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modestop.boundary import PairBoundary
 from modestop.bounds import (
     ENGINE_KINDS,
     make_engine,
@@ -15,6 +14,7 @@ from modestop.bounds import (
     ppr_separation_log_density,
 )
 from modestop.numerics import log_beta_pdf
+from modestop.stopping import make_rule
 from modestop.theory import (
     a1_upper_bound,
     beta_pdf_half_exact,
@@ -191,8 +191,11 @@ class TestPairBoundaries:
     @pytest.mark.parametrize("alpha", [0.0005, 0.01, 0.1, 0.25])
     @pytest.mark.parametrize("kind", ENGINE_KINDS)
     def test_steps_and_scalar_verdicts(self, kind, alpha):
-        engine = make_engine(kind, alpha)
-        b = PairBoundary.of_pair_test(engine).upto(5000)
+        # the K = 2 1v1 rule tests its pair at delta, halved for a1
+        rule = make_rule(f"{kind}-1v1", 2, 2 * alpha if kind == "a1" else alpha)
+        engine = rule.engine
+        assert engine.alpha == alpha
+        b = rule.pair_boundary().upto(5000)
         assert b[0] == 1
         assert set(np.diff(b).tolist()) <= {0, 1}
         for n in range(1, 5001):
