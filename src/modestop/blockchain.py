@@ -222,6 +222,8 @@ def sweep_f(
     pools = [NodePool(n_nodes=n, byzantine_fraction=f, batch_size=m, n_answers=k) for f in f_values]
     for policy in policies:
         _check_policy(policy)
+    if "sprt" in policies:
+        sprt_threshold(delta, n, m, f_max)
     cells: list[SweepCell] = []
     for fi, (f, pool) in enumerate(zip(f_values, pools)):
         for pi, policy in enumerate(policies):

@@ -1,10 +1,8 @@
 """Exact integer stopping boundaries for two-value tallies.
 
-At K = 2 every stopping rule is a test on the leader's count: after n
-samples it declares exactly when that count reaches b(n). ``PairBoundary``
-keeps b as an int32 table, built from the rule's own float margin and
-scalar test, and screens a sample path one chunk at a time with one integer
-comparison per checked sample count.
+At K = 2 every stopping rule is a pair test that declares after n samples
+exactly when the leader's count reaches b(n). ``PairBoundary`` keeps b as an
+int32 table and screens a sample path with it, one chunk at a time.
 """
 
 from __future__ import annotations
@@ -20,15 +18,14 @@ SOLVE_BLOCK = 1024  # totals solved per margin call while a table grows
 
 
 class PairBoundary:
-    """The stopping boundary of a rule at K = 2, as an int32 table.
+    """The stopping boundary of a pair test at K = 2, as an int32 table.
 
-    ``table[n]`` is the smallest leader count s at which the rule declares
+    ``table[n]`` is the smallest leader count s at which the test passes for
     the leader of the tally (s, n - s); it is n + 1 where no count does. The
     test is given as ``margin(lead, n) -> (margin, slack)`` over int64
     arrays, which holds the test's verdict wherever |margin| > slack, and as
     the scalar ``passes(lead, n)``; both are read only for lead > n / 2, and
-    the test must pass for every lead from b(n) to n. Where ``needs_rival``
-    is set, ``first_crossing`` also requires a trailing count above 0.
+    the test must pass for every lead from b(n) to n.
 
     Each new segment of the table is found on the float margin, mostly in
     one vectorised call (see ``solve``); ``passes`` settles the few entries
@@ -37,12 +34,11 @@ class PairBoundary:
     growth checks that b steps by 0 or 1 from one n to the next.
     """
 
-    __slots__ = ("_margin", "_passes", "needs_rival", "table")
+    __slots__ = ("_margin", "_passes", "table")
 
     def __init__(self, margin, passes) -> None:
         self._margin = margin
         self._passes = passes
-        self.needs_rival = False
         self.table = np.ones(1, dtype=np.int32)  # no count declares on 0 samples
 
     def upto(self, n: int) -> np.ndarray:
@@ -51,11 +47,11 @@ class PairBoundary:
             self._grow(max(n + 1, int(BOUNDARY_GROWTH * len(self.table))))
         return self.table
 
-    def first_crossing(self, chunks, check_every: int) -> tuple[int, int] | None:
+    def first_crossing(self, chunks, check_every: int, needs_rival=False) -> tuple[int, int] | None:
         """(samples, declared value) at the first checked sample count whose
-        leader count reaches the boundary, or None. ``chunks`` yields
-        (t0, samples t0 .. t0 + len - 1) as value indices 0 and 1; a count is
-        checked when it is a multiple of check_every."""
+        leader count reaches the boundary, or None; with needs_rival, also a
+        trailing count above 0. ``chunks`` yields (t0, samples t0 .. t0 + len
+        - 1) as value indices 0 and 1; multiples of check_every are checked."""
         ones = 0  # samples of value 1 before the chunk
         for t0, idx in chunks:
             cum = np.cumsum(idx, dtype=np.int64)
@@ -66,7 +62,7 @@ class PairBoundary:
                 totals = np.arange(first, stop, check_every)
                 lead = np.maximum(counts, totals - counts)
                 passed = lead >= self.upto(stop - 1)[first:stop:check_every]
-                if self.needs_rival:
+                if needs_rival:
                     passed &= lead < totals
                 r = int(passed.argmax())
                 if passed[r]:

@@ -390,6 +390,8 @@ def run_election(
     stream: SeededStream,
     sample_cap: int = DEFAULT_ELECTION_SAMPLE_CAP,
 ) -> ElectionRecord:
+    if sample_cap < 1:
+        raise ValueError(f"sample_cap must be >= 1, got {sample_cap}")
     run = ElectionRun(instance, policy, rule_token, delta, batch, stream)
     while True:
         winner = run.step()

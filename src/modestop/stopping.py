@@ -16,10 +16,9 @@ keeps that engine, with its budget, as ``rule.engine``.
 a time, with the verdicts and sample counts of the per-sample loop
 ``scan_per_sample``, which the tests keep as the reference.
 
-At K = 2 every rule declares exactly when the leader's count reaches an
-integer boundary b(n), kept as one table per token and delta
-(``shared_boundary``, a ``boundary.PairBoundary``); the scan screens each
-chunk with ``lead >= b[n]`` and needs no confirmation.
+At K = 2 every rule is one engine's pair test, which declares exactly when
+the leader's count reaches an integer boundary b(n), one ``PairBoundary``
+table per engine (``shared_boundary``); the scan screens ``lead >= b[n]``.
 
 At K > 2 the scan uses the rule's vectorised ``margin_rows(rows, totals)``:
 over a block of cumulative count rows it returns, per row, the statistic
@@ -46,6 +45,7 @@ import numpy as np
 from .boundary import PairBoundary
 from .bounds import (
     ENGINE_KINDS,
+    BoundEngine,
     make_engine,
     one_vs_rest_margin_array,
     one_vs_rest_separated,
@@ -106,20 +106,6 @@ class _Rule:
         row r holding totals[r] >= 1 samples: ``check`` declares on row r's
         counts only where margin[r] <= slack[r]."""
         raise NotImplementedError
-
-    def pair_boundary(self) -> PairBoundary:
-        """For a rule built for K = 2: its boundary, from its own
-        ``margin_rows`` and ``check``."""
-
-        def margin(lead, n):
-            return self.margin_rows(np.stack([lead, n - lead], axis=1), n)
-
-        def passes(lead, n):
-            tally = TallyState(2)
-            tally.add_counts((lead, n - lead))
-            return self.check(tally) == 0
-
-        return PairBoundary(margin, passes)
 
 
 def _top_two(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -325,16 +311,6 @@ class PprAdaptiveRule(_Rule):
         margin[(trail == 0) | (trail == lead)] = np.inf
         return margin, 0.0
 
-    def pair_boundary(self) -> PairBoundary:
-        """At K = 2 the one pair holds budget(0, 1) = k delta, so the rule is
-        the ppr pair test at k delta, except that it never declares while the
-        trailing count is 0. That exception would break the boundary's
-        monotonicity, so the table is the ``ppr-1v1`` rule's at k delta and
-        the screen masks lead = n."""
-        boundary = Ppr1v1Rule(2, self.budget(0, 1)).pair_boundary()
-        boundary.needs_rival = True
-        return boundary
-
 
 RULE_TOKENS = tuple(
     ["ppr-1v1", "ppr-md", "ppr-adaptive"]
@@ -364,16 +340,32 @@ def make_rule(token: str, k: int, delta: float) -> _Rule:
     return Ppr1v1Rule(k, delta) if kind == "ppr" else Generic1v1Rule(kind, k, delta)
 
 
-_PAIR_BOUNDARIES: dict[tuple[str, float], PairBoundary] = {}
+def pair_test_boundary(engine: BoundEngine) -> PairBoundary:
+    """A new K = 2 boundary of the engine's pair test, ``pair_beats_half``."""
+    return PairBoundary(
+        lambda lead, n: pair_margin_array(engine, lead, n - lead),
+        lambda lead, n: pair_beats_half(engine, lead, n - lead),
+    )
+
+
+_TOKEN_BOUNDARIES: dict[tuple[str, float], PairBoundary] = {}
+_ENGINE_BOUNDARIES: dict[BoundEngine, PairBoundary] = {}
 
 
 def shared_boundary(token: str, delta: float) -> PairBoundary:
-    """The K = 2 boundary of a rule token at delta, built once per process
-    and shared by every trial."""
-    boundary = _PAIR_BOUNDARIES.get((token, delta))
+    """The K = 2 boundary of a rule token at delta: that of one engine's pair
+    test (``theory`` says why), built once per engine per process."""
+    boundary = _TOKEN_BOUNDARIES.get((token, delta))
     if boundary is None:
-        boundary = make_rule(token, 2, delta).pair_boundary()
-        _PAIR_BOUNDARIES[token, delta] = boundary
+        rule = make_rule(token, 2, delta)
+        if isinstance(rule, PprMdRule):
+            rule = Ppr1v1Rule(2, delta)
+        elif isinstance(rule, PprAdaptiveRule):
+            rule = Ppr1v1Rule(2, rule.budget(0, 1))
+        engine = rule.engine
+        if engine not in _ENGINE_BOUNDARIES:
+            _ENGINE_BOUNDARIES[engine] = pair_test_boundary(engine)
+        boundary = _TOKEN_BOUNDARIES[token, delta] = _ENGINE_BOUNDARIES[engine]
     return boundary
 
 
@@ -473,8 +465,9 @@ def declaration_time(
     _check_limits(check_every, sample_cap)
     k = instance.k
     if k == 2:
-        boundary = shared_boundary(rule_token, delta)
-        found = boundary.first_crossing(_path_chunks(path, sample_cap), check_every)
+        found = shared_boundary(rule_token, delta).first_crossing(
+            _path_chunks(path, sample_cap), check_every, rule_token == "ppr-adaptive"
+        )
     else:
         found = _scan_chunks(make_rule(rule_token, k, delta), k, path, check_every, sample_cap)
     if found is None:

@@ -238,3 +238,10 @@ def verify_beta_monotonicity(a_max: int, b_max: int) -> bool:
 # ppr-md. Within one tally, the part of rival j's slice log quantity that
 # depends on its count c is (s + c) ln((s + c) / 2t) - c ln(c / t), whose
 # derivative in c is ln((s + c) / 2c) >= 0 for c <= s.
+#
+# K = 2 (``stopping.shared_boundary``). Both schemes' t count all n samples,
+# and every interval mirrors under p -> 1 - p, so LCB_lead >= UCB_trail iff
+# LCB_lead >= 1/2: a 1vr rule at delta is its pair test at delta/2 (a1-1vr is
+# a1-1v1, which halves already). ppr-md is ppr-1v1 (slice maximizer 1/2 and
+# delta/(K-1)! = delta); ppr-adaptive is the ppr pair test at k delta with a
+# trailing count above 0. Equal float tables are a tested fact, not derived.

@@ -226,11 +226,14 @@ class TestSweep:
         with pytest.raises(ValueError, match=rf"^runs must be >= 1, got {runs}$"):
             sweep_f(1600, 20, 2, 0.005, 0.1, [0.1], ["sprt"], runs, 0)
 
-    @pytest.mark.parametrize("f_values, policies, message", [
-        ([0.1, 0.2], ["sprt", "bogus"], "unknown policy 'bogus'"),
-        ([0.1, 0.6], ["sprt"], "the Byzantine fraction must lie in [0, 1/2), got 0.6"),
+    @pytest.mark.parametrize("f_values, policies, message, f_max", [
+        ([0.1, 0.2], ["sprt", "bogus"], "unknown policy 'bogus'", 0.1),
+        ([0.1, 0.6], ["sprt"], "the Byzantine fraction must lie in [0, 1/2), got 0.6", 0.1),
+        ([0.1], ["ppr-1vr", "sprt"], "f_max must lie in (0, 1/2), got 0.7", 0.7),
     ])
-    def test_every_cell_checked_before_any_run(self, monkeypatch, f_values, policies, message):
+    def test_every_cell_checked_before_any_run(
+        self, monkeypatch, f_values, policies, message, f_max
+    ):
         calls = []
         real = blockchain.run_verification
 
@@ -240,7 +243,7 @@ class TestSweep:
 
         monkeypatch.setattr(blockchain, "run_verification", counted)
         with pytest.raises(ValueError, match=re.escape(message)):
-            sweep_f(1600, 20, 2, 0.005, 0.1, f_values, policies, 3, 0)
+            sweep_f(1600, 20, 2, 0.005, f_max, f_values, policies, 3, 0)
         assert calls == []
 
     def test_single_cell_shape(self):

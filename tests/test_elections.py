@@ -372,6 +372,14 @@ class TestRunElection:
         assert rec.winner == "A"
         assert rec.correct
 
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_rejects_sample_cap_below_one_before_any_draw(self, monkeypatch, cap):
+        monkeypatch.setattr(ElectionRun, "step", lambda self: pytest.fail("a batch was drawn"))
+        inst = ElectionInstance(("A", "B"), (Constituency("only", (100, 0)),))
+        with pytest.raises(ValueError) as err:
+            run_election(inst, "rr", "ppr-1v1", 0.01, 1, derive_stream(0, 0), sample_cap=cap)
+        assert str(err.value) == f"sample_cap must be >= 1, got {cap}"
+
     def test_batch_rounding(self):
         inst = ElectionInstance(("A", "B"), (Constituency("only", (100, 0)),))
         rec = run_election(inst, "rr", "ppr-1v1", 0.01, 200, derive_stream(0, 0))

@@ -1,5 +1,6 @@
-"""Every public name a modestop module exports must exist, and no module
-in the package or the tests imports a name it never uses."""
+"""Every public name a modestop module exports must exist, no module in the
+package or the tests imports a name it never uses, and every top-level name
+the package defines is read somewhere in the package, the tests or perfbench."""
 
 import ast
 import importlib
@@ -66,3 +67,55 @@ def test_no_unused_imports(path):
 def test_unused_import_check_sees_an_unused_import():
     source = "import math\nimport os  # noqa: F401\nfrom json import dumps, loads\nloads('1')\n"
     assert unused_imports(source) == ["math (line 1)", "dumps (line 3)"]
+
+
+READERS = SOURCES + sorted((Path(__file__).parent.parent / "perfbench").glob("*.py"))
+
+
+def top_level_definitions(source: str) -> dict[str, int]:
+    """The line of every top-level def, class and assigned name, dunders
+    such as ``__all__`` skipped."""
+    defined = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        dunder = [name for name in names if name.startswith("__") and name.endswith("__")]
+        defined.update((name, node.lineno) for name in names if name not in dunder)
+    return defined
+
+
+def read_names(sources) -> set[str]:
+    """Every name loaded, and every attribute read, in the sources; neither
+    a listing in ``__all__`` nor an import counts as a read."""
+    read = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return read
+
+
+def test_no_unused_exports():
+    read = read_names(path.read_text(encoding="utf-8") for path in READERS)
+    unused = [
+        f"{path.name}: {name} (line {line})"
+        for path in SOURCES
+        if path.parent.name == "modestop"
+        for name, line in top_level_definitions(path.read_text(encoding="utf-8")).items()
+        if name not in read
+    ]
+    assert unused == []
+
+
+def test_unused_export_check_sees_an_unused_definition():
+    source = "A, B = 1, 2\n__all__ = ['f']\ndef f():\n    return A\nclass C:\n    pass\n"
+    defined = top_level_definitions(source)
+    assert defined == {"A": 1, "B": 1, "f": 3, "C": 5}
+    assert sorted(set(defined) - read_names([source])) == ["B", "C", "f"]

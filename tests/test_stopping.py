@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -39,6 +40,7 @@ from modestop.stopping import (
     declaration_time,
     make_rule,
     pair_test_alpha,
+    pair_test_boundary,
     parse_rule_token,
     run_mode_estimation,
     scan_per_sample,
@@ -764,9 +766,10 @@ def _k2_expected(token, b, s, n):
 
 
 class TestPairBoundaryTables:
-    """At K = 2 the boundary table agrees with the rule's own check."""
+    """At K = 2 the boundary table, that of one engine's pair test, agrees
+    with each rule's own check."""
 
-    @pytest.mark.parametrize("delta", [0.01, 0.1, 0.5])
+    @pytest.mark.parametrize("delta", [0.001, 0.01, 0.1, 0.5])
     def test_tables_match_check(self, delta):
         # every leader count s up to n = 200, and up to n = 60 also the
         # mirrored tallies, where value 1 leads; then b(n) - 1 and b(n) up
@@ -804,7 +807,7 @@ class TestPairBoundaryTables:
         # interpolated guesses and the float margin
         rule = make_rule(token, 2, delta)
         totals = np.arange(max(1, n - 64), n + 1)
-        b = rule.pair_boundary().solve(totals)
+        b = shared_boundary(token, delta).solve(totals)
         for m in (totals[len(totals) // 2], n):
             bm = int(b[m - totals[0]])
             assert m // 2 < bm <= m + 1
@@ -813,12 +816,12 @@ class TestPairBoundaryTables:
                     assert rule.check(_k2_tally(s, m)) == _k2_expected(token, bm, s, m)
 
     def test_solve_matches_grown_table(self):
-        boundary = make_rule("kl-sn-1vr", 2, 0.1).pair_boundary()
+        boundary = pair_test_boundary(make_rule("kl-sn-1vr", 2, 0.1).engine)
         n = np.array([1, 2, 3, 1000, 4097, 9999])
         assert boundary.solve(n).tolist() == boundary.upto(9999)[n].tolist()
 
     def test_growth_factor(self):
-        boundary = make_rule("ppr-1v1", 2, 0.1).pair_boundary()
+        boundary = pair_test_boundary(make_engine("ppr", 0.1))
         assert len(boundary.upto(1024)) == 1025
         assert len(boundary.upto(1025)) == int(BOUNDARY_GROWTH * 1025)
         assert boundary.table.dtype == np.int32
@@ -837,3 +840,37 @@ class TestPairBoundaryTables:
         assert boundary.solve(n).tolist() == fake_b(n).tolist()
         with pytest.raises(AssertionError, match="steps by 3 at n = 7"):
             boundary.upto(20)
+
+    @pytest.mark.parametrize("delta", [0.001, 0.1, 0.5])
+    def test_tokens_share_an_engine_table(self, delta):
+        def table(token, d=delta):
+            return shared_boundary(token, d)
+
+        assert table("ppr-md") is table("ppr-1v1")
+        assert table("a1-1vr") is table("a1-1v1")
+        for kind in ("ppr", "lucb", "kl-lucb", "kl-sn"):
+            assert table(f"{kind}-1vr") is table(f"{kind}-1v1", delta / 2)
+        assert table("ppr-adaptive") is table("ppr-1v1", PI_SQUARED_OVER_6_INV * delta)
+        # the other eight tokens are on eight different engines
+        assert len({id(table(token)) for token in RULE_TOKENS}) == 10
+
+    def test_adaptive_passes_over_a_lone_value(self):
+        # the adaptive rule shares ppr-1v1's table at k delta, but never
+        # declares while the trailing count is 0; ppr-1v1 still does
+        inst = DiscreteInstance((1.0, 0.0))
+        path = SamplePath(inst, derive_stream(0, 0))
+        with pytest.raises(SampleCapExceeded):
+            declaration_time(inst, "ppr-adaptive", 0.1, path, sample_cap=5000)
+        k_delta = PI_SQUARED_OVER_6_INV * 0.1
+        assert declaration_time(inst, "ppr-1v1", k_delta, path) == (8, 0)
+
+    def test_table_bytes_pinned(self):
+        # sha256 of the first 20001 entries of every token's table at three
+        # deltas, computed from tables that each token's own check built
+        digest = hashlib.sha256()
+        for delta in (0.01, 0.1, 0.5):
+            for token in RULE_TOKENS:
+                digest.update(shared_boundary(token, delta).upto(20000)[:20001].tobytes())
+        assert digest.hexdigest() == (
+            "a525b57a917355120c180ac3a766b3b749fb87acb6fee4455342ebe74477197d"
+        )

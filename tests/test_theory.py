@@ -14,7 +14,7 @@ from modestop.bounds import (
     ppr_separation_log_density,
 )
 from modestop.numerics import log_beta_pdf
-from modestop.stopping import make_rule
+from modestop.stopping import make_rule, pair_test_boundary
 from modestop.theory import (
     a1_upper_bound,
     beta_pdf_half_exact,
@@ -195,7 +195,7 @@ class TestPairBoundaries:
         rule = make_rule(f"{kind}-1v1", 2, 2 * alpha if kind == "a1" else alpha)
         engine = rule.engine
         assert engine.alpha == alpha
-        b = rule.pair_boundary().upto(5000)
+        b = pair_test_boundary(engine).upto(5000)
         assert b[0] == 1
         assert set(np.diff(b).tolist()) <= {0, 1}
         for n in range(1, 5001):
