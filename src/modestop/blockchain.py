@@ -80,8 +80,10 @@ class NodePool:
         return self._colors  # type: ignore[attr-defined]
 
 
-def sprt_threshold(delta: float, n: int, m: int, f_max: float) -> float:
+def sprt_threshold(delta: float, n: int, m: int, f_max: float | None) -> float:
     """ln((1-delta)/delta) * 2q(1-q)N (1-f_max) f_max / (1-2 f_max), q = m/N."""
+    if f_max is None:
+        raise ValueError("SPRT requires f_max")
     if not 0.0 < f_max < 0.5:
         raise ValueError(f"f_max must lie in (0, 1/2), got {f_max}")
     if not 0.0 < delta < 1.0:
@@ -171,8 +173,6 @@ def run_verification(
         raise ValueError(f"step_cap must be >= 1, got {step_cap}")
     m = pool.batch_size
     if policy == "sprt":
-        if f_max is None:
-            raise ValueError("SPRT requires f_max")
         state = SPRTState(m=m, threshold=sprt_threshold(delta, pool.n_nodes, m, f_max))
         for step in range(1, step_cap + 1):
             declared = sprt_step(state, draw_batch(pool, stream))

@@ -230,6 +230,7 @@ class TestSweep:
         ([0.1, 0.2], ["sprt", "bogus"], "unknown policy 'bogus'", 0.1),
         ([0.1, 0.6], ["sprt"], "the Byzantine fraction must lie in [0, 1/2), got 0.6", 0.1),
         ([0.1], ["ppr-1vr", "sprt"], "f_max must lie in (0, 1/2), got 0.7", 0.7),
+        ([0.1], ["ppr-1vr", "sprt"], "SPRT requires f_max", None),
     ])
     def test_every_cell_checked_before_any_run(
         self, monkeypatch, f_values, policies, message, f_max
