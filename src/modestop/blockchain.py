@@ -3,15 +3,15 @@
 A pool of N nodes holds one correct answer (index 0); a floor(f N) Byzantine
 minority reports wrong answers, either all the same one (two answers total)
 or spread evenly over K-1 wrong answers. Batches of m nodes are drawn
-uniformly without replacement and their reports feed either the classical
-sequential probability ratio test (which needs an assumed Byzantine ceiling
-f_max) or a posterior mode-estimation rule (which does not).
+uniformly without replacement into one tally of reports, which feeds either
+the classical sequential probability ratio test (which needs an assumed
+Byzantine ceiling f_max) or a posterior mode-estimation rule (which does not).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .stopping import SampleCapExceeded, make_rule
 
 __all__ = [
     "NodePool",
-    "SPRTState",
     "sprt_threshold",
     "sprt_step",
     "draw_batch",
@@ -92,49 +91,22 @@ def sprt_threshold(delta: float, n: int, m: int, f_max: float | None) -> float:
         raise ValueError(f"batch size must lie in [1, N={n}], got {m}")
     q = m / n
     return (
-        math.log((1.0 - delta) / delta)
-        * 2.0
-        * q
-        * (1.0 - q)
-        * n
-        * (1.0 - f_max)
-        * f_max
+        math.log((1.0 - delta) / delta) * 2.0 * q * (1.0 - q) * n * (1.0 - f_max) * f_max
         / (1.0 - 2.0 * f_max)
     )
 
 
-@dataclass
-class SPRTState:
-    """Per-answer statistics l_i = sum_t (2 c_{i,t} - m) m, kept incrementally.
+def sprt_step(m: int, threshold: float, tally: TallyState) -> int | None:
+    """The lowest answer index i whose statistic l_i = m (2 c_i - n) exceeds
+    the threshold, or None; c_i is answer i's count and n the tally's total.
 
-    The closed form l_i = m (2 * totals_i - T m) over integer totals makes the
-    incremental value exactly equal to a recomputation from the batch history.
-    """
-
-    m: int
-    threshold: float
-    totals: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    steps: int = 0
-
-    def statistics(self) -> np.ndarray:
-        return self.m * (2 * self.totals - self.steps * self.m)
-
-
-def sprt_step(state: SPRTState, batch_counts: np.ndarray) -> int | None:
-    """Fold one batch into the statistics; declare the lowest-index answer
-    whose statistic exceeds the threshold, if any."""
-    counts = np.asarray(batch_counts, dtype=np.int64)
-    if counts.sum() != state.m:
-        raise ValueError(f"batch counts must sum to m={state.m}, got {counts.sum()}")
-    if state.totals.shape != counts.shape:
-        if state.steps:
-            raise ValueError("answer-count dimension changed mid-run")
-        state.totals = np.zeros_like(counts)
-    state.totals += counts
-    state.steps += 1
-    stats = state.statistics()
-    crossing = np.nonzero(stats > state.threshold)[0]
-    return int(crossing[0]) if crossing.size else None
+    After T batches of m, l_i = sum_t m (2 c_{i,t} - m) = m (2 c_i - T m), so
+    the statistic is a function of the tally alone; it is an exact int."""
+    total = tally.total
+    for i, c in enumerate(tally.counts):
+        if m * (2 * c - total) > threshold:
+            return i
+    return None
 
 
 def draw_batch(pool: NodePool, stream: SeededStream) -> np.ndarray:
@@ -164,30 +136,26 @@ def run_verification(
 ) -> VerificationRecord:
     """Query batches until the policy declares an answer.
 
-    The posterior policies treat every individual node report as one sample
-    of the answer distribution and ignore f_max; declared-vs-correct is
-    judged against answer 0. Samples are counted as steps * m.
+    Every policy reads one tally of the node reports. The posterior policies
+    treat each report as one sample of the answer distribution and ignore
+    f_max; declared-vs-correct is judged against answer 0. Samples are the
+    tally's total, steps * m.
     """
     _check_policy(policy)
     if step_cap < 1:
         raise ValueError(f"step_cap must be >= 1, got {step_cap}")
     m = pool.batch_size
     if policy == "sprt":
-        state = SPRTState(m=m, threshold=sprt_threshold(delta, pool.n_nodes, m, f_max))
-        for step in range(1, step_cap + 1):
-            declared = sprt_step(state, draw_batch(pool, stream))
-            if declared is not None:
-                return VerificationRecord(step * m, declared, declared == 0)
-        raise SampleCapExceeded(f"SPRT did not declare within {step_cap} batches")
-
-    rule = make_rule(policy, pool.n_answers, delta)
+        threshold = sprt_threshold(delta, pool.n_nodes, m, f_max)
+    else:
+        check = make_rule(policy, pool.n_answers, delta).check
     tally = TallyState(pool.n_answers)
-    for step in range(1, step_cap + 1):
+    for _ in range(step_cap):
         # answers new in a batch are discovered in answer-index order
         tally.add_counts(draw_batch(pool, stream).tolist())
-        declared = rule.check(tally)
+        declared = sprt_step(m, threshold, tally) if policy == "sprt" else check(tally)
         if declared is not None:
-            return VerificationRecord(step * m, declared, declared == 0)
+            return VerificationRecord(tally.total, declared, declared == 0)
     raise SampleCapExceeded(f"{policy} did not declare within {step_cap} batches")
 
 
@@ -222,6 +190,10 @@ def sweep_f(
     pools = [NodePool(n_nodes=n, byzantine_fraction=f, batch_size=m, n_answers=k) for f in f_values]
     for policy in policies:
         _check_policy(policy)
+    for name, values in (("f", f_values), ("policy", policies)):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ValueError(f"{name} {value!r} is listed twice")
     if "sprt" in policies:
         sprt_threshold(delta, n, m, f_max)
     cells: list[SweepCell] = []

@@ -117,7 +117,7 @@ def load_election_csv(path) -> ElectionInstance:
     party_index: dict[str, int] = {}
     order: list[str] = []
     table: dict[str, dict[int, int]] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header[:3]] != [

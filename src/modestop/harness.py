@@ -16,7 +16,7 @@ from dataclasses import astuple, dataclass, fields
 from itertools import product
 
 from .instances import DiscreteInstance, derive_stream
-from .stopping import TrialRecord, parse_rule_token, run_mode_estimation
+from .stopping import DEFAULT_SAMPLE_CAP, TrialRecord, parse_rule_token, run_mode_estimation
 
 __all__ = [
     "ExperimentSpec",
@@ -68,6 +68,11 @@ class ExperimentSpec:
             raise ValueError(f"replications must be an int >= 1, got {reps!r}")
         if self.check_every < 1:
             raise ValueError(f"check_every must be >= 1, got {self.check_every}")
+        if self.check_every > DEFAULT_SAMPLE_CAP:
+            raise ValueError(
+                f"check_every {self.check_every} exceeds the sample cap {DEFAULT_SAMPLE_CAP}, "
+                "so no sample count would be checked"
+            )
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
 
@@ -202,11 +207,13 @@ def table1_suite(
     fast=True caps replications at 20 for the two slow instances (P5, P6).
     """
     names = list(instances) if instances else list(TABLE1_INSTANCES)
-    for name in names:
+    for i, name in enumerate(names):
         if name not in TABLE1_INSTANCES:
             raise ValueError(
                 f"unknown Table-1 instance {name!r}; expected one of {', '.join(TABLE1_INSTANCES)}"
             )
+        if name in names[:i]:
+            raise ValueError(f"Table-1 instance {name!r} is listed twice")
     grid = [
         (name, TABLE1_INSTANCES[name], 0.01, capped_replications(name, reps, fast))
         for name in names

@@ -61,6 +61,11 @@ def _check_k(k: int) -> None:
         raise ValueError(f"need K >= 2, got {k}")
 
 
+def _check_delta(delta: float) -> None:
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+
+
 def _check_at_least(**limits: tuple[int, int]) -> None:
     """Reject a sweep limit below its least value, which would check nothing."""
     for name, (value, least) in limits.items():
@@ -72,8 +77,7 @@ def lower_bound(p1: float, p2: float, delta: float) -> float:
     """p1 / (p1 - p2)^2 * ln(1 / (2.4 delta)): expected samples any
     delta-correct rule must draw."""
     _check_gap(p1, p2)
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    _check_delta(delta)
     return p1 / (p1 - p2) ** 2 * math.log(1.0 / (2.4 * delta))
 
 
@@ -81,6 +85,7 @@ def a1_upper_bound(p1: float, p2: float, k: int, delta: float) -> float:
     """(592/3) p1/(p1-p2)^2 ln((592/3) sqrt(K/delta) p1/(p1-p2)^2)."""
     _check_gap(p1, p2)
     _check_k(k)
+    _check_delta(delta)
     c = 592.0 / 3.0
     lead = c * p1 / (p1 - p2) ** 2
     return lead * math.log(c * math.sqrt(k / delta) * p1 / (p1 - p2) ** 2)
@@ -90,6 +95,7 @@ def ppr_bernoulli_upper(p1: float, delta: float) -> float:
     """20.775 p1/(p1-1/2)^2 ln(2.49 / ((p1-1/2)^2 delta)) for p1 > 1/2."""
     if not 0.5 < p1 <= 1.0:
         raise ValueError(f"need p1 in (1/2, 1], got {p1}")
+    _check_delta(delta)
     gap = p1 - 0.5
     return 20.775 * p1 / gap**2 * math.log(2.49 / (gap**2 * delta))
 
@@ -98,6 +104,7 @@ def ppr_1v1_upper(p1: float, p2: float, k: int, delta: float) -> float:
     """194.07 p1/(p1-p2)^2 ln(sqrt(79.68 (K-1)/delta) p1/(p1-p2))."""
     _check_gap(p1, p2)
     _check_k(k)
+    _check_delta(delta)
     gap = p1 - p2
     return 194.07 * p1 / gap**2 * math.log(math.sqrt(79.68 * (k - 1) / delta) * p1 / gap)
 
@@ -117,13 +124,16 @@ def verify_thm3_margin(p1: float, p2: float, pj: float, k: int, delta: float) ->
     u is the Bernoulli upper bound at the pair parameter q1 = p1/(p1+pj) with
     mistake delta' = delta / (2(K-1)); l is the Chernoff slack evaluated at
     t*; t* is the pairwise upper bound. The chain holding means the pairwise
-    bound's constants absorb the pair-thinning slack.
+    bound's constants absorb the pair-thinning slack. The point must be a
+    distribution: p1 + p2 + (K-2) pj <= 1.
     """
     if not (p1 > p2 >= pj > 0.0):
         raise ValueError(f"need p1 > p2 >= pj > 0, got {(p1, p2, pj)}")
     _check_k(k)
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    total = p1 + p2 + (k - 2) * pj
+    if total > 1.0 + 1e-9:
+        raise ValueError(f"need p1 + p2 + (K-2) pj <= 1, got {total:g} at K={k}")
+    _check_delta(delta)
     delta_prime = delta / (2.0 * (k - 1))
     q1 = p1 / (p1 + pj)
     u = ppr_bernoulli_upper(q1, delta_prime)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from modestop import blockchain
 from modestop.blockchain import (
     NodePool,
-    SPRTState,
     SweepCell,
     draw_batch,
     run_verification,
@@ -17,7 +16,8 @@ from modestop.blockchain import (
     sprt_threshold,
     sweep_f,
 )
-from modestop.instances import derive_stream
+from modestop.instances import TallyState, derive_stream
+from modestop.stopping import SampleCapExceeded
 
 
 @st.composite
@@ -106,41 +106,111 @@ class TestThreshold:
             sprt_threshold(0.005, 1600, m, 0.1)
 
 
+def _tally(*batches):
+    tally = TallyState(len(batches[0]))
+    for batch in batches:
+        tally.add_counts(batch)
+    return tally
+
+
+class _IncrementalSprt:
+    """The SPRT as it was written before it read the run's tally: int64
+    per-answer totals and a step counter, folded in one batch at a time."""
+
+    def __init__(self, m, threshold):
+        self.m = m
+        self.threshold = threshold
+        self.totals = None
+        self.steps = 0
+
+    def step(self, batch_counts):
+        counts = np.asarray(batch_counts, dtype=np.int64)
+        if self.totals is None:
+            self.totals = np.zeros_like(counts)
+        self.totals += counts
+        self.steps += 1
+        stats = self.m * (2 * self.totals - self.steps * self.m)
+        crossing = np.nonzero(stats > self.threshold)[0]
+        return int(crossing[0]) if crossing.size else None
+
+
 class TestSprtState:
+    """``sprt_step`` reads the run's ``TallyState``: its counts and total."""
+
     def test_unanimous_batches(self):
-        state = SPRTState(m=20, threshold=1e9)
-        batch = np.array([20, 0])
-        for _ in range(3):
-            sprt_step(state, batch)
-        assert state.statistics()[0] == 1200  # 3 * 20^2
-        assert state.statistics()[1] == -1200
+        tally = _tally([20, 0], [20, 0], [20, 0])
+        # l_0 = 3 * 20^2 = 1200 and l_1 = -1200; the crossing is strict
+        assert sprt_step(20, 1199.5, tally) == 0
+        assert sprt_step(20, 1200, tally) is None
+        assert sprt_step(20, -1200, tally) == 0
+        against = _tally([0, 20], [0, 20], [0, 20])
+        assert sprt_step(20, 1199.5, against) == 1
+        assert sprt_step(20, -1200, against) == 1  # l_0 = -1200 does not cross
+        assert sprt_step(20, -1200.5, against) == 0  # both cross: the lower index
 
     def test_even_split_is_neutral(self):
-        state = SPRTState(m=20, threshold=1e9)
-        sprt_step(state, np.array([10, 10]))
-        assert list(state.statistics()) == [0, 0]
+        tally = _tally([10, 10])
+        assert sprt_step(20, 0.0, tally) is None
+        assert sprt_step(20, -1e-9, tally) == 0
 
     def test_declares_after_one_step_at_f0(self):
         threshold = sprt_threshold(0.005, 1600, 20, 0.1)
-        state = SPRTState(m=20, threshold=threshold)
-        assert sprt_step(state, np.array([20, 0])) == 0  # l = 400 > 23.52
+        assert sprt_step(20, threshold, _tally([20, 0])) == 0  # l = 400 > 23.52
 
     def test_incremental_equals_recomputation(self):
         rng = np.random.default_rng(0)
-        state = SPRTState(m=20, threshold=1e18)
+        tally = TallyState(2)
         history = []
         for _ in range(50):
             c0 = int(rng.integers(0, 21))
-            batch = np.array([c0, 20 - c0])
-            history.append(batch)
-            sprt_step(state, batch)
-        recomputed = sum((2 * b - 20) * 20 for b in history)
-        assert np.array_equal(state.statistics(), recomputed)
+            history.append(np.array([c0, 20 - c0]))
+            tally.add_counts(history[-1])
+            stats = sum((2 * b - 20) * 20 for b in history)
+            top = int(stats.max())
+            # the first answer to cross top - 1/2 is the lowest-index maximum
+            assert sprt_step(20, top - 0.5, tally) == int(np.argmax(stats))
+            assert sprt_step(20, top, tally) is None
 
-    def test_rejects_bad_batch_total(self):
-        state = SPRTState(m=20, threshold=1.0)
-        with pytest.raises(ValueError):
-            sprt_step(state, np.array([5, 5]))
+
+class TestSprtParity:
+    """The tally-read SPRT against the incremental state it replaced."""
+
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    def test_random_batch_sequences(self, k):
+        rng = np.random.default_rng(1000 + k)
+        joint = 0
+        for case in range(60):
+            m = int(rng.integers(1, 40))
+            n = int(rng.integers(m, 4 * m + 2))
+            # delta above 1/2 gives a negative threshold, where several
+            # answers can cross at once
+            delta = float(rng.choice([0.005, 0.1, 0.45, 0.6, 0.9, 0.999]))
+            threshold = sprt_threshold(delta, n, m, float(rng.uniform(0.01, 0.45)))
+            weights = rng.random(k) ** 2 + 1e-3
+            old = _IncrementalSprt(m, threshold)
+            tally = TallyState(k)
+            for _ in range(int(rng.integers(1, 30))):
+                batch = rng.multinomial(m, weights / weights.sum())
+                expected = old.step(batch)
+                tally.add_counts(batch.tolist())
+                assert sprt_step(m, threshold, tally) == expected, (case, m, threshold)
+                stats = m * (2 * np.array(tally.counts) - tally.total)
+                joint += int((stats > threshold).sum()) > 1
+        assert joint > 0
+
+    @pytest.mark.parametrize("k, f, delta", [(2, 0.3, 0.005), (3, 0.25, 0.2), (10, 0.3, 0.7)])
+    def test_run_verification(self, k, f, delta):
+        pool = NodePool(400, f, 10, n_answers=k)
+        threshold = sprt_threshold(delta, 400, 10, 0.2)
+        for i in range(40):
+            old = _IncrementalSprt(10, threshold)
+            stream = derive_stream(17, i)
+            for step in range(1, 10_001):
+                declared = old.step(draw_batch(pool, stream))
+                if declared is not None:
+                    break
+            rec = run_verification(pool, "sprt", delta, 0.2, derive_stream(17, i))
+            assert (rec.samples, rec.declared) == (step * 10, declared)
 
 
 class TestDrawBatch:
@@ -188,8 +258,6 @@ class TestRunVerification:
     def test_adaptive_waits_for_second_answer(self):
         # a lone discovered answer is never declared, so an honest pool keeps
         # the adaptive policy sampling until the cap
-        from modestop.stopping import SampleCapExceeded
-
         pool = NodePool(1600, 0.0, 20, n_answers=2)
         with pytest.raises(SampleCapExceeded):
             run_verification(pool, "ppr-adaptive", 0.005, 0.1, derive_stream(7, 0), step_cap=50)
@@ -199,6 +267,16 @@ class TestRunVerification:
         rec = run_verification(pool, "ppr-adaptive", 0.005, None, derive_stream(7, 1))
         assert rec.correct
         assert rec.samples % 20 == 0
+
+    @pytest.mark.parametrize("policy, delta, f_max", [
+        ("sprt", 1e-300, 0.49),  # a threshold of ~3.4e5 against l_0 = 400 a batch
+        ("ppr-adaptive", 0.005, None),  # a lone answer is never declared
+    ])
+    def test_cap_names_policy(self, policy, delta, f_max):
+        pool = NodePool(1600, 0.0, 20, n_answers=2)
+        with pytest.raises(SampleCapExceeded) as err:
+            run_verification(pool, policy, delta, f_max, derive_stream(7, 0), step_cap=3)
+        assert str(err.value) == f"{policy} did not declare within 3 batches"
 
     @pytest.mark.parametrize("policy", ["sprt", "ppr-1vr"])
     @pytest.mark.parametrize("cap", [0, -3])
@@ -231,6 +309,8 @@ class TestSweep:
         ([0.1, 0.6], ["sprt"], "the Byzantine fraction must lie in [0, 1/2), got 0.6", 0.1),
         ([0.1], ["ppr-1vr", "sprt"], "f_max must lie in (0, 1/2), got 0.7", 0.7),
         ([0.1], ["ppr-1vr", "sprt"], "SPRT requires f_max", None),
+        ([0.1, 0.2, 0.1], ["sprt"], "f 0.1 is listed twice", 0.1),
+        ([0.1], ["ppr-1v1", "sprt", "ppr-1v1"], "policy 'ppr-1v1' is listed twice", 0.1),
     ])
     def test_every_cell_checked_before_any_run(
         self, monkeypatch, f_values, policies, message, f_max

@@ -3,7 +3,7 @@ import hashlib
 
 import pytest
 
-from modestop import blockchain, theory
+from modestop import blockchain, harness, theory
 from modestop.cli import main
 
 # a cheap command line for each comma-separated list flag, to which the flag is appended
@@ -52,6 +52,18 @@ class TestModeSim:
     def test_bad_probs_exit_code(self, capsys):
         assert main(["mode-sim", "--probs", "0.5,0.4", "--rule", "ppr-1v1"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_rejects_check_every_above_sample_cap(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(harness, "run_mode_estimation", lambda *a, **kw: calls.append(a))
+        argv = ["mode-sim", "--probs", "0.6,0.4", "--rule", "ppr-1v1", "--reps", "2",
+                "--check-every", "2000000000"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", (
+            "error: check_every 2000000000 exceeds the sample cap 1000000000, "
+            "so no sample count would be checked\n"
+        ))
+        assert calls == []
 
     @pytest.mark.parametrize("command", [
         ["mode-sim", "--probs", "0.6,0.4", "--rule", "ppr-1v1", "--reps", "2"],
@@ -119,6 +131,13 @@ class TestVerify:
         assert main(["verify", "thm3-margin", *args]) == 1
         assert capsys.readouterr() == (
             "", "error: --k and --delta apply only to a --p1/--p2/--pj point\n"
+        )
+
+    def test_margin_rejects_point_that_is_no_distribution(self, capsys):
+        point = ["--p1", "0.9", "--p2", "0.8", "--pj", "0.7"]
+        assert main(["verify", "thm3-margin", *point]) == 1
+        assert capsys.readouterr() == (
+            "", "error: need p1 + p2 + (K-2) pj <= 1, got 2.4 at K=3\n"
         )
 
     def test_margin_point_defaults(self, monkeypatch):
@@ -315,6 +334,17 @@ class TestBlockchainSim:
                                            "('sprt', 'ppr-1v1', 'ppr-1vr', 'ppr-adaptive')\n")
         assert calls == []
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--policy", "ppr-1v1,ppr-1v1"], "policy 'ppr-1v1' is listed twice"),
+        (["--f", "0.1,0.2,0.10"], "f 0.1 is listed twice"),
+    ])
+    def test_rejects_repeated_cell_before_any_run(self, monkeypatch, flags, message, capsys):
+        calls = []
+        monkeypatch.setattr(blockchain, "run_verification", lambda *a: calls.append(a))
+        assert main(["blockchain-sim", "--runs", "3000", *flags]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert calls == []
+
     @pytest.mark.parametrize("policy", ["ppr-1vr", "ppr-1v1", "ppr-adaptive", "sprt"])
     def test_rejects_bad_delta(self, policy, capsys):
         argv = ["blockchain-sim", "--policy", policy, "--k", "10", "--delta", "1.5", "--runs", "2"]
@@ -345,7 +375,12 @@ class TestSweeps:
           "--f", "0.0,0.25", "--k", "4", "--policy", "ppr-1v1,ppr-1vr,sprt", "--runs", "4",
           "--seed", "9"],
          "bdb9c6b45ea5e6b7d222cc599ba0c621e2a5cdd774d975ca036a73e394d9a75c"),
-    ], ids=["figure1", "table1", "blockchain-sim"])
+        # K = 2: every policy, the SPRT included, reads the same tally
+        (["blockchain-sim", "--n", "200", "--m", "10", "--delta", "0.05", "--fmax", "0.15",
+          "--f", "0.1,0.25", "--k", "2", "--policy", "sprt,ppr-1v1,ppr-1vr,ppr-adaptive",
+          "--runs", "4", "--seed", "9"],
+         "a69f601b94c3f209d9620522ddf78d54e7f154a1e845ab8ca678739e955dfdf5"),
+    ], ids=["figure1", "table1", "blockchain-sim", "blockchain-sim-k2"])
     def test_csv_bytes(self, argv, digest, tmp_path):
         out = tmp_path / "summary.csv"
         assert main([*argv, "--out", str(out)]) == 0
@@ -358,3 +393,13 @@ class TestSweeps:
             "",
             f"error: unknown Table-1 instance {bad!r}; expected one of P1, P2, P3, P4, P5, P6\n",
         )
+
+    @pytest.mark.parametrize("instances, twice", [("P1,P1", "P1"), ("P2,P5,P3,P5", "P5")])
+    def test_table1_rejects_repeated_instance_before_any_run(
+        self, monkeypatch, instances, twice, capsys
+    ):
+        calls = []
+        monkeypatch.setattr(harness, "run_mode_estimation", lambda *a, **kw: calls.append(a))
+        assert main(["table1", "--instances", instances, "--reps", "2"]) == 1
+        assert capsys.readouterr() == ("", f"error: Table-1 instance {twice!r} is listed twice\n")
+        assert calls == []

@@ -55,6 +55,13 @@ class TestLoader:
         )
         assert inst.constituencies[1].votes == (0, 10)
 
+    def test_reads_utf8_bom(self, tmp_path):
+        text = "constituency,party,votes\nc1,A,60\nc1,B,40\nc2,B,10\n"
+        plain = load_election_csv(_write(tmp_path, text))
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert load_election_csv(bom) == plain
+
     def test_empty_after_header_rejected(self, tmp_path):
         with pytest.raises(ElectionDataError, match="C = 0"):
             load_election_csv(_write(tmp_path, "constituency,party,votes\n"))

@@ -87,6 +87,19 @@ class TestUpperBounds:
         assert low <= a1_upper_bound(p1, p2, k, delta) + 1e-9
         assert low <= ppr_1v1_upper(p1, p2, k, delta) + 1e-9
 
+    @pytest.mark.parametrize("delta", [0.0, -1.0, 1.0, 5.0, math.nan])
+    @pytest.mark.parametrize("calculator", [
+        lambda d: lower_bound(0.6, 0.4, d),
+        lambda d: a1_upper_bound(0.6, 0.4, 2, d),
+        lambda d: ppr_bernoulli_upper(0.6, d),
+        lambda d: ppr_1v1_upper(0.6, 0.4, 3, d),
+        lambda d: verify_thm3_margin(0.5, 0.25, 0.25, 3, d),
+    ], ids=["lower", "a1", "ppr-bernoulli", "ppr-1v1", "thm3-margin"])
+    def test_rejects_delta_outside_unit_interval(self, calculator, delta):
+        with pytest.raises(ValueError) as err:
+            calculator(delta)
+        assert str(err.value) == f"delta must lie in (0, 1), got {delta}"
+
     def test_report_k2_includes_bernoulli(self):
         report = bound_report(0.65, 0.35, 2, 0.01)
         assert report.ppr_bernoulli_upper is not None
@@ -102,14 +115,29 @@ class TestThm3Margin:
         import random
 
         rng = random.Random(3)
-        for _ in range(100):
+        valid = 0
+        while valid < 100:
             p1 = rng.uniform(0.1, 0.9)
             p2 = rng.uniform(0.02, p1 * 0.95)
             pj = rng.uniform(0.01, p2)
             k = rng.randint(2, 25)
             delta = rng.choice([0.1, 0.01, 0.001])
+            if p1 + p2 + (k - 2) * pj > 1.0 + 1e-9:
+                with pytest.raises(ValueError, match=r"^need p1 \+ p2 \+ \(K-2\) pj <= 1, got "):
+                    verify_thm3_margin(p1, p2, pj, k, delta)
+                continue
             assert verify_thm3_margin(p1, p2, pj, k, delta)
+            valid += 1
 
+    @pytest.mark.parametrize("point, message", [
+        ((0.9, 0.8, 0.7, 3), "need p1 + p2 + (K-2) pj <= 1, got 2.4 at K=3"),
+        ((0.6, 0.5, 0.1, 2), "need p1 + p2 + (K-2) pj <= 1, got 1.1 at K=2"),
+        ((0.35, 0.33, 0.04, 11), "need p1 + p2 + (K-2) pj <= 1, got 1.04 at K=11"),
+    ])
+    def test_rejects_point_that_is_no_distribution(self, point, message):
+        with pytest.raises(ValueError) as err:
+            verify_thm3_margin(*point, 0.01)
+        assert str(err.value) == message
 
 class TestConjecture:
     def test_strong_form_sweep_small(self):
