@@ -183,7 +183,8 @@ def sweep_f(
     """Replicate run_verification over a grid of Byzantine fractions.
 
     Each (f, policy, run) cell draws its own derived stream, so cells are
-    reproducible independently of sweep order; every pool and policy is checked first.
+    reproducible independently of sweep order; every pool and policy is checked
+    first, and so is every f at which a policy cannot declare.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
@@ -196,6 +197,13 @@ def sweep_f(
                 raise ValueError(f"{name} {value!r} is listed twice")
     if "sprt" in policies:
         sprt_threshold(delta, n, m, f_max)
+    if "ppr-adaptive" in policies:
+        for f, pool in zip(f_values, pools):
+            if pool.byzantine_count == 0:
+                raise ValueError(
+                    f"f {f!r} puts {pool.byzantine_count} of N={n} nodes on a wrong answer, "
+                    "and ppr-adaptive never declares a lone answer"
+                )
     cells: list[SweepCell] = []
     for fi, (f, pool) in enumerate(zip(f_values, pools)):
         for pi, policy in enumerate(policies):

@@ -1,10 +1,13 @@
 """Five interchangeable confidence-bound engines on Bernoulli counts.
 
-Each engine maps (successes s, total t, mistake probability alpha) to an
-interval that contains the empirical mean. Besides the interval surface,
-every engine has two closed-form tests used by the stopping rules. Each is
-stated once, as a scalar margin: the test's statistic minus its threshold,
-+inf where the test cannot pass (a trailing leader, too few samples).
+Each engine maps (successes s, total t) to an interval at its mistake
+probability alpha that contains the empirical mean. ``BoundEngine.interval``
+is the one statement of every engine's interval; it reads the same width and
+rate helpers (``_lucb_width``, ``_a1_width``, ``_kl_rate``) as the margins
+below. Besides the interval, every engine has two closed-form tests used by
+the stopping rules. Each is stated once, as a scalar margin: the test's
+statistic minus its threshold, +inf where the test cannot pass (a trailing
+leader, too few samples).
 
 * ``pair_margin``       - the pair interval excludes 1/2 on the leader's side
 * ``separation_margin`` - one value's LCB is at or above another's UCB
@@ -52,14 +55,8 @@ __all__ = [
     "ENGINE_KINDS",
     "BoundEngine",
     "make_engine",
-    "kl_sn_gamma",
     "lucb_exploration_rate",
     "kl_sn_exploration_rate",
-    "hoeffding_lucb_bounds",
-    "kl_lucb_bounds",
-    "kl_sn_bounds",
-    "a1_bounds",
-    "ppr_bounds",
     "pair_margin",
     "separation_margin",
     "pair_beats_half",
@@ -78,18 +75,16 @@ LUCB_POWER = 1.1
 _KL_SN_GAMMA_CACHE: dict[float, float] = {}
 
 
-def kl_sn_gamma(alpha: float) -> float:
-    """The root gamma > 1 of 2 e^2 gamma e^-gamma = alpha.
+def _kl_sn_gamma(alpha: float) -> float:
+    """The root gamma > 1 of 2 e^2 gamma e^-gamma = alpha, for alpha in (0, 1).
 
     gamma e^-gamma is decreasing for gamma > 1, so the root on the decreasing
     branch is unique; it is located by bisection on [1 + 1e-9, 200] and
-    cached per alpha.
+    cached per alpha, since every K > 2 trial builds a fresh engine.
     """
     cached = _KL_SN_GAMMA_CACHE.get(alpha)
     if cached is not None:
         return cached
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     target = alpha / (2.0 * math.e**2)
 
     def g(x: float) -> float:
@@ -122,39 +117,8 @@ def kl_sn_exploration_rate(t: int, gamma: float) -> float:
     ) + gamma
 
 
-def _clip(lo: float, hi: float) -> Interval:
-    return Interval(max(0.0, lo), min(1.0, hi))
-
-
 def _lucb_width(t: int, alpha: float) -> float:
     return math.sqrt(lucb_exploration_rate(t, alpha) / (2.0 * t))
-
-
-def hoeffding_lucb_bounds(s: int, t: int, alpha: float) -> Interval:
-    """p_hat +- sqrt(beta(t, alpha) / 2t), clipped to [0, 1]."""
-    if t < 1:
-        return FULL_INTERVAL
-    p_hat = s / t
-    w = _lucb_width(t, alpha)
-    return _clip(p_hat - w, p_hat + w)
-
-
-def kl_lucb_bounds(s: int, t: int, alpha: float) -> Interval:
-    """KL inversion of the LUCB exploration rate."""
-    if t < 1:
-        return FULL_INTERVAL
-    p_hat = s / t
-    beta = lucb_exploration_rate(t, alpha)
-    return Interval(invert_kl_lower(p_hat, t, beta), invert_kl_upper(p_hat, t, beta))
-
-
-def kl_sn_bounds(s: int, t: int, alpha: float) -> Interval:
-    """KL inversion of the self-normalized exploration rate; [0, 1] below t=3."""
-    if t < 3:
-        return FULL_INTERVAL
-    p_hat = s / t
-    beta = kl_sn_exploration_rate(t, kl_sn_gamma(alpha))
-    return Interval(invert_kl_lower(p_hat, t, beta), invert_kl_upper(p_hat, t, beta))
 
 
 def _a1_width(s: int, t: int, alpha: float) -> float:
@@ -162,34 +126,6 @@ def _a1_width(s: int, t: int, alpha: float) -> float:
     variance = s * (t - s) / (t * (t - 1.0))
     budget = math.log(4.0 * t * t / alpha)
     return math.sqrt(2.0 * variance * budget / t) + 7.0 * budget / (3.0 * (t - 1.0))
-
-
-def a1_bounds(s: int, t: int, alpha: float) -> Interval:
-    """Empirical-Bernstein interval; [0, 1] below t=2 (the width divides by t-1)."""
-    if t < 2:
-        return FULL_INTERVAL
-    p_hat = s / t
-    w = _a1_width(s, t, alpha)
-    return _clip(p_hat - w, p_hat + w)
-
-
-def ppr_bounds(s: int, t: int, alpha: float) -> Interval:
-    """Level set of the Beta(s+1, t-s+1) posterior density at level alpha.
-
-    This is the anytime-valid posterior confidence set for a uniform prior:
-    the set of parameters whose posterior density still exceeds the mistake
-    probability.
-    """
-    return posterior_level_crossings(s + 1, t - s + 1, alpha)
-
-
-_INTERVAL_FUNCS = {
-    "ppr": ppr_bounds,
-    "lucb": hoeffding_lucb_bounds,
-    "kl-lucb": kl_lucb_bounds,
-    "kl-sn": kl_sn_bounds,
-    "a1": a1_bounds,
-}
 
 
 @dataclass(frozen=True)
@@ -212,11 +148,29 @@ class BoundEngine:
             raise ValueError(f"unknown bound engine {self.kind!r}; expected one of {ENGINE_KINDS}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        object.__setattr__(self, "gamma", kl_sn_gamma(self.alpha) if self.kind == "kl-sn" else 0.0)
+        object.__setattr__(self, "gamma", _kl_sn_gamma(self.alpha) if self.kind == "kl-sn" else 0.0)
         object.__setattr__(self, "log_alpha", math.log(self.alpha))
 
     def interval(self, s: int, t: int) -> Interval:
-        return _INTERVAL_FUNCS[self.kind](s, t, self.alpha)
+        """The engine's interval for s successes in t draws; [0, 1] below
+        t = 1 (t = 2 for a1, whose width divides by t - 1; t = 3 for kl-sn).
+
+        ppr gives the level set of the Beta(s+1, t-s+1) posterior density at
+        level alpha: the anytime-valid posterior confidence set for a uniform
+        prior. lucb and a1 give p_hat -+ their width, clipped to [0, 1]; the
+        KL engines invert t * kl(p_hat, q) = their rate in q.
+        """
+        kind = self.kind
+        if kind == "ppr":
+            return posterior_level_crossings(s + 1, t - s + 1, self.alpha)
+        if t < 1 or (kind == "a1" and t < 2) or (kind == "kl-sn" and t < 3):
+            return FULL_INTERVAL
+        p_hat = s / t
+        if kind == "lucb" or kind == "a1":
+            w = _lucb_width(t, self.alpha) if kind == "lucb" else _a1_width(s, t, self.alpha)
+            return Interval(max(0.0, p_hat - w), min(1.0, p_hat + w))
+        beta = _kl_rate(self, t)
+        return Interval(invert_kl_lower(p_hat, t, beta), invert_kl_upper(p_hat, t, beta))
 
 
 def make_engine(kind: str, alpha: float) -> BoundEngine:

@@ -16,9 +16,9 @@ from .instances import derive_stream
 from .stopping import RULE_TOKENS, parse_rule_token
 
 
-def _add_common(parser: argparse.ArgumentParser, reps_default: int = 100) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    parser.add_argument("--reps", type=int, default=reps_default, help="replications per cell")
+    parser.add_argument("--reps", type=int, default=100, help="replications per cell")
     parser.add_argument("--out", type=str, default=None, help="summary CSV path")
 
 

@@ -6,7 +6,8 @@ normalized counts. Every constituency runs the same mode-estimation
 stopping rule at mistake probability delta / C; a rule is a function of the
 tally alone, so one rule object per run checks every constituency's tally.
 The overall winner is declared as soon as one party's guaranteed seat count
-(wins) exceeds every rival's possible seat count (C - losses).
+(its wins) exceeds every rival's possible seat count (its wins plus the
+unresolved constituencies).
 
 Two polling policies are provided: round-robin over unresolved
 constituencies, and the confidence-bound-difference policy that each step
@@ -214,9 +215,9 @@ class ElectionRun:
     """Mutable state of one election simulation.
 
     Vote samples are drawn with replacement from each constituency's
-    normalized counts. wins / losses move only when a constituency resolves:
-    the resolved winner gains a win and every other party a loss, so
-    LCB_party = wins and UCB_party = C - losses.
+    normalized counts. wins and unresolved move only when a constituency
+    resolves: its winner gains a win and one fewer seat is open, so
+    LCB_party = wins and UCB_party = wins + unresolved.
     """
 
     def __init__(
@@ -254,7 +255,6 @@ class ElectionRun:
         self.rule = make_rule(rule_token, self.k, delta / self.c)
         self.states = [_ConstituencyState(i, con) for i, con in enumerate(instance.constituencies)]
         self.wins = [0] * self.k
-        self.losses = [0] * self.k
         self.samples = 0
         self.unresolved = self.c
         self._rr_cursor = 0
@@ -297,9 +297,6 @@ class ElectionRun:
             st.winner = declared
             self.unresolved -= 1
             self.wins[declared] += 1
-            for j in range(self.k):
-                if j != declared:
-                    self.losses[j] += 1
         elif self.lcb is not None:
             self._refresh_widths(st)
 
@@ -326,8 +323,9 @@ class ElectionRun:
         for st in self.states:
             if st.winner is None and st.tally.total > 0:
                 leads[st.tally.first] += 1
-        a = max(range(k), key=lambda i: (self.wins[i] + leads[i], -i))
-        b = max((i for i in range(k) if i != a), key=lambda i: (self.c - self.losses[i], -i))
+        wins = self.wins
+        a = max(range(k), key=lambda i: (wins[i] + leads[i], -i))
+        b = max((i for i in range(k) if i != a), key=lambda i: (self.unresolved + wins[i], -i))
         return a, b
 
     def dcb_select(self) -> tuple[int, int]:
@@ -350,11 +348,11 @@ class ElectionRun:
     # -- aggregate ----------------------------------------------------------
 
     def aggregate_check(self) -> int | None:
-        """Declare party i once wins_i > C - losses_j for every rival j."""
-        c = self.c
+        """Declare party i once wins_i > unresolved + wins_j for every rival j."""
+        wins, unresolved = self.wins, self.unresolved
         for i in range(self.k):
-            wi = self.wins[i]
-            if all(wi > c - self.losses[j] for j in range(self.k) if j != i):
+            wi = wins[i]
+            if all(wi > unresolved + wins[j] for j in range(self.k) if j != i):
                 return i
         return None
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,9 +220,14 @@ class TallyState:
 
     def add_counts(self, batch_counts) -> None:
         """Bulk update from per-value counts; first/second by full scan. A
-        batch that is not K non-negative counts is rejected before the tally
-        changes."""
-        batch = [int(c) for c in batch_counts]
+        batch that is not K non-negative integer counts is rejected before
+        the tally changes."""
+        batch = []
+        for c in batch_counts:
+            try:
+                batch.append(operator.index(c))
+            except TypeError:
+                raise ValueError(f"batch counts must be integers, got {c!r}") from None
         counts = self.counts
         if len(batch) != len(counts):
             raise ValueError(f"a batch needs K={len(counts)} counts, got {len(batch)}")

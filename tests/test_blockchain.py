@@ -311,6 +311,9 @@ class TestSweep:
         ([0.1], ["ppr-1vr", "sprt"], "SPRT requires f_max", None),
         ([0.1, 0.2, 0.1], ["sprt"], "f 0.1 is listed twice", 0.1),
         ([0.1], ["ppr-1v1", "sprt", "ppr-1v1"], "policy 'ppr-1v1' is listed twice", 0.1),
+        ([0.1, 0.0005], ["sprt", "ppr-adaptive"],
+         "f 0.0005 puts 0 of N=1600 nodes on a wrong answer, "
+         "and ppr-adaptive never declares a lone answer", 0.1),
     ])
     def test_every_cell_checked_before_any_run(
         self, monkeypatch, f_values, policies, message, f_max

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,57 +11,55 @@ from hypothesis import strategies as st
 from modestop.bounds import (
     ENGINE_KINDS,
     BoundEngine,
-    a1_bounds,
-    hoeffding_lucb_bounds,
-    kl_lucb_bounds,
-    kl_sn_bounds,
     kl_sn_exploration_rate,
-    kl_sn_gamma,
     lucb_exploration_rate,
     make_engine,
     one_vs_rest_separated,
     pair_beats_half,
-    ppr_bounds,
 )
 from modestop.numerics import LOG_GAMMA, kl_bernoulli
 
 
+def interval(kind, s, t, alpha):
+    return BoundEngine(kind, alpha).interval(s, t)
+
+
 class TestHoeffdingLucb:
     def test_clipping_at_one(self):
-        iv = hoeffding_lucb_bounds(10, 10, 0.2)
+        iv = interval("lucb", 10, 10, 0.2)
         assert iv.hi == 1.0
 
     def test_direct_formula(self):
-        iv = hoeffding_lucb_bounds(5, 10, 0.01)
+        iv = interval("lucb", 5, 10, 0.01)
         width = math.sqrt(math.log(405.5 * 10**1.1 / 0.01) / 20.0)
         assert iv.lo == pytest.approx(max(0.0, 0.5 - width), rel=1e-12)
         assert iv.hi == pytest.approx(min(1.0, 0.5 + width), rel=1e-12)
 
     def test_width_shrinks_with_t(self):
-        w100 = hoeffding_lucb_bounds(50, 100, 0.01).width
-        w10000 = hoeffding_lucb_bounds(5000, 10000, 0.01).width
+        w100 = interval("lucb", 50, 100, 0.01).width
+        w10000 = interval("lucb", 5000, 10000, 0.01).width
         assert w10000 < w100
 
 
 class TestKlLucb:
     def test_full_success_hits_one(self):
-        assert kl_lucb_bounds(10, 10, 0.01).hi == pytest.approx(1.0, abs=1e-9)
+        assert interval("kl-lucb", 10, 10, 0.01).hi == pytest.approx(1.0, abs=1e-9)
 
     def test_tighter_than_hoeffding(self):
-        kl = kl_lucb_bounds(5, 10, 0.01)
-        ho = hoeffding_lucb_bounds(5, 10, 0.01)
+        kl = interval("kl-lucb", 5, 10, 0.01)
+        ho = interval("lucb", 5, 10, 0.01)
         assert kl.lo >= ho.lo and kl.hi <= ho.hi
         assert kl.width < ho.width
 
     def test_zero_successes(self):
-        assert kl_lucb_bounds(0, 10, 0.01).lo == 0.0
+        assert interval("kl-lucb", 0, 10, 0.01).lo == 0.0
 
     def test_never_wider_than_hoeffding_on_grid(self):
         for t in (1, 2, 5, 17, 100, 1000):
             for s in range(0, t + 1, max(1, t // 7)):
                 for alpha in (0.1, 0.01, 0.001):
-                    kl = kl_lucb_bounds(s, t, alpha)
-                    ho = hoeffding_lucb_bounds(s, t, alpha)
+                    kl = interval("kl-lucb", s, t, alpha)
+                    ho = interval("lucb", s, t, alpha)
                     assert kl.lo >= ho.lo - 1e-9
                     assert kl.hi <= ho.hi + 1e-9
 
@@ -67,32 +67,33 @@ class TestKlLucb:
 class TestKlSn:
     def test_gamma_residuals(self):
         for alpha in (0.1, 0.01, 0.005, 0.001):
-            gamma = kl_sn_gamma(alpha)
+            gamma = BoundEngine("kl-sn", alpha).gamma
             assert gamma > 1.0
             assert abs(2.0 * math.e**2 * gamma * math.exp(-gamma) - alpha) <= 1e-9
 
     def test_gamma_value_near_expected(self):
-        assert 9.5 < kl_sn_gamma(0.005) < 11.0
+        assert 9.5 < BoundEngine("kl-sn", 0.005).gamma < 11.0
 
     def test_gamma_monotone(self):
-        assert kl_sn_gamma(0.01) < kl_sn_gamma(0.005)
+        assert BoundEngine("kl-sn", 0.01).gamma < BoundEngine("kl-sn", 0.005).gamma
 
     def test_pre_threshold_full_interval(self):
-        assert kl_sn_bounds(1, 2, 0.01).lo == 0.0
-        assert kl_sn_bounds(1, 2, 0.01).hi == 1.0
+        assert interval("kl-sn", 1, 2, 0.01).lo == 0.0
+        assert interval("kl-sn", 1, 2, 0.01).hi == 1.0
 
     def test_inversion_consistency(self):
-        iv = kl_sn_bounds(50, 100, 0.01)
-        beta = kl_sn_exploration_rate(100, kl_sn_gamma(0.01))
+        iv = interval("kl-sn", 50, 100, 0.01)
+        beta = kl_sn_exploration_rate(100, BoundEngine("kl-sn", 0.01).gamma)
         assert 100 * kl_bernoulli(0.5, iv.lo) == pytest.approx(beta, rel=1e-5)
         assert 100 * kl_bernoulli(0.5, iv.hi) == pytest.approx(beta, rel=1e-5)
 
     def test_eventually_narrower_than_kl_lucb(self):
         t = 10**6
-        assert kl_sn_bounds(t // 2, t, 0.01).width < kl_lucb_bounds(t // 2, t, 0.01).width
+        sn, lucb = interval("kl-sn", t // 2, t, 0.01), interval("kl-lucb", t // 2, t, 0.01)
+        assert sn.width < lucb.width
 
     def test_exploration_rates_nondecreasing_in_t(self):
-        gamma = kl_sn_gamma(0.01)
+        gamma = BoundEngine("kl-sn", 0.01).gamma
         sn = [kl_sn_exploration_rate(t, gamma) for t in range(3, 2000)]
         lucb = [lucb_exploration_rate(t, 0.01) for t in range(1, 2000)]
         assert all(b >= a for a, b in zip(sn, sn[1:]))
@@ -102,38 +103,60 @@ class TestKlSn:
 class TestA1:
     def test_forced_variance(self):
         # s=1, t=2 forces V = 1*1/2 = 0.5
-        iv = a1_bounds(1, 2, 0.01)
+        iv = interval("a1", 1, 2, 0.01)
         budget = math.log(16.0 / 0.01)
         width = math.sqrt(2.0 * 0.5 * budget / 2.0) + 7.0 * budget / 3.0
         assert iv.lo == pytest.approx(max(0.0, 0.5 - width))
         assert iv.hi == pytest.approx(min(1.0, 0.5 + width))
 
     def test_zero_variance_case(self):
-        iv = a1_bounds(0, 10, 0.01)
+        iv = interval("a1", 0, 10, 0.01)
         budget = math.log(400.0 / 0.01)
         assert iv.lo == 0.0
         assert iv.hi == pytest.approx(min(1.0, 7.0 * budget / 27.0))
 
     def test_below_two_samples_full(self):
-        assert a1_bounds(1, 1, 0.01).width == 1.0
+        assert interval("a1", 1, 1, 0.01).width == 1.0
 
     def test_wider_than_kl_lucb(self):
-        assert a1_bounds(5, 10, 0.01).width > kl_lucb_bounds(5, 10, 0.01).width
+        assert interval("a1", 5, 10, 0.01).width > interval("kl-lucb", 5, 10, 0.01).width
 
 
 class TestPprBounds:
     def test_empty_tally_full_interval(self):
-        iv = ppr_bounds(0, 0, 0.01)
+        iv = interval("ppr", 0, 0, 0.01)
         assert (iv.lo, iv.hi) == (0.0, 1.0)
 
     def test_all_successes_closed_form(self):
-        iv = ppr_bounds(10, 10, 0.01)
+        iv = interval("ppr", 10, 10, 0.01)
         assert iv.hi == 1.0
         assert iv.lo == pytest.approx((0.01 / 11.0) ** 0.1, abs=1e-6)
 
     def test_symmetric_counts(self):
-        iv = ppr_bounds(5, 10, 0.01)
+        iv = interval("ppr", 5, 10, 0.01)
         assert iv.lo == pytest.approx(1.0 - iv.hi, abs=1e-8)
+
+
+class TestIntervalPin:
+    # every engine's (lo, hi) floats over every s <= t < 25 and a few large
+    # tallies, at alphas from 0.9 down to 1e-8, packed as little-endian doubles
+    ALPHAS = (0.9, 0.1, 0.01, 1e-4, 1e-8)
+    COUNTS = [(s, t) for t in range(25) for s in range(t + 1)] + [
+        (0, 1000), (1, 1000), (499, 1000), (701, 1000), (1000, 1000),
+        (12345, 99991), (500_000, 1_000_000), (999_999, 1_000_000),
+    ]
+
+    def test_interval_floats_pinned(self):
+        digest = hashlib.sha256()
+        for kind in ENGINE_KINDS:
+            for alpha in self.ALPHAS:
+                interval = BoundEngine(kind, alpha).interval
+                for s, t in self.COUNTS:
+                    iv = interval(s, t)
+                    digest.update(struct.pack("<2d", iv.lo, iv.hi))
+        assert digest.hexdigest() == (
+            "5722473e82bdef3d18540cd14ef5dfca42122560a3d4f09e475be6c2d26b9ac9"
+        )
 
 
 @st.composite
@@ -204,14 +227,24 @@ class TestEngineInvariants:
     @pytest.mark.parametrize("alpha", [0.0005, 0.1, 0.9])
     def test_kl_sn_gamma_is_derived(self, alpha):
         engine = BoundEngine("kl-sn", alpha)
-        assert engine.gamma == kl_sn_gamma(alpha)
-        assert dataclasses.replace(engine, alpha=alpha / 2).gamma == kl_sn_gamma(alpha / 2)
+        assert engine.gamma > 1.0
+        assert abs(2.0 * math.e**2 * engine.gamma * math.exp(-engine.gamma) - alpha) <= 1e-9
+        halved = dataclasses.replace(engine, alpha=alpha / 2)
+        assert halved.gamma == BoundEngine("kl-sn", alpha / 2).gamma > engine.gamma
         assert BoundEngine("ppr", alpha).gamma == 0.0
         assert pair_beats_half(engine, 1000, 0)
         assert not pair_beats_half(engine, 5, 4)
         assert one_vs_rest_separated(engine, 1000, 0, 1000)
         with pytest.raises(TypeError):
-            BoundEngine("kl-sn", alpha, kl_sn_gamma(alpha))
+            BoundEngine("kl-sn", alpha, engine.gamma)
+
+
+    def test_kl_sn_gamma_needs_a_root(self):
+        # 2 e^2 gamma e^-gamma falls below 4.09e-84 only past the bisection's
+        # bracket at gamma = 200
+        assert BoundEngine("kl-sn", 1e-83).gamma < 200.0
+        with pytest.raises(ValueError, match="no KL-SN rate root gamma > 1 exists for alpha=1e-90"):
+            BoundEngine("kl-sn", 1e-90)
 
 
 class TestPprCoverage:

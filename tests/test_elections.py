@@ -251,14 +251,17 @@ class TestSelection:
 
         for _ in range(200):
             k, c = run.k, run.c
-            wins, losses = run.wins, run.losses
+            wins = run.wins
+            assert sum(wins) + run.unresolved == c
+            # a party can still take every seat not won by a rival
+            possible = [sum(st.winner in (None, i) for st in run.states) for i in range(k)]
             # a party leads each unresolved constituency it tops the tally of
             leads = [0] * k
             for st in run.states:
                 if st.winner is None and st.tally.total > 0:
                     leads[max(range(k), key=lambda i: (st.tally.counts[i], -i))] += 1
             a = min(range(k), key=lambda i: (-(wins[i] + leads[i]), i))
-            b = min((i for i in range(k) if i != a), key=lambda i: (-(c - losses[i]), i))
+            b = min((i for i in range(k) if i != a), key=lambda i: (-possible[i], i))
             assert (a, b) == run.dcb_contenders()
 
             def score(st, party, kind):
@@ -292,22 +295,21 @@ class TestSelection:
 
 
 class TestAccounting:
-    def test_resolution_increments_one_win_k_minus_1_losses(self):
+    def test_resolution_adds_one_win_and_closes_one_seat(self):
         inst = synthetic_election()
         run = ElectionRun(inst, "rr", "ppr-1v1", 0.1, 200, derive_stream(4, 0))
         while sum(run.wins) == 0:
             run.step()
         assert sum(run.wins) == 1
-        assert sum(run.losses) == run.k - 1
+        assert run.unresolved == run.c - 1
 
-    def test_wins_and_losses_stay_within_c(self):
+    def test_wins_and_open_seats_add_to_c(self):
         inst = synthetic_election()
         run = ElectionRun(inst, "dcb", "ppr-1v1", 0.05, 50, derive_stream(4, 1))
         for _ in range(120):
             if run.step() is not None:
                 break
-            assert all(w + l <= run.c for w, l in zip(run.wins, run.losses))
-            assert sum(run.wins) <= run.c
+            assert sum(run.wins) + run.unresolved == run.c
 
     def test_aggregate_check_arithmetic(self):
         inst = ElectionInstance(
@@ -315,12 +317,10 @@ class TestAccounting:
             tuple(Constituency(f"c{i}", (60, 40)) for i in range(3)),
         )
         run = ElectionRun(inst, "rr", "ppr-1v1", 0.1, 10, derive_stream(0, 2))
-        run.wins = [2, 0]
-        run.losses = [0, 2]
+        run.wins, run.unresolved = [2, 0], 1
         assert run.aggregate_check() == 0
-        run.wins = [1, 0]
-        run.losses = [0, 1]
-        assert run.aggregate_check() is None  # needs wins_0 > 3 - losses_1 = 2
+        run.wins, run.unresolved = [1, 0], 2
+        assert run.aggregate_check() is None  # needs wins_0 > unresolved + wins_1 = 2
 
     def test_all_zero_continues(self):
         inst = synthetic_election()
@@ -362,7 +362,7 @@ class TestTiedSeats:
         run.states[3].winner = 1
         run.unresolved -= 1
         run.wins[1] += 1
-        run.losses[0] += 1
+        assert sum(run.wins) + run.unresolved == run.c
         with pytest.raises(
             ElectionTieError, match=r"^every constituency resolved, but the seats tie: A 2, B 2$"
         ):

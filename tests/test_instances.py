@@ -263,6 +263,9 @@ class TestTallyState:
             ([1, 2, 3], r"^a batch needs K=2 counts, got 3$"),
             ([4], r"^a batch needs K=2 counts, got 1$"),
             ([], r"^a batch needs K=2 counts, got 0$"),
+            # truncating would have added [2, 0]
+            ([2.7, 0.9], r"^batch counts must be integers, got 2\.7$"),
+            ([1, np.float64(3.0)], r"^batch counts must be integers, got np\.float64\(3\.0\)$"),
         ],
     )
     @pytest.mark.parametrize("before", [[], [0, 2]])
@@ -291,6 +294,12 @@ class TestTallyState:
         tally.add_counts([3, 0, 5, 5])
         assert tally.total == 13
         assert (tally.first, tally.second) == (2, 3)
+
+    def test_bulk_add_takes_numpy_ints_as_ints(self):
+        tally = TallyState(4)
+        tally.add_counts(np.array([3, 0, 5, 5], dtype=np.int64))
+        assert tally.counts == [3, 0, 5, 5] and tally.total == 13
+        assert {type(c) for c in tally.counts} == {int}
 
     @given(
         st.lists(
