@@ -150,9 +150,9 @@ class TestIntervalPin:
         digest = hashlib.sha256()
         for kind in ENGINE_KINDS:
             for alpha in self.ALPHAS:
-                interval = BoundEngine(kind, alpha).interval
+                engine = BoundEngine(kind, alpha)
                 for s, t in self.COUNTS:
-                    iv = interval(s, t)
+                    iv = engine.interval(s, t)
                     digest.update(struct.pack("<2d", iv.lo, iv.hi))
         assert digest.hexdigest() == (
             "5722473e82bdef3d18540cd14ef5dfca42122560a3d4f09e475be6c2d26b9ac9"
