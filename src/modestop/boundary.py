@@ -47,26 +47,25 @@ class PairBoundary:
             self._grow(max(n + 1, int(BOUNDARY_GROWTH * len(self.table))))
         return self.table
 
-    def first_crossing(self, chunks, check_every: int, needs_rival=False) -> tuple[int, int] | None:
-        """(samples, declared value) at the first checked sample count whose
-        leader count reaches the boundary, or None; with needs_rival, also a
-        trailing count above 0. ``chunks`` yields (t0, samples t0 .. t0 + len
-        - 1) as value indices 0 and 1; multiples of check_every are checked."""
+    def first_crossing(self, chunks, needs_rival=False) -> tuple[int, int] | None:
+        """(samples, declared value) at the first sample count whose leader
+        count reaches the boundary, or None; with needs_rival, also a
+        trailing count above 0. ``chunks`` yields non-empty (t0, samples
+        t0 .. t0 + len - 1) as value indices 0 and 1, and every sample count
+        is checked."""
         ones = 0  # samples of value 1 before the chunk
         for t0, idx in chunks:
             cum = np.cumsum(idx, dtype=np.int64)
-            first = t0 + 1 + (check_every - 1 - t0) % check_every  # first checked count
             stop = t0 + len(idx) + 1
-            if first < stop:
-                counts = cum[first - t0 - 1 :: check_every] + ones
-                totals = np.arange(first, stop, check_every)
-                lead = np.maximum(counts, totals - counts)
-                passed = lead >= self.upto(stop - 1)[first:stop:check_every]
-                if needs_rival:
-                    passed &= lead < totals
-                r = int(passed.argmax())
-                if passed[r]:
-                    return int(totals[r]), int(2 * counts[r] > totals[r])
+            counts = cum + ones
+            totals = np.arange(t0 + 1, stop)
+            lead = np.maximum(counts, totals - counts)
+            passed = lead >= self.upto(stop - 1)[t0 + 1 : stop]
+            if needs_rival:
+                passed &= lead < totals
+            r = int(passed.argmax())
+            if passed[r]:
+                return int(totals[r]), int(2 * counts[r] > totals[r])
             ones += int(cum[-1])
         return None
 

@@ -52,7 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probs", required=True, help="comma-separated probabilities, e.g. 0.5,0.25,0.25")
     p.add_argument("--rule", required=True, choices=RULE_TOKENS)
     p.add_argument("--delta", type=float, default=0.01)
-    p.add_argument("--check-every", type=int, default=1)
     p.add_argument("--trials", type=str, default=None, help="per-trial JSONL path")
     _add_common(p)
 
@@ -125,7 +124,6 @@ def _cmd_mode_sim(args) -> int:
         delta=args.delta,
         replications=args.reps,
         master_seed=args.seed,
-        check_every=args.check_every,
         suite="mode-sim",
     )
     row, records = harness.run_experiment(spec)

@@ -16,7 +16,7 @@ from dataclasses import astuple, dataclass, fields
 from itertools import product
 
 from .instances import DiscreteInstance, derive_stream
-from .stopping import DEFAULT_SAMPLE_CAP, TrialRecord, parse_rule_token, run_mode_estimation
+from .stopping import TrialRecord, make_rule, parse_rule_token, run_mode_estimation
 
 __all__ = [
     "ExperimentSpec",
@@ -55,26 +55,16 @@ class ExperimentSpec:
     delta: float
     replications: int
     master_seed: int
-    check_every: int = 1
     suite: str = ""
     instance_label: str = ""
 
     def __post_init__(self) -> None:
         """Reject a bad spec here, before any trial runs."""
         DiscreteInstance(self.probs)
-        parse_rule_token(self.rule)
+        make_rule(self.rule, len(self.probs), self.delta)
         reps = self.replications
         if isinstance(reps, bool) or not isinstance(reps, numbers.Integral) or reps < 1:
             raise ValueError(f"replications must be an int >= 1, got {reps!r}")
-        if self.check_every < 1:
-            raise ValueError(f"check_every must be >= 1, got {self.check_every}")
-        if self.check_every > DEFAULT_SAMPLE_CAP:
-            raise ValueError(
-                f"check_every {self.check_every} exceeds the sample cap {DEFAULT_SAMPLE_CAP}, "
-                "so no sample count would be checked"
-            )
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
 
 
 @dataclass(frozen=True)
@@ -119,13 +109,7 @@ def summarize(records: list[TrialRecord], spec: ExperimentSpec) -> SummaryRow:
 def run_experiment(spec: ExperimentSpec) -> tuple[SummaryRow, list[TrialRecord]]:
     instance = DiscreteInstance(spec.probs)
     records = [
-        run_mode_estimation(
-            instance,
-            spec.rule,
-            spec.delta,
-            derive_stream(spec.master_seed, i),
-            check_every=spec.check_every,
-        )
+        run_mode_estimation(instance, spec.rule, spec.delta, derive_stream(spec.master_seed, i))
         for i in range(spec.replications)
     ]
     return summarize(records, spec), records

@@ -68,6 +68,15 @@ class DiscreteInstance:
         return self._cumulative  # type: ignore[attr-defined]
 
 
+def _as_int(value, requirement: str) -> int:
+    """value as an int, where ``int`` would truncate a float: a ValueError
+    states the requirement and names the value."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{requirement}, got {value!r}") from None
+
+
 class SeededStream:
     """A reproducible uniform stream: (master_seed, *indices) -> PCG64.
 
@@ -75,7 +84,9 @@ class SeededStream:
     is the tuple (master_seed mod 2**64, index...) fed to numpy's
     SeedSequence, and all draws consume one double each from the resulting
     PCG64 bit stream, so chunked and scalar consumption produce identical
-    sequences. Every index must be a non-negative int.
+    sequences. The master seed must be an int and every index a non-negative
+    int; numpy ints pass, and a float is rejected rather than truncated onto
+    another seed's stream.
 
     SeedSequence turns a tuple of ints into the concatenation of each int's
     little-endian uint32 words, and a value below 2**32 is one word; so when
@@ -86,8 +97,10 @@ class SeededStream:
     __slots__ = ("master_seed", "indices", "generator")
 
     def __init__(self, master_seed: int, *indices: int) -> None:
-        self.master_seed = int(master_seed)
-        self.indices = tuple(int(i) for i in indices)
+        self.master_seed = _as_int(master_seed, "master seed must be an int")
+        self.indices = tuple(
+            _as_int(i, f"stream index {pos} must be an int") for pos, i in enumerate(indices)
+        )
         for pos, i in enumerate(self.indices):
             if i < 0:
                 raise ValueError(f"stream index {pos} must be non-negative, got {i}")
@@ -222,12 +235,7 @@ class TallyState:
         """Bulk update from per-value counts; first/second by full scan. A
         batch that is not K non-negative integer counts is rejected before
         the tally changes."""
-        batch = []
-        for c in batch_counts:
-            try:
-                batch.append(operator.index(c))
-            except TypeError:
-                raise ValueError(f"batch counts must be integers, got {c!r}") from None
+        batch = [_as_int(c, "batch counts must be integers") for c in batch_counts]
         counts = self.counts
         if len(batch) != len(counts):
             raise ValueError(f"a batch needs K={len(counts)} counts, got {len(batch)}")

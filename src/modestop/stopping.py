@@ -12,18 +12,21 @@ splits delta into per-test budgets: delta/(K-1) per pair for 1v1 (see
 ``pair_test_alpha``) and delta/K per interval for 1vr. A rule on an engine
 keeps that engine, with its budget, as ``rule.engine``.
 
-``declaration_time`` runs every token one drawn chunk of the sample path at
-a time, with the verdicts and sample counts of the per-sample loop
-``scan_per_sample``, which the tests keep as the reference.
+Every rule is checked after every sample: each bound is anytime-valid, so a
+rule may stop at any sample count. ``declaration_time`` runs every token one
+drawn chunk of the sample path at a time, with the verdicts and sample
+counts of the per-sample loop ``scan_per_sample``, which the tests keep as
+the reference.
 
 At K = 2 every rule is one engine's pair test, which declares exactly when
 the leader's count reaches an integer boundary b(n), one ``PairBoundary``
 table per engine (``shared_boundary``); the scan screens ``lead >= b[n]``.
 
 At K > 2 the scan uses the rule's vectorised ``margin_rows(rows, totals)``:
-over a block of cumulative count rows it returns, per row, the statistic
-``check`` tests (for ``ppr-adaptive``, a bound on it) minus its threshold,
-and a slack bounding how far numpy's floats may drift from the scalar ones.
+over a chunk's cumulative count rows, one per sample, it returns, per row,
+the statistic ``check`` tests (for ``ppr-adaptive``, a bound on it) minus
+its threshold, and a slack bounding how far numpy's floats may drift from
+the scalar ones.
 ``check`` can declare only on rows where the margin is at most the slack,
 and the scan confirms each such row, in order, with ``check`` on exactly
 those counts. The ``ppr-1v1`` and ``ppr-adaptive`` margins are
@@ -369,9 +372,8 @@ def shared_boundary(token: str, delta: float) -> PairBoundary:
     return boundary
 
 
-def _check_limits(check_every: int, sample_cap: int) -> None:
-    if check_every < 1:
-        raise ValueError(f"check_every must be >= 1, got {check_every}")
+def _check_limits(sample_cap: int) -> None:
+    """Reject a sample cap below 1, which would leave no sample to check."""
     if sample_cap < 1:
         raise ValueError(f"sample_cap must be >= 1, got {sample_cap}")
 
@@ -392,13 +394,12 @@ def scan_per_sample(
     rule: _Rule,
     k: int,
     path: SamplePath,
-    check_every: int = 1,
     sample_cap: int = DEFAULT_SAMPLE_CAP,
 ) -> tuple[int, int] | None:
-    """Feed the path to the rule one sample at a time, checking at every
-    multiple of check_every up to sample_cap. Returns (samples, declared
-    index), or None when the rule has not declared by sample_cap."""
-    _check_limits(check_every, sample_cap)
+    """Feed the path to the rule one sample at a time, checking after every
+    sample up to sample_cap. Returns (samples, declared index), or None when
+    the rule has not declared by sample_cap."""
+    _check_limits(sample_cap)
     tally = TallyState(k)
     check = rule.check
     update = tally.update
@@ -407,16 +408,13 @@ def scan_per_sample(
         for i in idx.tolist():
             t += 1
             update(i)
-            if t % check_every == 0:
-                verdict = check(tally)
-                if verdict is not None:
-                    return t, verdict
+            verdict = check(tally)
+            if verdict is not None:
+                return t, verdict
     return None
 
 
-def _scan_chunks(
-    rule: _Rule, k: int, path: SamplePath, check_every: int, sample_cap: int
-) -> tuple[int, int] | None:
+def _scan_chunks(rule: _Rule, k: int, path: SamplePath, sample_cap: int) -> tuple[int, int] | None:
     """``scan_per_sample`` one drawn chunk of the path at a time: every row
     that passes the rule's ``margin_rows`` screen is confirmed, in order, by
     ``rule.check`` on the tally the per-sample loop holds there."""
@@ -431,21 +429,18 @@ def _scan_chunks(
             first_seen[new] = t0 + np.argmax(counts[new] > 0, axis=1)
         counts += carry
         carry = counts[:, -1:].copy()
-        # the first row whose sample count t0 + row + 1 is a multiple of check_every
-        start = (check_every - 1 - t0) % check_every
-        rows = counts[:, start::check_every].T
-        if len(rows):
-            totals = np.arange(t0 + start + 1, t0 + len(idx) + 1, check_every)
-            margin, slack = rule.margin_rows(rows, totals)
-            for r in np.flatnonzero(margin <= slack):
-                tally = TallyState(k)
-                tally.add_counts(rows[r])
-                # add_counts discovers a batch in index order; the loop's tally
-                # lists values in order of first appearance
-                tally.order.sort(key=first_seen.__getitem__)
-                verdict = rule.check(tally)
-                if verdict is not None:
-                    return int(totals[r]), verdict
+        rows = counts.T
+        totals = np.arange(t0 + 1, t0 + len(idx) + 1)
+        margin, slack = rule.margin_rows(rows, totals)
+        for r in np.flatnonzero(margin <= slack):
+            tally = TallyState(k)
+            tally.add_counts(rows[r])
+            # add_counts discovers a batch in index order; the loop's tally
+            # lists values in order of first appearance
+            tally.order.sort(key=first_seen.__getitem__)
+            verdict = rule.check(tally)
+            if verdict is not None:
+                return int(totals[r]), verdict
     return None
 
 
@@ -454,7 +449,6 @@ def declaration_time(
     rule_token: str,
     delta: float,
     path: SamplePath,
-    check_every: int = 1,
     sample_cap: int = DEFAULT_SAMPLE_CAP,
 ) -> tuple[int, int]:
     """Run one rule over a (possibly shared) sample path.
@@ -462,14 +456,14 @@ def declaration_time(
     Returns (samples consumed, declared index). Raises SampleCapExceeded when
     the rule has not declared after sample_cap samples.
     """
-    _check_limits(check_every, sample_cap)
+    _check_limits(sample_cap)
     k = instance.k
     if k == 2:
         found = shared_boundary(rule_token, delta).first_crossing(
-            _path_chunks(path, sample_cap), check_every, rule_token == "ppr-adaptive"
+            _path_chunks(path, sample_cap), rule_token == "ppr-adaptive"
         )
     else:
-        found = _scan_chunks(make_rule(rule_token, k, delta), k, path, check_every, sample_cap)
+        found = _scan_chunks(make_rule(rule_token, k, delta), k, path, sample_cap)
     if found is None:
         raise SampleCapExceeded(
             f"rule {rule_token} did not declare within {sample_cap} samples "
@@ -483,14 +477,11 @@ def run_mode_estimation(
     rule_token: str,
     delta: float,
     stream: SeededStream,
-    check_every: int = 1,
     sample_cap: int = DEFAULT_SAMPLE_CAP,
 ) -> TrialRecord:
     """Draw i.i.d. samples from the instance until the rule declares."""
     path = SamplePath(instance, stream)
-    samples, declared = declaration_time(
-        instance, rule_token, delta, path, check_every=check_every, sample_cap=sample_cap
-    )
+    samples, declared = declaration_time(instance, rule_token, delta, path, sample_cap=sample_cap)
     truth = instance.true_mode
     return TrialRecord(
         samples=samples,

@@ -110,6 +110,12 @@ def ppr_1v1_upper(p1: float, p2: float, k: int, delta: float) -> float:
 
 
 def bound_report(p1: float, p2: float, k: int, delta: float) -> BoundReport:
+    """The four calculators at the top two probabilities p1 > p2 of a
+    K-valued distribution, which needs p1 + p2 <= 1 <= p1 + (K-1) p2 within
+    1e-9 (p2 = 1 - p1 at K = 2)."""
+    _check_k(k)
+    if not p1 + p2 - 1e-9 <= 1.0 <= p1 + (k - 1) * p2 + 1e-9:
+        raise ValueError(f"need p1 + p2 <= 1 <= p1 + (K-1) p2, got p1={p1}, p2={p2}, K={k}")
     return BoundReport(
         lower=lower_bound(p1, p2, delta),
         a1_upper=a1_upper_bound(p1, p2, k, delta),

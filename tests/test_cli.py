@@ -53,17 +53,14 @@ class TestModeSim:
         assert main(["mode-sim", "--probs", "0.5,0.4", "--rule", "ppr-1v1"]) == 1
         assert "error" in capsys.readouterr().err
 
-    def test_rejects_check_every_above_sample_cap(self, monkeypatch, capsys):
-        calls = []
-        monkeypatch.setattr(harness, "run_mode_estimation", lambda *a, **kw: calls.append(a))
+    def test_rejects_check_every(self, capsys):
+        # every rule is checked after every sample, so mode-sim takes no such flag
         argv = ["mode-sim", "--probs", "0.6,0.4", "--rule", "ppr-1v1", "--reps", "2",
-                "--check-every", "2000000000"]
-        assert main(argv) == 1
-        assert capsys.readouterr() == ("", (
-            "error: check_every 2000000000 exceeds the sample cap 1000000000, "
-            "so no sample count would be checked\n"
-        ))
-        assert calls == []
+                "--check-every", "7"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --check-every 7" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
         ["mode-sim", "--probs", "0.6,0.4", "--rule", "ppr-1v1", "--reps", "2"],
@@ -88,6 +85,17 @@ class TestBounds:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "quantity,samples"
         assert len(lines) == 5
+
+    @pytest.mark.parametrize("p1, p2, k", [
+        ("0.9", "0.8", "3"),  # p1 + p2 > 1
+        ("0.6", "0.3", "2"),  # K = 2 needs p2 = 1 - p1
+        ("0.5", "0.1", "4"),  # p1 + (K-1) p2 < 1
+    ])
+    def test_rejects_point_that_is_no_distribution(self, p1, p2, k, capsys):
+        assert main(["bounds", "--p1", p1, "--p2", p2, "--k", k]) == 1
+        assert capsys.readouterr() == ("", (
+            f"error: need p1 + p2 <= 1 <= p1 + (K-1) p2, got p1={p1}, p2={p2}, K={k}\n"
+        ))
 
 
 class TestVerify:

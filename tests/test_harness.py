@@ -46,8 +46,8 @@ class TestExperimentSpec:
         "field, value, message",
         [
             ("rule", "ppr-2v2", "unknown rule token 'ppr-2v2'"),
-            ("check_every", 0, "check_every must be >= 1, got 0"),
-            ("check_every", -3, "check_every must be >= 1, got -3"),
+            ("delta", 0.0, r"delta must lie in \(0, 1\), got 0.0"),
+            ("delta", math.nan, r"delta must lie in \(0, 1\), got nan"),
             ("replications", 0, "replications must be an int >= 1, got 0"),
             ("replications", True, "replications must be an int >= 1, got True"),
             ("replications", 2.0, "replications must be an int >= 1, got 2.0"),
@@ -68,10 +68,9 @@ class TestExperimentSpec:
         rule=st.sampled_from(RULE_TOKENS + ("ppr", "md", "kl-1v1", "")),
         delta=UNIT_FLOATS,
         replications=st.one_of(st.integers(-3, 5), st.booleans(), st.floats(0, 5)),
-        check_every=st.integers(-3, 5),
     )
     @settings(max_examples=300, deadline=None)
-    def test_accepts_exactly_the_valid_specs(self, probs, rule, delta, replications, check_every):
+    def test_accepts_exactly_the_valid_specs(self, probs, rule, delta, replications):
         try:
             DiscreteInstance(probs)
             valid_probs = True
@@ -82,15 +81,20 @@ class TestExperimentSpec:
             and rule in RULE_TOKENS
             and type(replications) is int
             and replications >= 1
-            and check_every >= 1
             and 0.0 < delta < 1.0
         )
+        if valid and rule.startswith("kl-sn"):
+            # the rule's engine needs a KL-SN rate root, which a budget of
+            # alpha <= 2 e^2 * 200 e^-200 (about 4.09e-84) does not have
+            k = len(probs)
+            alpha = delta / (k - 1) if rule.endswith("1v1") else delta / k
+            valid = alpha / (2.0 * math.e**2) > 200.0 * math.exp(-200.0)
         kw = dict(probs=probs, rule=rule, delta=delta, replications=replications)
         if valid:
-            _spec(check_every=check_every, **kw)
+            _spec(**kw)
         else:
             with pytest.raises(ValueError):
-                _spec(check_every=check_every, **kw)
+                _spec(**kw)
 
 
 class TestSummarize:

@@ -201,6 +201,27 @@ class TestSeededStream:
             derive_stream(1, *indices)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "words, message",
+        [
+            # int() would have truncated this onto derive_stream(3, 1)
+            ((3.7, 1.9), "master seed must be an int, got 3.7"),
+            ((3, 1.9), "stream index 0 must be an int, got 1.9"),
+            ((3, 1, np.float64(2.0)), "stream index 1 must be an int, got np.float64(2.0)"),
+            (("3", 1), "master seed must be an int, got '3'"),
+        ],
+    )
+    def test_rejects_non_int_seed_or_index(self, words, message):
+        with pytest.raises(ValueError) as err:
+            derive_stream(*words)
+        assert str(err.value) == message
+
+    def test_numpy_ints_seed_as_python_ints(self):
+        stream = derive_stream(np.int64(-4), np.uint32(2), np.int16(9))
+        assert (stream.master_seed, stream.indices) == (-4, (2, 9))
+        assert type(stream.master_seed) is int and all(type(i) is int for i in stream.indices)
+        assert np.array_equal(stream.uniforms(8), derive_stream(-4, 2, 9).uniforms(8))
+
 
 class TestTallyState:
     def test_lowest_index_tie_break(self):

@@ -400,14 +400,13 @@ class _ObservedAdaptiveRule:
         return self._labels[best]
 
 
-def _observed_scan(delta, path, check_every, sample_cap):
+def _observed_scan(delta, path, sample_cap):
     rule = _ObservedAdaptiveRule(delta)
     for t in range(1, sample_cap + 1):
         rule.observe(path[t - 1])
-        if t % check_every == 0:
-            verdict = rule.check()
-            if verdict is not None:
-                return t, verdict
+        verdict = rule.check()
+        if verdict is not None:
+            return t, verdict
     return None
 
 
@@ -436,12 +435,11 @@ class TestPprAdaptiveParity:
             probs = tuple(float(w) for w in weights / weights.sum())
             inst = DiscreteInstance(probs[:-1] + (1.0 - sum(probs[:-1]),))
             delta = float(rng.choice([0.01, 0.1, 0.3]))
-            check_every = (1, 7)[i % 2]
             cap = 20_000
             path = SamplePath(inst, derive_stream(41, i))
-            expected = _observed_scan(delta, path, check_every, cap)
-            got = scan_per_sample(PprAdaptiveRule(delta), k, path, check_every, cap)
-            assert got == expected, (probs, delta, check_every)
+            expected = _observed_scan(delta, path, cap)
+            got = scan_per_sample(PprAdaptiveRule(delta), k, path, cap)
+            assert got == expected, (probs, delta)
             cases += expected is not None
         assert cases >= 200
 
@@ -522,19 +520,6 @@ class TestRunner:
             scan_per_sample(make_rule("ppr-md", 3, 0.01), 3, path, sample_cap=cap)
         assert str(err.value) == message
 
-    @pytest.mark.parametrize("check_every", [0, -2])
-    def test_rejects_check_every_below_one(self, check_every):
-        path = SamplePath(P1, derive_stream(0, 0))
-        with pytest.raises(ValueError, match=f"^check_every must be >= 1, got {check_every}$"):
-            declaration_time(P1, "kl-sn-1vr", 0.01, path, check_every=check_every)
-        with pytest.raises(ValueError, match=f"^check_every must be >= 1, got {check_every}$"):
-            scan_per_sample(make_rule("ppr-md", 3, 0.01), 3, path, check_every=check_every)
-
-    def test_check_every_delays_declaration_to_multiple(self):
-        inst = DiscreteInstance((1.0, 0.0))
-        rec = run_mode_estimation(inst, "ppr-1v1", 0.01, derive_stream(0, 0), check_every=5)
-        assert rec.samples == 15  # first multiple of 5 at or past 11
-
     def test_declaration_always_most_frequent(self):
         for token in ("ppr-1v1", "ppr-1vr", "ppr-md", "kl-sn-1v1"):
             for i in range(10):
@@ -568,16 +553,28 @@ class _CountingStream(SeededStream):
         return super().uniforms(n)
 
 
-def _kernel(inst, token, delta, path, check_every=1, sample_cap=DEFAULT_SAMPLE_CAP):
+def _kernel(inst, token, delta, path, sample_cap=DEFAULT_SAMPLE_CAP):
     try:
-        return declaration_time(inst, token, delta, path, check_every, sample_cap)
+        return declaration_time(inst, token, delta, path, sample_cap)
     except SampleCapExceeded:
         return None
 
 
-def _oracle(inst, token, delta, path, check_every=1, sample_cap=DEFAULT_SAMPLE_CAP):
+def _oracle(inst, token, delta, path, sample_cap=DEFAULT_SAMPLE_CAP):
     # the scalar rule fed one sample at a time
-    return scan_per_sample(make_rule(token, inst.k, delta), inst.k, path, check_every, sample_cap)
+    return scan_per_sample(make_rule(token, inst.k, delta), inst.k, path, sample_cap)
+
+
+class _RecutPath:
+    """The first samples of a real path, cut into chunks at the given sample
+    counts: the scans read a path only through ``chunk(c)``."""
+
+    def __init__(self, path, n, cuts):
+        samples = np.array([path[j] for j in range(n)], dtype=path.chunk(0).dtype)
+        self._chunks = np.split(samples, sorted({c for c in cuts if 0 < c < n}))
+
+    def chunk(self, c):
+        return self._chunks[c]
 
 
 KERNEL_INSTANCES = dict(
@@ -589,16 +586,16 @@ KERNEL_INSTANCES = dict(
     # rare values keep being discovered late, which orders ppr-adaptive's budgets
     K10_rare=(0.3, 0.25, 0.2, 0.1, 0.05, 0.04, 0.03, 0.01, 0.01, 0.01),
 )
-EASY = DiscreteInstance((0.8, 0.1, 0.1))  # every rule declares within 1024 samples
 
 
 class TestChunkKernels:
     """declaration_time's chunked screens against the per-sample loop."""
 
     @pytest.mark.parametrize("token", RULE_TOKENS)
-    @pytest.mark.parametrize("check_every", [1, 5, 1000])
+    @pytest.mark.parametrize("block", [1, 5, 1000])
     @pytest.mark.parametrize("name", list(KERNEL_INSTANCES))
-    def test_matches_scalar_oracle(self, name, check_every, token):
+    def test_matches_scalar_oracle(self, name, block, token):
+        # block is the streams' first index: three sets of paths per cell
         inst = DiscreteInstance(KERNEL_INSTANCES[name])
         # the per-sample oracle needs seconds a trial for the slower rules on
         # the two hard instances
@@ -607,10 +604,10 @@ class TestChunkKernels:
         else:
             streams = 1 if name in ("P5", "P6") else 2
         for i in range(streams):
-            kernel_stream = _CountingStream(29, check_every, i)
-            oracle_stream = _CountingStream(29, check_every, i)
-            got = _kernel(inst, token, 0.1, SamplePath(inst, kernel_stream), check_every)
-            expected = _oracle(inst, token, 0.1, SamplePath(inst, oracle_stream), check_every)
+            kernel_stream = _CountingStream(29, block, i)
+            oracle_stream = _CountingStream(29, block, i)
+            got = _kernel(inst, token, 0.1, SamplePath(inst, kernel_stream))
+            expected = _oracle(inst, token, 0.1, SamplePath(inst, oracle_stream))
             assert expected is not None
             assert got == expected
             assert kernel_stream.drawn == oracle_stream.drawn
@@ -627,32 +624,36 @@ class TestChunkKernels:
             path = SamplePath(inst, kernel_stream)
             with pytest.raises(SampleCapExceeded):
                 declaration_time(inst, token, 0.01, path, sample_cap=cap)
-            assert _oracle(inst, token, 0.01, SamplePath(inst, oracle_stream), 1, cap) is None
+            assert _oracle(inst, token, 0.01, SamplePath(inst, oracle_stream), cap) is None
             assert kernel_stream.drawn == oracle_stream.drawn
 
     @pytest.mark.parametrize("token", RULE_TOKENS)
-    @pytest.mark.parametrize("check_every", [1, 1025])
-    def test_cap_one_short_of_declaration(self, token, check_every):
-        # inside the first chunk, and exactly at its end for a declaration
-        # on the first row of the second chunk
+    def test_cap_one_short_of_declaration(self, token):
+        # inside the first chunk
         def path(i):
             return SamplePath(P1, derive_stream(8, i))
 
         for i in range(5):
-            t, declared = _oracle(P1, token, 0.01, path(i), check_every)
+            t, declared = _oracle(P1, token, 0.01, path(i))
             for cap, expected in ((t - 1, None), (t, (t, declared))):
-                assert _kernel(P1, token, 0.01, path(i), check_every, cap) == expected
-                assert _oracle(P1, token, 0.01, path(i), check_every, cap) == expected
+                assert _kernel(P1, token, 0.01, path(i), cap) == expected
+                assert _oracle(P1, token, 0.01, path(i), cap) == expected
 
     @pytest.mark.parametrize("token", RULE_TOKENS)
-    @pytest.mark.parametrize("check_every", [1024, 1025, 4096, 4097, 8192, 8193])
-    def test_declaration_at_chunk_edge(self, token, check_every):
-        # the last row of a chunk, and the first row of the next: chunks end
-        # at samples 1024, 2048, 4096 and then every 4096
-        for i in range(5):
-            got = _kernel(EASY, token, 0.01, SamplePath(EASY, derive_stream(8, i)), check_every)
-            expected = _oracle(EASY, token, 0.01, SamplePath(EASY, derive_stream(8, i)), check_every)
-            assert got == expected == (check_every, 0)
+    @pytest.mark.parametrize("edge", ["last", "first"])
+    @pytest.mark.parametrize("name", ["K2_close", "P1", "K10_rare"])
+    def test_declaration_at_chunk_edge(self, name, edge, token):
+        # the path re-cut so that the declaring sample t is the last row of
+        # a chunk, or the first row of the next; a cap of t - 1 then ends
+        # exactly at a chunk's end
+        inst = DiscreteInstance(KERNEL_INSTANCES[name])
+        for i in range(2):
+            path = SamplePath(inst, derive_stream(8, i))
+            t, declared = _oracle(inst, token, 0.1, path)
+            edge_cut = t if edge == "last" else t - 1
+            recut = _RecutPath(path, t + 7, (t // 3, edge_cut))
+            assert _kernel(inst, token, 0.1, recut) == (t, declared)
+            assert _kernel(inst, token, 0.1, recut, t - 1) is None
 
     @pytest.mark.parametrize("token", RULE_TOKENS)
     def test_shared_path_either_order(self, token):
