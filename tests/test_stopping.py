@@ -577,6 +577,21 @@ class _RecutPath:
         return self._chunks[c]
 
 
+# the sample counts at which a drawn path's first chunks end: 1024, 2048,
+# 4096, then every 4096
+CHUNK_ENDS = (1024, 2048, 4096, 8192)
+
+
+def _cut_as_at(path, t, row):
+    """The first samples of ``path``, re-cut so that its declaring sample t
+    stands where sample ``row`` stands on a drawn path: the last row of a
+    chunk when one ends at ``row``, the first row of the next when one ends
+    at ``row - 1``. The chunk ends before it shrink in proportion."""
+    end = row if row in CHUNK_ENDS else row - 1
+    edge = t if end == row else t - 1
+    return _RecutPath(path, t + 7, [edge * e // end for e in CHUNK_ENDS if e <= end])
+
+
 KERNEL_INSTANCES = dict(
     TABLE1_INSTANCES,
     K2=(0.6, 0.4),
@@ -628,32 +643,35 @@ class TestChunkKernels:
             assert kernel_stream.drawn == oracle_stream.drawn
 
     @pytest.mark.parametrize("token", RULE_TOKENS)
-    def test_cap_one_short_of_declaration(self, token):
-        # inside the first chunk
+    @pytest.mark.parametrize("row", [1, 1025])
+    def test_cap_one_short_of_declaration(self, token, row):
+        # row 1 keeps the path as drawn; row 1025 re-cuts it to declare on
+        # the second chunk's first row, so that a cap of t - 1 ends exactly
+        # at the first chunk's end
         def path(i):
             return SamplePath(P1, derive_stream(8, i))
 
         for i in range(5):
             t, declared = _oracle(P1, token, 0.01, path(i))
             for cap, expected in ((t - 1, None), (t, (t, declared))):
-                assert _kernel(P1, token, 0.01, path(i), cap) == expected
-                assert _oracle(P1, token, 0.01, path(i), cap) == expected
+                for scan in (_kernel, _oracle):
+                    cut = path(i) if row == 1 else _cut_as_at(path(i), t, row)
+                    assert scan(P1, token, 0.01, cut, cap) == expected
 
     @pytest.mark.parametrize("token", RULE_TOKENS)
-    @pytest.mark.parametrize("edge", ["last", "first"])
-    @pytest.mark.parametrize("name", ["K2_close", "P1", "K10_rare"])
-    def test_declaration_at_chunk_edge(self, name, edge, token):
+    @pytest.mark.parametrize("row", [1024, 1025, 4096, 4097, 8192, 8193])
+    def test_declaration_at_chunk_edge(self, token, row):
         # the path re-cut so that the declaring sample t is the last row of
-        # a chunk, or the first row of the next; a cap of t - 1 then ends
-        # exactly at a chunk's end
-        inst = DiscreteInstance(KERNEL_INSTANCES[name])
-        for i in range(2):
-            path = SamplePath(inst, derive_stream(8, i))
-            t, declared = _oracle(inst, token, 0.1, path)
-            edge_cut = t if edge == "last" else t - 1
-            recut = _RecutPath(path, t + 7, (t // 3, edge_cut))
-            assert _kernel(inst, token, 0.1, recut) == (t, declared)
-            assert _kernel(inst, token, 0.1, recut, t - 1) is None
+        # a drawn path's first, third or fourth chunk, or the first row of
+        # the next; a cap of t - 1 then ends exactly at a chunk's end
+        for name in ("K2_close", "P1", "K10_rare"):
+            inst = DiscreteInstance(KERNEL_INSTANCES[name])
+            for i in range(2):
+                path = SamplePath(inst, derive_stream(8, i))
+                t, declared = _oracle(inst, token, 0.1, path)
+                recut = _cut_as_at(path, t, row)
+                assert _kernel(inst, token, 0.1, recut) == (t, declared)
+                assert _kernel(inst, token, 0.1, recut, t - 1) is None
 
     @pytest.mark.parametrize("token", RULE_TOKENS)
     def test_shared_path_either_order(self, token):
