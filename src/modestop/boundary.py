@@ -27,9 +27,10 @@ class PairBoundary:
     the scalar ``passes(lead, n)``; both are read only for lead > n / 2, and
     the test must pass for every lead from b(n) to n.
 
-    Each new segment of the table is found on the float margin, mostly in
-    one vectorised call (see ``solve``); ``passes`` settles the few entries
-    whose margin at b or b - 1 lies within the slack, so the table is exact.
+    Each new segment of the table is found on the float margin in one
+    vectorised call (see ``solve``); ``passes`` settles the few entries
+    whose margin at b or b - 1 lies within the slack, and solves the rarer
+    ones the call misses, so the table is exact.
     The table grows by at least ``BOUNDARY_GROWTH`` at a time, and every
     growth checks that b steps by 0 or 1 from one n to the next.
     """
@@ -91,9 +92,9 @@ class PairBoundary:
         A few anchor totals (n's ends and the halvings of its last total)
         are solved by the scalar test. Between them b is guessed by
         interpolating z = (2b - n) / sqrt(n), which varies slowly, in log n.
-        One float-margin call over a window around each guess brackets b,
-        and a bisection on the float margin finishes the entries whose
-        window missed it."""
+        One float-margin call over a window around each guess brackets b;
+        the rare total whose window misses b is solved by the scalar test,
+        as the anchors are."""
         n_first, n_end = int(n[0]), int(n[-1])
         halvings = (n_end >> k for k in range(n_end.bit_length()))
         anchors = sorted({n_first} | {a for a in halvings if a >= n_first})
@@ -116,20 +117,11 @@ class PairBoundary:
         has_hi, has_lo = first < window.shape[1], first > 0
         hi = np.where(has_hi, np.minimum(window[rows, at_hi], n + 1), n + 1)
         lo = np.where(has_lo, np.maximum(window[rows, at_lo], n // 2), n // 2)
-        near_hi = has_hi & near[rows, at_hi]
-        near_lo = has_lo & near[rows, at_lo]
-        while True:
-            live = np.flatnonzero(hi - lo > 1)
-            if not len(live):
-                break
-            mid = (lo[live] + hi[live]) // 2
-            margin, slack = self._margin(mid, n[live])
-            passed = margin <= 0
-            near = np.abs(margin) <= slack
-            up, down = live[passed], live[~passed]
-            hi[up], near_hi[up] = mid[passed], near[passed]
-            lo[down], near_lo[down] = mid[~passed], near[~passed]
-        for r in np.flatnonzero(near_lo | near_hi).tolist():
+        near_b = has_hi & near[rows, at_hi] | has_lo & near[rows, at_lo]
+        missed = hi - lo > 1  # the window did not bracket b
+        for r in np.flatnonzero(missed).tolist():
+            hi[r] = self._bisect(int(n[r]))
+        for r in np.flatnonzero(near_b & ~missed).tolist():
             hi[r] = self._settle(int(hi[r]), int(n[r]))
         return hi
 

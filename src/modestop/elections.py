@@ -304,8 +304,6 @@ class ElectionRun:
 
     def rr_select(self) -> int:
         """Next unresolved constituency in id order, continuing the cycle."""
-        if self.unresolved == 0:
-            raise SampleCapExceeded("round-robin selection with every constituency resolved")
         n = self.c
         for _ in range(n):
             st = self.states[self._rr_cursor % n]
@@ -333,13 +331,11 @@ class ElectionRun:
 
         Contender a scores min_{j != a} (ucb[a, j] - lcb[j, a]) and contender
         b scores max_{j != b} (ucb[j, b] - lcb[b, j]). Ties break toward the
-        lowest constituency id (``argmax`` takes the first maximum); with no
-        unresolved constituency left, each slot falls back to round-robin.
+        lowest constituency id (``argmax`` takes the first maximum). ``step``
+        runs only while a constituency is unresolved.
         """
         a, b = self.dcb_contenders()
         resolved = np.array([st.winner is not None for st in self.states])
-        if resolved.all():
-            return self.rr_select(), self.rr_select()
         score_a = np.delete(self.ucb[:, a, :] - self.lcb[:, :, a], a, axis=1).min(axis=1)
         score_b = np.delete(self.ucb[:, :, b] - self.lcb[:, b, :], b, axis=1).max(axis=1)
         score_a[resolved] = score_b[resolved] = -math.inf

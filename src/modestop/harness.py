@@ -15,7 +15,7 @@ import numbers
 from dataclasses import astuple, dataclass, fields
 from itertools import product
 
-from .instances import DiscreteInstance, derive_stream
+from .instances import DiscreteInstance, _as_int, derive_stream
 from .stopping import TrialRecord, make_rule, parse_rule_token, run_mode_estimation
 
 __all__ = [
@@ -59,9 +59,16 @@ class ExperimentSpec:
     instance_label: str = ""
 
     def __post_init__(self) -> None:
-        """Reject a bad spec here, before any trial runs."""
+        """Reject a bad spec here, before any trial runs; ppr-adaptive, which
+        never declares a lone answer, needs two values of positive probability."""
         DiscreteInstance(self.probs)
         make_rule(self.rule, len(self.probs), self.delta)
+        if self.rule == "ppr-adaptive" and sum(p > 0 for p in self.probs) < 2:
+            raise ValueError(
+                "ppr-adaptive never declares a lone answer, so it needs two values of "
+                f"positive probability, got probs {self.probs}"
+            )
+        _as_int(self.master_seed, "master seed must be an int")
         reps = self.replications
         if isinstance(reps, bool) or not isinstance(reps, numbers.Integral) or reps < 1:
             raise ValueError(f"replications must be an int >= 1, got {reps!r}")

@@ -31,7 +31,6 @@ __all__ = [
     "Interval",
     "LogGammaTable",
     "LOG_GAMMA",
-    "ln_gamma_int",
     "log_beta_pdf",
     "beta_pdf",
     "log_beta_pdf_half",
@@ -115,7 +114,7 @@ class LogGammaTable:
 
     def __call__(self, n: int) -> float:
         if n < 1:
-            raise ValueError(f"ln_gamma_int requires n >= 1, got {n}")
+            raise ValueError(f"LogGammaTable requires n >= 1, got {n}")
         try:
             return self._view[n]
         except IndexError:
@@ -134,11 +133,6 @@ class LogGammaTable:
 
 
 LOG_GAMMA = LogGammaTable()
-
-
-def ln_gamma_int(n: int) -> float:
-    """ln Gamma(n) = ln (n-1)! for integer n >= 1."""
-    return LOG_GAMMA(n)
 
 
 def log_beta_pdf(x: float, a: int, b: int) -> float:
@@ -351,6 +345,4 @@ def posterior_level_crossings(a: int, b: int, level: float) -> Interval:
         hi = 1.0
     else:
         hi = _bisect_flank(a, b, log_level, x_fail=1.0, x_ok=mode)
-    if lo > hi:  # both flanks collapsed onto the mode within tolerance
-        lo = hi = mode
     return Interval(lo, hi)

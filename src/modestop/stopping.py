@@ -56,7 +56,7 @@ from .bounds import (
     pair_margin_array,
 )
 from .instances import DiscreteInstance, SamplePath, SeededStream, TallyState
-from .numerics import LN2, LOG_GAMMA, ln_gamma_int, log_beta_pdf_half, log_beta_pdf_half_array
+from .numerics import LN2, LOG_GAMMA, log_beta_pdf_half, log_beta_pdf_half_array
 
 __all__ = [
     "SampleCapExceeded",
@@ -210,7 +210,7 @@ class PprMdRule(_Rule):
     def __init__(self, k: int, delta: float) -> None:
         _validate(delta, k)
         self._k = k
-        self._log_threshold = math.log(delta) - ln_gamma_int(k)
+        self._log_threshold = math.log(delta) - LOG_GAMMA(k)
 
     def slice_log_quantity(self, tally: TallyState, j: int) -> float:
         """The log quantity at the slice maximizer of the leader's rival j,

@@ -62,6 +62,17 @@ class TestModeSim:
         assert exc.value.code == 2
         assert "unrecognized arguments: --check-every 7" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("probs", ["1,0", "1,0,0"])
+    def test_rejects_adaptive_on_a_lone_value(self, probs, capsys):
+        # ppr-adaptive never declares a lone answer: fail at once, not at the sample cap
+        argv = ["mode-sim", "--probs", probs, "--rule", "ppr-adaptive", "--reps", "1"]
+        assert main(argv) == 1
+        shown = ", ".join(["1.0"] + ["0.0"] * probs.count(","))
+        assert capsys.readouterr() == ("", (
+            "error: ppr-adaptive never declares a lone answer, so it needs two values of "
+            f"positive probability, got probs ({shown})\n"
+        ))
+
     @pytest.mark.parametrize("command", [
         ["mode-sim", "--probs", "0.6,0.4", "--rule", "ppr-1v1", "--reps", "2"],
         ["figure1", "--p1", "0.9", "--reps", "2"],

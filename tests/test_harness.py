@@ -2,6 +2,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,11 +55,30 @@ class TestExperimentSpec:
             ("probs", (0.5, 0.4), "probabilities must sum to 1, got 0.9"),
             ("probs", (0.5, 0.5), "the mode must be strictly unique"),
             ("delta", 1.0, r"delta must lie in \(0, 1\), got 1.0"),
+            ("master_seed", 3.7, "master seed must be an int, got 3.7"),
         ],
     )
     def test_rejects(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             _spec(**{field: value})
+
+    @pytest.mark.parametrize("probs", [(1.0, 0.0), (1.0, 0.0, 0.0)])
+    def test_rejects_adaptive_on_a_lone_value(self, probs, monkeypatch):
+        # ppr-adaptive never declares a lone answer, so no trial may start
+        calls = []
+        monkeypatch.setattr(harness, "run_mode_estimation", lambda *a: calls.append(a))
+        message = (
+            "ppr-adaptive never declares a lone answer, so it needs two values of "
+            f"positive probability, got probs {re.escape(str(probs))}$"
+        )
+        with pytest.raises(ValueError, match=message):
+            run_experiment(_spec(probs=probs, rule="ppr-adaptive"))
+        assert calls == []
+        _spec(probs=probs, rule="ppr-1v1")  # the other rules declare a lone value
+
+    def test_accepts_numpy_and_negative_seeds(self):
+        assert _spec(master_seed=np.int64(7)).master_seed == 7
+        assert _spec(master_seed=-5).master_seed == -5
 
     @given(
         probs=st.one_of(
@@ -83,6 +103,9 @@ class TestExperimentSpec:
             and replications >= 1
             and 0.0 < delta < 1.0
         )
+        if valid and rule == "ppr-adaptive":
+            # it never declares a lone answer
+            valid = sum(p > 0 for p in probs) >= 2
         if valid and rule.startswith("kl-sn"):
             # the rule's engine needs a KL-SN rate root, which a budget of
             # alpha <= 2 e^2 * 200 e^-200 (about 4.09e-84) does not have

@@ -216,7 +216,8 @@ class TestPairBoundaries:
     fixed pair total n every engine's pair test passes exactly for the
     leader counts s >= b(n), and b steps by 0 or 1 as n grows."""
 
-    @pytest.mark.parametrize("alpha", [0.0005, 0.01, 0.1, 0.25])
+    # at alpha 1e-8 and 1e-6, a1's float window misses b for some n in 151 .. 232
+    @pytest.mark.parametrize("alpha", [1e-8, 1e-6, 0.0005, 0.01, 0.1, 0.25])
     @pytest.mark.parametrize("kind", ENGINE_KINDS)
     def test_steps_and_scalar_verdicts(self, kind, alpha):
         # the K = 2 1v1 rule tests its pair at delta, halved for a1
