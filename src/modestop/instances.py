@@ -126,11 +126,12 @@ class SamplePath:
     """Lazily drawn i.i.d. sample path from one instance and stream.
 
     Uniforms are drawn one chunk at a time, on the schedule at
-    ``PATH_CHUNK``; each drawn chunk is kept as an array of sample indices of
-    the smallest unsigned type that holds K - 1 (1 byte a sample for
-    K <= 256), and this list of chunks is the path's only storage. PCG64
-    draws ``random(a)`` then ``random(b)`` as ``random(a + b)``, so the
-    samples do not depend on the schedule. Readers walk the path chunk by
+    ``PATH_CHUNK``; a sample's value index is the number of cumulative
+    bounds at or below its uniform. Each drawn chunk is kept as an array of
+    sample indices of the smallest unsigned type that holds K - 1 (1 byte a
+    sample for K <= 256), and this list of chunks is the path's only
+    storage. PCG64 draws ``random(a)`` then ``random(b)`` as
+    ``random(a + b)``, so the samples do not depend on the schedule. Readers walk the path chunk by
     chunk; ``path[t]`` indexes into the chunk holding sample t. A path shared
     across stopping rules gives every rule the same sample sequence, whichever
     rule reads first.
@@ -149,8 +150,10 @@ class SamplePath:
         while c >= len(chunks):
             n = len(chunks)
             us = self._stream.uniforms(_chunk_start(n + 1) - _chunk_start(n))
-            idx = np.searchsorted(self._cum, us, side="right")
-            chunks.append(idx.astype(np.min_scalar_type(len(self._cum) - 1)))
+            # a sample's value is the number of cumulative bounds at or below
+            # its uniform, searchsorted(cum, us, side="right") as cum[-1] is 1.0
+            bounds = self._cum[:-1, None]
+            chunks.append((us >= bounds).sum(axis=0, dtype=np.min_scalar_type(len(bounds))))
         return chunks[c]
 
     def __getitem__(self, t: int) -> int:

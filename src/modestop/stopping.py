@@ -26,11 +26,14 @@ At K > 2 the scan uses the rule's vectorised ``margin_rows(rows, totals)``:
 over a chunk's cumulative count rows, one per sample, it returns, per row,
 the statistic ``check`` tests (for ``ppr-adaptive``, a bound on it) minus
 its threshold, and a slack bounding how far numpy's floats may drift from
-the scalar ones.
+the scalar ones. Every margin but ``ppr-md``'s reads only a row's two
+largest counts and its total, so the rows hold only the values that can
+reach a top-two count within the chunk (``_contending_columns``); a rule
+whose ``reads_every_count`` is set gets every value.
 ``check`` can declare only on rows where the margin is at most the slack,
 and the scan confirms each such row, in order, with ``check`` on exactly
-those counts. The ``ppr-1v1`` and ``ppr-adaptive`` margins are
-bit-identical to their scalar statistics and have slack 0.
+those counts, rebuilt in full. The ``ppr-1v1`` and ``ppr-adaptive`` margins
+are bit-identical to their scalar statistics and have slack 0.
 
 Every rule but ``ppr-adaptive`` tests the runner-up alone: each rival's
 test only gets harder as its count rises to the leader's (``theory`` has the
@@ -97,6 +100,9 @@ class TrialRecord:
 
 
 class _Rule:
+    # whether margin_rows reads every count, or only a row's top two
+    reads_every_count = False
+
     # no rule reads samples one at a time; perfbench's tracer patches this hook
     def observe(self, idx: int) -> None:
         pass
@@ -105,9 +111,11 @@ class _Rule:
         raise NotImplementedError
 
     def margin_rows(self, rows: np.ndarray, totals: np.ndarray):
-        """(margin, slack) for an (n, K) int64 array of cumulative counts,
+        """(margin, slack) for an (n, m) int64 array of cumulative counts,
         row r holding totals[r] >= 1 samples: ``check`` declares on row r's
-        counts only where margin[r] <= slack[r]."""
+        counts only where margin[r] <= slack[r]. The columns are every value
+        when ``reads_every_count`` is set, and otherwise any m >= 2 values
+        that hold each row's two largest counts."""
         raise NotImplementedError
 
 
@@ -206,6 +214,7 @@ class PprMdRule(_Rule):
     """
 
     __slots__ = ("_k", "_log_threshold")
+    reads_every_count = True
 
     def __init__(self, k: int, delta: float) -> None:
         _validate(delta, k)
@@ -414,33 +423,45 @@ def scan_per_sample(
     return None
 
 
+def _contending_columns(carry: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """The values that can hold a top-two count on some row of a chunk that
+    starts from the counts ``carry`` and ends at ``end``: those whose ``end``
+    count exceeds the second-largest carried count c2, and those carried at
+    c2 or more (the two leaders among them). Any other value's count stays at
+    most c2 over the chunk, so at most either leader's on every row."""
+    c2 = np.partition(carry, len(carry) - 2)[-2]
+    return np.flatnonzero((end > c2) | (carry >= c2))
+
+
 def _scan_chunks(rule: _Rule, k: int, path: SamplePath, sample_cap: int) -> tuple[int, int] | None:
     """``scan_per_sample`` one drawn chunk of the path at a time: every row
     that passes the rule's ``margin_rows`` screen is confirmed, in order, by
-    ``rule.check`` on the tally the per-sample loop holds there."""
-    labels = np.arange(k)[:, None]
-    carry = np.zeros((k, 1), dtype=np.int64)
+    ``rule.check`` on the tally the per-sample loop holds there. Unless the
+    rule reads every count, the rows hold only the contending columns."""
+    labels = np.arange(k, dtype=np.min_scalar_type(k - 1))  # the path's sample type
+    carry = np.zeros(k, dtype=np.int64)
     first_seen = np.zeros(k, dtype=np.int64)  # sample index of each value's first appearance
     for t0, idx in _path_chunks(path, sample_cap):
+        end = carry + np.bincount(idx, minlength=k)
+        new = labels[(carry == 0) & (end > 0)]
+        if len(new):
+            first_seen[new] = t0 + np.argmax(idx == new[:, None], axis=1)
+        columns = labels if rule.reads_every_count else labels[_contending_columns(carry, end)]
         # value-major, so that each value's column of the rows is contiguous
-        counts = np.cumsum(idx == labels, axis=1, dtype=np.int64)
-        new = (carry[:, 0] == 0) & (counts[:, -1] > 0)
-        if new.any():
-            first_seen[new] = t0 + np.argmax(counts[new] > 0, axis=1)
-        counts += carry
-        carry = counts[:, -1:].copy()
-        rows = counts.T
+        counts = np.cumsum(idx == columns[:, None], axis=1, dtype=np.int64)
+        counts += carry[columns, None]
         totals = np.arange(t0 + 1, t0 + len(idx) + 1)
-        margin, slack = rule.margin_rows(rows, totals)
+        margin, slack = rule.margin_rows(counts.T, totals)
         for r in np.flatnonzero(margin <= slack):
             tally = TallyState(k)
-            tally.add_counts(rows[r])
+            tally.add_counts(carry + np.bincount(idx[: r + 1], minlength=k))
             # add_counts discovers a batch in index order; the loop's tally
             # lists values in order of first appearance
             tally.order.sort(key=first_seen.__getitem__)
             verdict = rule.check(tally)
             if verdict is not None:
                 return int(totals[r]), verdict
+        carry = end
     return None
 
 

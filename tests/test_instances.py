@@ -54,6 +54,18 @@ class TestDiscreteInstance:
             DiscreteInstance(())
 
 
+class _FixedUniforms:
+    """A stand-in stream that hands out the given uniforms in order."""
+
+    def __init__(self, us):
+        self._us = us
+        self._drawn = 0
+
+    def uniforms(self, n):
+        self._drawn += n
+        return self._us[self._drawn - n : self._drawn]
+
+
 class TestSampling:
     def test_degenerate_mass(self):
         path = SamplePath(DiscreteInstance((1.0, 0.0)), derive_stream(1, 0))
@@ -92,6 +104,33 @@ class TestSampling:
         us = derive_stream(seed, 2).uniforms(n)
         expected = np.searchsorted(inst.cumulative, us, side="right")
         assert np.array_equal(np.concatenate(chunks)[:n], expected)
+
+    @pytest.mark.parametrize("zeros", ["none", "middle", "last"])
+    @pytest.mark.parametrize("k, dtype", [(2, np.uint8), (3, np.uint8), (10, np.uint8),
+                                          (256, np.uint8), (257, np.uint16)])
+    def test_draw_matches_searchsorted(self, k, dtype, zeros):
+        # dyadic probabilities, so that every cumulative bound is exact
+        probs = [2.0**-10] * k
+        if zeros != "none":
+            probs[k // 2 if zeros == "middle" else k - 1] = 0.0
+        probs[0] = 1.0 - sum(probs[1:])
+        inst = DiscreteInstance(tuple(probs))
+        cum = inst.cumulative
+        path = SamplePath(inst, derive_stream(6, k))
+        drawn = np.concatenate([path.chunk(c) for c in range(4)])
+        us = derive_stream(6, k).uniforms(len(drawn))
+        assert drawn.dtype == dtype
+        assert np.array_equal(drawn, np.searchsorted(cum, us, side="right"))
+        # uniforms in [0, 1) on, just below and just above every bound
+        bounds = cum[:-1]
+        edges = np.concatenate(
+            [[0.0, np.nextafter(1.0, 0.0)], bounds, np.nextafter(bounds, 0.0),
+             np.nextafter(bounds, 1.0)]
+        )
+        edges = np.resize(edges[edges < 1.0], PATH_CHUNK)
+        edge_path = SamplePath(inst, _FixedUniforms(edges))
+        assert edge_path.chunk(0).dtype == dtype
+        assert np.array_equal(edge_path.chunk(0), np.searchsorted(cum, edges, side="right"))
 
     @pytest.mark.parametrize("t", [1023, 1024, 2047, 2048, 4095, 4096, 8191, 8192, 12287, 12288])
     def test_index_at_chunk_boundaries(self, t):

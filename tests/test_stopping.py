@@ -42,6 +42,7 @@ from modestop.stopping import (
     pair_test_alpha,
     pair_test_boundary,
     parse_rule_token,
+    _contending_columns,
     run_mode_estimation,
     scan_per_sample,
     shared_boundary,
@@ -683,6 +684,22 @@ class TestChunkKernels:
             path = SamplePath(P1, derive_stream(12, i))
             assert _oracle(P1, token, 0.01, path) == alone
             assert _kernel(P1, token, 0.01, path) == alone
+
+
+class TestContendingColumns:
+    @given(data=st.data(), k=st.integers(3, 12))
+    @settings(max_examples=500, deadline=None)
+    def test_keeps_every_rows_top_two(self, data, k):
+        # carries and chunk samples from a few values, so that ties are common
+        base = data.draw(st.integers(0, 3))
+        carry = np.array(data.draw(st.lists(st.integers(base, base + 3), min_size=k, max_size=k)))
+        idx = np.array(data.draw(st.lists(st.integers(0, min(k, 5) - 1), min_size=1, max_size=12)))
+        idx = (idx + data.draw(st.integers(0, k - 1))) % k
+        rows = carry + np.cumsum(idx[:, None] == np.arange(k), axis=0)
+        columns = _contending_columns(carry, rows[-1])
+        assert np.array_equal(
+            np.sort(rows[:, columns], axis=1)[:, -2:], np.sort(rows, axis=1)[:, -2:]
+        )
 
 
 def _assert_within_slack(margin, slack, scalar):
