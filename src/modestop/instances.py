@@ -150,8 +150,7 @@ class SamplePath:
         while c >= len(chunks):
             n = len(chunks)
             us = self._stream.uniforms(_chunk_start(n + 1) - _chunk_start(n))
-            # a sample's value is the number of cumulative bounds at or below
-            # its uniform, searchsorted(cum, us, side="right") as cum[-1] is 1.0
+            # searchsorted(cum, us, side="right"), as cum[-1] = 1.0 exceeds every uniform
             bounds = self._cum[:-1, None]
             chunks.append((us >= bounds).sum(axis=0, dtype=np.min_scalar_type(len(bounds))))
         return chunks[c]

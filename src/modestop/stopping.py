@@ -425,12 +425,14 @@ def scan_per_sample(
 
 def _contending_columns(carry: np.ndarray, end: np.ndarray) -> np.ndarray:
     """The values that can hold a top-two count on some row of a chunk that
-    starts from the counts ``carry`` and ends at ``end``: those whose ``end``
-    count exceeds the second-largest carried count c2, and those carried at
-    c2 or more (the two leaders among them). Any other value's count stays at
-    most c2 over the chunk, so at most either leader's on every row."""
-    c2 = np.partition(carry, len(carry) - 2)[-2]
-    return np.flatnonzero((end > c2) | (carry >= c2))
+    starts from the counts ``carry`` and ends at ``end``: the two largest
+    carried values, and those whose ``end`` count exceeds c2, the smaller of
+    the two. Any other value's count stays at most c2 over the chunk, so at
+    most both leaders' counts on every row."""
+    leaders = np.argpartition(carry, len(carry) - 2)[-2:]
+    keep = end > carry[leaders[0]]
+    keep[leaders] = True
+    return np.flatnonzero(keep)
 
 
 def _scan_chunks(rule: _Rule, k: int, path: SamplePath, sample_cap: int) -> tuple[int, int] | None:
