@@ -131,10 +131,10 @@ class SamplePath:
     sample indices of the smallest unsigned type that holds K - 1 (1 byte a
     sample for K <= 256), and this list of chunks is the path's only
     storage. PCG64 draws ``random(a)`` then ``random(b)`` as
-    ``random(a + b)``, so the samples do not depend on the schedule. Readers walk the path chunk by
-    chunk; ``path[t]`` indexes into the chunk holding sample t. A path shared
-    across stopping rules gives every rule the same sample sequence, whichever
-    rule reads first.
+    ``random(a + b)``, so the samples do not depend on the schedule.
+    Readers walk the path chunk by chunk; ``path[t]`` indexes into the chunk
+    holding sample t. A path shared across stopping rules gives every rule
+    the same sample sequence, whichever rule reads first.
     """
 
     __slots__ = ("_cum", "_stream", "_chunks")
