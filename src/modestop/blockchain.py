@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instances import SeededStream, TallyState, derive_stream
+from .instances import SeededStream, TallyState, _as_int, derive_stream
 from .stopping import SampleCapExceeded, make_rule
 
 __all__ = [
@@ -142,6 +142,7 @@ def run_verification(
     tally's total, steps * m.
     """
     _check_policy(policy)
+    step_cap = _as_int(step_cap, "step_cap must be an int")
     if step_cap < 1:
         raise ValueError(f"step_cap must be >= 1, got {step_cap}")
     m = pool.batch_size

@@ -28,9 +28,8 @@ class PairBoundary:
     the test must pass for every lead from b(n) to n.
 
     Each new segment of the table is found on the float margin in one
-    vectorised call (see ``solve``); ``passes`` settles the few entries
-    whose margin at b or b - 1 lies within the slack, and solves the rarer
-    ones the call misses, so the table is exact.
+    vectorised call (see ``solve``); ``passes`` bisects the few entries the
+    call misses or leaves within the slack, so the table is exact.
     The table grows by at least ``BOUNDARY_GROWTH`` at a time, and every
     growth checks that b steps by 0 or 1 from one n to the next.
     """
@@ -92,9 +91,9 @@ class PairBoundary:
         A few anchor totals (n's ends and the halvings of its last total)
         are solved by the scalar test. Between them b is guessed by
         interpolating z = (2b - n) / sqrt(n), which varies slowly, in log n.
-        One float-margin call over a window around each guess brackets b;
-        the rare total whose window misses b is solved by the scalar test,
-        as the anchors are."""
+        One float-margin call over a window around each guess brackets b; a
+        total whose window misses b, or has a probe next to b within the
+        slack, is solved by the scalar test, as the anchors are."""
         n_first, n_end = int(n[0]), int(n[-1])
         halvings = (n_end >> k for k in range(n_end.bit_length()))
         anchors = sorted({n_first} | {a for a in halvings if a >= n_first})
@@ -118,11 +117,9 @@ class PairBoundary:
         hi = np.where(has_hi, np.minimum(window[rows, at_hi], n + 1), n + 1)
         lo = np.where(has_lo, np.maximum(window[rows, at_lo], n // 2), n // 2)
         near_b = has_hi & near[rows, at_hi] | has_lo & near[rows, at_lo]
-        missed = hi - lo > 1  # the window did not bracket b
-        for r in np.flatnonzero(missed).tolist():
+        # the window did not bracket b, or a probe next to b is within the slack
+        for r in np.flatnonzero((hi - lo > 1) | near_b).tolist():
             hi[r] = self._bisect(int(n[r]))
-        for r in np.flatnonzero(near_b & ~missed).tolist():
-            hi[r] = self._settle(int(hi[r]), int(n[r]))
         return hi
 
     def _bisect(self, n: int) -> int:
@@ -135,12 +132,3 @@ class PairBoundary:
             else:
                 lo = mid
         return hi
-
-    def _settle(self, b: int, n: int) -> int:
-        """The exact boundary at total n by the scalar test, from a guess b."""
-        passes = self._passes
-        while b - 1 > n // 2 and passes(b - 1, n):
-            b -= 1
-        while b <= n and not passes(b, n):
-            b += 1
-        return b

@@ -289,10 +289,13 @@ def _logistic_array(z: np.ndarray) -> np.ndarray:
 # Array twins of the two scalar margins. Each returns (margin, slack) per row
 # of counts: ``pair_margin`` or ``separation_margin`` over the rows, and a
 # bound on how far numpy's exp/log/pow may move the array margin from the
-# scalar one. Each slack is 1e-7 times the size of the terms that cancel, a
-# margin far above their rounding. The expressions repeat the scalar
-# operations in the scalar order, so only the elementwise functions differ,
-# and rows where the scalar margin is +inf get +inf.
+# scalar one. The expressions repeat the scalar operations in the scalar
+# order, so only the elementwise functions differ, and rows where the scalar
+# margin is +inf get +inf. Each slack is ``SCREEN_SLACK`` times the size of
+# the terms that cancel or that the rounding of a crossing point moves. The
+# drift measured over a grid reaching totals of 1e9 and alphas of 1e-12 was
+# at most 6e-4 of the slack (CHANGES.md has the script).
+SCREEN_SLACK = 1e-12  # also the slack of ``stopping.PprMdRule.margin_rows``
 
 
 def _lucb_rate_array(t: np.ndarray, alpha: float) -> np.ndarray:
@@ -347,15 +350,15 @@ def pair_margin_array(
     p_hat = s_lead / t
     if kind == "lucb":
         w = np.sqrt(_lucb_rate_array(t, engine.alpha) / (2.0 * t))
-        return 0.5 - (p_hat - w), 1e-7 * (1.0 + w)
+        return 0.5 - (p_hat - w), SCREEN_SLACK * (1.0 + w)
     if kind == "a1":
         w = _a1_width_array(s_lead, t, engine.alpha)
-        return np.where(t >= 2, 0.5 - (p_hat - w), np.inf), 1e-7 * (1.0 + w)
+        return np.where(t >= 2, 0.5 - (p_hat - w), np.inf), SCREEN_SLACK * (1.0 + w)
     beta = _kl_rate_array(engine, t)
     head, tail = _kl_terms_array(p_hat, 0.5)
     margin = beta - t * np.maximum(head + tail, 0.0)
     passable = p_hat > 0.5 if kind == "kl-lucb" else (p_hat > 0.5) & (t >= 3)
-    slack = 1e-7 * (1.0 + beta + t * (np.abs(head) + np.abs(tail)))
+    slack = SCREEN_SLACK * (1.0 + beta + t * (np.abs(head) + np.abs(tail)))
     return np.where(passable, margin, np.inf), slack
 
 
@@ -372,17 +375,18 @@ def one_vs_rest_margin_array(
         log_norm_trail = lg[t + 2] - lg[s_trail + 1] - lg[t - s_trail + 1]
         x = _logistic_array((log_norm_trail - log_norm_lead) / np.maximum(s_lead - s_trail, 1))
         np.clip(x, 1e-300, 1.0 - 1e-16, out=x)
-        margin = log_norm_lead + s_lead * np.log(x) + (t - s_lead) * np.log1p(-x) - engine.log_alpha
-        slack = 1e-7 * (1.0 + np.abs(log_norm_lead))
+        head, tail = s_lead * np.log(x), (t - s_lead) * np.log1p(-x)  # both <= 0
+        margin = log_norm_lead + head + tail - engine.log_alpha
+        slack = SCREEN_SLACK * (1.0 + np.abs(log_norm_lead) - head - tail)
     elif kind == "lucb":
         w = np.sqrt(_lucb_rate_array(t, engine.alpha) / (2.0 * t))
         margin = 2.0 * w - (s_lead - s_trail) / t
-        slack = 1e-7 * (1.0 + w)
+        slack = SCREEN_SLACK * (1.0 + w)
     elif kind == "a1":
         w_lead = _a1_width_array(s_lead, t, engine.alpha)
         w_trail = _a1_width_array(s_trail, t, engine.alpha)
         margin = np.where(t >= 2, (s_trail / t + w_trail) - (s_lead / t - w_lead), np.inf)
-        slack = 1e-7 * (1.0 + w_lead + w_trail)
+        slack = SCREEN_SLACK * (1.0 + w_lead + w_trail)
     else:
         beta = _kl_rate_array(engine, t)
         p_lead = s_lead / t
@@ -395,9 +399,6 @@ def one_vs_rest_margin_array(
         margin = beta - t * np.maximum(head + tail, 0.0)
         if kind == "kl-sn":
             margin = np.where(t >= 3, margin, np.inf)
-        # the crossing's rounding, scaled by the divergence's slope there,
-        # moves t * kl by about t times the rounding of the entropies
-        slack = 1e-7 * (
-            1.0 + beta + t * (np.abs(head) + np.abs(tail) + np.abs(ent_lead) + np.abs(ent_trail))
-        )
+        # rounding x, or 1 - x, by about an ulp of 1 moves t * kl by about t ulps
+        slack = SCREEN_SLACK * (1.0 + beta + t * (1.0 + np.abs(head) + np.abs(tail)))
     return np.where(s_lead > s_trail, margin, np.inf), slack

@@ -51,6 +51,7 @@ import numpy as np
 from .boundary import PairBoundary
 from .bounds import (
     ENGINE_KINDS,
+    SCREEN_SLACK,
     BoundEngine,
     make_engine,
     one_vs_rest_margin_array,
@@ -58,7 +59,7 @@ from .bounds import (
     pair_beats_half,
     pair_margin_array,
 )
-from .instances import DiscreteInstance, SamplePath, SeededStream, TallyState
+from .instances import DiscreteInstance, SamplePath, SeededStream, TallyState, _as_int
 from .numerics import LN2, LOG_GAMMA, log_beta_pdf_half, log_beta_pdf_half_array
 
 __all__ = [
@@ -253,7 +254,7 @@ class PprMdRule(_Rule):
         """The runner-up's slice log quantity minus the log threshold, the
         one ``check`` tests. ``log_coeff`` takes the table terms in the
         scalar order and is bit-identical; the other terms go through
-        numpy's log, so the slack is 1e-7 times the terms that cancel."""
+        numpy's log, so the slack is ``SCREEN_SLACK`` x the cancelling terms."""
         lead, trail = _top_two(rows)
         lg = LOG_GAMMA.as_array(int(totals[-1]) + self._k)
         log_t = np.log(totals)
@@ -269,7 +270,7 @@ class PprMdRule(_Rule):
         pair = lead + trail  # >= 1 on every row
         slice_term = pair * (np.log(pair) - log_t - LN2)
         log_q = log_coeff + base - term(lead) - term(trail) + slice_term
-        slack = 1e-7 * (1.0 + np.abs(log_coeff) - base - slice_term)
+        slack = SCREEN_SLACK * (1.0 + np.abs(log_coeff) - base - slice_term)
         return log_q - self._log_threshold, slack
 
 
@@ -381,10 +382,12 @@ def shared_boundary(token: str, delta: float) -> PairBoundary:
     return boundary
 
 
-def _check_limits(sample_cap: int) -> None:
-    """Reject a sample cap below 1, which would leave no sample to check."""
+def _check_limits(sample_cap: int) -> int:
+    """The sample cap as an int; reject a non-int, and a cap below 1."""
+    sample_cap = _as_int(sample_cap, "sample_cap must be an int")
     if sample_cap < 1:
         raise ValueError(f"sample_cap must be >= 1, got {sample_cap}")
+    return sample_cap
 
 
 def _path_chunks(path: SamplePath, sample_cap: int):
@@ -408,7 +411,7 @@ def scan_per_sample(
     """Feed the path to the rule one sample at a time, checking after every
     sample up to sample_cap. Returns (samples, declared index), or None when
     the rule has not declared by sample_cap."""
-    _check_limits(sample_cap)
+    sample_cap = _check_limits(sample_cap)
     tally = TallyState(k)
     check = rule.check
     update = tally.update
@@ -479,7 +482,7 @@ def declaration_time(
     Returns (samples consumed, declared index). Raises SampleCapExceeded when
     the rule has not declared after sample_cap samples.
     """
-    _check_limits(sample_cap)
+    sample_cap = _check_limits(sample_cap)
     k = instance.k
     if k == 2:
         found = shared_boundary(rule_token, delta).first_crossing(

@@ -286,6 +286,13 @@ class TestRunVerification:
             run_verification(pool, policy, 0.005, 0.1, derive_stream(0, 0), step_cap=cap)
         assert str(err.value) == f"step_cap must be >= 1, got {cap}"
 
+    @pytest.mark.parametrize("policy", ["sprt", "ppr-1vr"])
+    def test_rejects_a_float_step_cap(self, policy):
+        pool = NodePool(1600, 0.1, 20)
+        with pytest.raises(ValueError) as err:
+            run_verification(pool, policy, 0.005, 0.1, derive_stream(0, 0), step_cap=1e3)
+        assert str(err.value) == "step_cap must be an int, got 1000.0"
+
     def test_sprt_requires_fmax(self):
         pool = NodePool(1600, 0.1, 20)
         with pytest.raises(ValueError):

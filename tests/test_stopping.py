@@ -521,6 +521,17 @@ class TestRunner:
             scan_per_sample(make_rule("ppr-md", 3, 0.01), 3, path, sample_cap=cap)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("inst", [DiscreteInstance((0.6, 0.4)), P1], ids=["k2", "k3"])
+    def test_rejects_a_float_sample_cap(self, inst):
+        message = "sample_cap must be an int, got 1000000.0"
+        with pytest.raises(ValueError) as err:
+            run_mode_estimation(inst, "ppr-1v1", 0.01, derive_stream(0, 0), sample_cap=1e6)
+        assert str(err.value) == message
+        path = SamplePath(inst, derive_stream(0, 0))
+        with pytest.raises(ValueError) as err:
+            scan_per_sample(make_rule("ppr-md", inst.k, 0.01), inst.k, path, sample_cap=1e6)
+        assert str(err.value) == message
+
     def test_declaration_always_most_frequent(self):
         for token in ("ppr-1v1", "ppr-1vr", "ppr-md", "kl-sn-1v1"):
             for i in range(10):
@@ -709,21 +720,28 @@ def _assert_within_slack(margin, slack, scalar):
         assert abs(margin - scalar) <= slack / 10
 
 
-ALPHAS = st.floats(1e-8, 0.99)
+ALPHAS = st.floats(1e-12, 0.99)
+
+
+def _trailing_count(data, most):
+    """A trailing count in [0, most], drawn as 0 about half the time."""
+    return data.draw(st.one_of(st.just(0), st.integers(0, most)))
 
 
 class TestMarginRows:
     """Each array margin lies within a tenth of its slack of the scalar
     margin (``bounds.pair_margin``, ``bounds.separation_margin``, or the
     rule's scalar statistic minus its threshold), and the scalar test holds
-    exactly where that scalar margin is <= 0."""
+    exactly where that scalar margin is <= 0. The ppr margins read the
+    log-gamma table up to the total, so their totals stay at most 1e6."""
 
     @pytest.mark.parametrize("kind", ENGINE_KINDS)
     @given(data=st.data(), alpha=ALPHAS)
     @settings(max_examples=200, deadline=None)
     def test_pair_margin(self, kind, data, alpha):
-        s_lead = data.draw(st.integers(1, 10**6))
-        s_trail = data.draw(st.integers(0, s_lead))
+        most = 10**6 if kind == "ppr" else 10**9  # the largest total
+        s_lead = data.draw(st.integers(1, most))
+        s_trail = _trailing_count(data, min(s_lead, most - s_lead))
         engine = make_engine(kind, alpha)
         scalar = pair_margin(engine, s_lead, s_trail)
         assert pair_beats_half(engine, s_lead, s_trail) == (scalar <= 0)
@@ -737,9 +755,9 @@ class TestMarginRows:
     @given(data=st.data(), alpha=ALPHAS)
     @settings(max_examples=200, deadline=None)
     def test_separation_margin(self, kind, data, alpha):
-        t = data.draw(st.integers(1, 10**6))
+        t = data.draw(st.integers(1, 10**6 if kind == "ppr" else 3 * 10**7))
         s_lead = data.draw(st.integers(1, t))
-        s_trail = data.draw(st.integers(0, min(s_lead, t - s_lead)))
+        s_trail = _trailing_count(data, min(s_lead, t - s_lead))
         engine = make_engine(kind, alpha)
         scalar = separation_margin(engine, s_lead, s_trail, t)
         assert one_vs_rest_separated(engine, s_lead, s_trail, t) == (scalar <= 0)
@@ -747,6 +765,32 @@ class TestMarginRows:
             engine, np.array([s_lead]), np.array([s_trail]), np.array([t])
         )
         _assert_within_slack(margin[0], slack[0], scalar)
+
+    @pytest.mark.parametrize("kind", ENGINE_KINDS)
+    def test_separation_margin_extremes(self, kind):
+        # leaders within 9 of the total or with a small share of it, against
+        # a rival holding 0 or all it can: the crossing lies far from the
+        # leader's mean, or near 0, where its rounding moves the margin most
+        most = 10**6 if kind == "ppr" else 3 * 10**7
+        totals = np.geomspace(1000, most, 40).astype(np.int64)
+        leads = [np.concatenate([n - np.arange(10), np.arange(2, 202, 2)]) for n in totals]
+        lead = np.tile(np.concatenate(leads), 2)
+        t = np.tile(np.repeat(totals, 110), 2)
+        trail = np.where(np.arange(len(t)) < len(t) // 2, 0, np.minimum(lead - 1, t - lead))
+        if kind != "ppr":
+            # small shares at which numpy's exp rounded the KL crossing apart
+            # from math's (numpy 2.4 on an x86-64 Xeon)
+            extra = np.array([
+                (78, 77, 15307271), (249, 246, 19170258), (398, 397, 26979803),
+                (317, 316, 15976962), (340, 337, 14631766), (283, 281, 10388242),
+            ])
+            lead, trail, t = (np.concatenate([a, b]) for a, b in zip((lead, trail, t), extra.T))
+        for alpha in (1e-12, 0.01):
+            engine = make_engine(kind, alpha)
+            margin, slack = one_vs_rest_margin_array(engine, lead, trail, t)
+            for row in range(len(t)):
+                scalar = separation_margin(engine, int(lead[row]), int(trail[row]), int(t[row]))
+                _assert_within_slack(margin[row], slack[row], scalar)
 
     @given(
         counts=st.lists(st.integers(0, 200_000), min_size=2, max_size=6).filter(any),
@@ -899,6 +943,36 @@ class TestPairBoundaryTables:
             declaration_time(inst, "ppr-adaptive", 0.1, path, sample_cap=5000)
         k_delta = PI_SQUARED_OVER_6_INV * 0.1
         assert declaration_time(inst, "ppr-1v1", k_delta, path) == (8, 0)
+
+    def test_engine_tables_pinned(self):
+        # sha256 of 45 engine tables up to n = 1e5, five kinds at nine alphas;
+        # 106 a1 windows at alpha <= 1e-6 miss b, and the scalar bisection
+        # solves them
+        digest = hashlib.sha256()
+        for kind in ENGINE_KINDS:
+            for alpha in (1e-8, 1e-6, 1e-4, 1e-3, 0.03, 0.3, 0.6, 0.9, 0.99):
+                table = pair_test_boundary(make_engine(kind, alpha)).upto(100_000)
+                digest.update(table[:100_001].tobytes())
+        assert digest.hexdigest() == (
+            "6c71709b72ae9d1e82e93981a837c4e33c4ce8603ff350af9b4c61f677443a5c"
+        )
+
+    @pytest.mark.parametrize("kind", ENGINE_KINDS)
+    def test_few_scalar_tests_per_entry(self, kind):
+        # the float screen decides almost every entry: the scalar test runs
+        # for the anchors' bisections and the rare window that misses b or
+        # lies within the slack of the margin
+        engine = make_rule(f"{kind}-1v1", 2, 0.01).engine
+        calls = 0
+
+        def passes(lead, n):
+            nonlocal calls
+            calls += 1
+            return pair_beats_half(engine, lead, n - lead)
+
+        boundary = PairBoundary(lambda lead, n: pair_margin_array(engine, lead, n - lead), passes)
+        table = boundary.upto(200_000)
+        assert calls / len(table) <= 0.04
 
     def test_table_bytes_pinned(self):
         # sha256 of the first 20001 entries of every token's table at three
