@@ -294,7 +294,7 @@ def _logistic_array(z: np.ndarray) -> np.ndarray:
 # margin is +inf get +inf. Each slack is ``SCREEN_SLACK`` times the size of
 # the terms that cancel or that the rounding of a crossing point moves. The
 # drift measured over a grid reaching totals of 1e9 and alphas of 1e-12 was
-# at most 6e-4 of the slack (CHANGES.md has the script).
+# at most 8e-4 of the slack (CHANGES.md has the script).
 SCREEN_SLACK = 1e-12  # also the slack of ``stopping.PprMdRule.margin_rows``
 
 

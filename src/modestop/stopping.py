@@ -254,7 +254,7 @@ class PprMdRule(_Rule):
         """The runner-up's slice log quantity minus the log threshold, the
         one ``check`` tests. ``log_coeff`` takes the table terms in the
         scalar order and is bit-identical; the other terms go through
-        numpy's log, so the slack is ``SCREEN_SLACK`` x the cancelling terms."""
+        numpy's log, so the slack is ``SCREEN_SLACK`` times the cancelling terms."""
         lead, trail = _top_two(rows)
         lg = LOG_GAMMA.as_array(int(totals[-1]) + self._k)
         log_t = np.log(totals)

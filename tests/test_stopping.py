@@ -921,6 +921,18 @@ class TestPairBoundaryTables:
         with pytest.raises(AssertionError, match="steps by 3 at n = 7"):
             boundary.upto(20)
 
+    def test_rows_within_the_slack_are_bisected(self):
+        # the float margin passes one count early, but within its slack, so
+        # the scalar test must place every b
+        def true_b(n):
+            return 3 * n // 4 + 1
+
+        boundary = PairBoundary(
+            lambda lead, n: (true_b(n) - 1.5 - lead, 2.0),
+            lambda lead, n: lead >= true_b(n),
+        )
+        assert boundary.upto(5000).tolist() == true_b(np.arange(5001)).tolist()
+
     @pytest.mark.parametrize("delta", [0.001, 0.1, 0.5])
     def test_tokens_share_an_engine_table(self, delta):
         def table(token, d=delta):
