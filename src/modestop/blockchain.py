@@ -33,6 +33,8 @@ __all__ = [
 BLOCKCHAIN_POLICIES = ("sprt", "ppr-1v1", "ppr-1vr", "ppr-adaptive")
 
 DEFAULT_STEP_CAP = 1_000_000
+_DRAW_AHEAD = 4
+_DRAW_AHEAD_MAX = 1024
 
 
 @dataclass(frozen=True)
@@ -140,6 +142,12 @@ def run_verification(
     treat each report as one sample of the answer distribution and ignore
     f_max; declared-vs-correct is judged against answer 0. Samples are the
     tally's total, steps * m.
+
+    Batches are drawn ahead: 4, then 8, 16, ... up to 1024 at a time, never
+    past step_cap, by one ``multivariate_hypergeometric`` call that gives the
+    counts of as many ``draw_batch`` calls. The tally and the policy still
+    read one batch at a time. The run owns its stream, which is left past
+    the stop.
     """
     _check_policy(policy)
     step_cap = _as_int(step_cap, "step_cap must be an int")
@@ -151,12 +159,18 @@ def run_verification(
     else:
         check = make_rule(policy, pool.n_answers, delta).check
     tally = TallyState(pool.n_answers)
-    for _ in range(step_cap):
-        # answers new in a batch are discovered in answer-index order
-        tally.add_counts(draw_batch(pool, stream).tolist())
-        declared = sprt_step(m, threshold, tally) if policy == "sprt" else check(tally)
-        if declared is not None:
-            return VerificationRecord(tally.total, declared, declared == 0)
+    draw, colors = stream.generator.multivariate_hypergeometric, pool.colors()
+    steps, ahead = 0, _DRAW_AHEAD
+    while steps < step_cap:
+        size = min(ahead, step_cap - steps)
+        for batch in draw(colors, m, size=size).tolist():
+            # answers new in a batch are discovered in answer-index order
+            tally.add_counts(batch)
+            declared = sprt_step(m, threshold, tally) if policy == "sprt" else check(tally)
+            if declared is not None:
+                return VerificationRecord(tally.total, declared, declared == 0)
+        steps += size
+        ahead = min(2 * ahead, _DRAW_AHEAD_MAX)
     raise SampleCapExceeded(f"{policy} did not declare within {step_cap} batches")
 
 

@@ -256,7 +256,7 @@ class PprMdRule(_Rule):
         scalar order and is bit-identical; the other terms go through
         numpy's log, so the slack is ``SCREEN_SLACK`` times the cancelling terms."""
         lead, trail = _top_two(rows)
-        lg = LOG_GAMMA.as_array(int(totals[-1]) + self._k)
+        lg = LOG_GAMMA.as_array(int(totals.max()) + self._k)
         log_t = np.log(totals)
 
         def term(c):  # c (ln c - ln t), which is 0 at c = 0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from modestop import blockchain
 from modestop.blockchain import (
+    BLOCKCHAIN_POLICIES,
     NodePool,
     SweepCell,
     draw_batch,
@@ -17,7 +18,7 @@ from modestop.blockchain import (
     sweep_f,
 )
 from modestop.instances import TallyState, derive_stream
-from modestop.stopping import SampleCapExceeded
+from modestop.stopping import SampleCapExceeded, make_rule
 
 
 @st.composite
@@ -243,6 +244,75 @@ class TestDrawBatch:
         stream = derive_stream(3, 0)
         for _ in range(100):
             assert draw_batch(pool, stream).sum() == 13
+
+
+def _per_batch_verification(pool, policy, delta, f_max, stream, step_cap):
+    """run_verification as one draw_batch call per batch: (samples, declared),
+    or None at the cap."""
+    m = pool.batch_size
+    if policy == "sprt":
+        threshold = sprt_threshold(delta, pool.n_nodes, m, f_max)
+    else:
+        check = make_rule(policy, pool.n_answers, delta).check
+    tally = TallyState(pool.n_answers)
+    for _ in range(step_cap):
+        tally.add_counts(draw_batch(pool, stream).tolist())
+        declared = sprt_step(m, threshold, tally) if policy == "sprt" else check(tally)
+        if declared is not None:
+            return tally.total, declared
+    return None
+
+
+class TestDrawAhead:
+    """run_verification draws its batches ahead, in blocks; every run is
+    the one single draw_batch calls give."""
+
+    @pytest.mark.parametrize("policy", BLOCKCHAIN_POLICIES)
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    def test_matches_single_draws(self, k, policy):
+        # f near 1/2, and the small delta with the SPRT's large f_max, keep
+        # runs going past several block edges (4, 12, 28, 60)
+        steps = []
+        for d, (delta, f_max) in enumerate(((0.005, 0.1), (1e-9, 0.45))):
+            for f in (0.05, 0.2, 0.35, 0.45):
+                for n, m in ((60, 1), (1600, 20)):
+                    pool = NodePool(n, f, m, n_answers=k)
+                    for i in range(6):
+                        coordinate = (23, k, d, int(f * 100), m, i)
+                        expected = _per_batch_verification(
+                            pool, policy, delta, f_max, derive_stream(*coordinate), 400
+                        )
+                        try:
+                            rec = run_verification(pool, policy, delta, f_max,
+                                                   derive_stream(*coordinate), step_cap=400)
+                        except SampleCapExceeded:
+                            assert expected is None
+                            continue
+                        assert (rec.samples, rec.declared) == expected, (delta, f, n, m, i)
+                        steps.append(rec.samples // m)
+        assert sum(s > 60 for s in steps) >= 5
+
+    @pytest.mark.parametrize("policy, delta, f_max", [
+        ("sprt", 1e-300, 0.49),  # a threshold of ~3.4e5 against l_0 = 400 a batch
+        ("ppr-adaptive", 0.005, None),  # a lone answer is never declared
+    ])
+    @pytest.mark.parametrize("step_cap", [1, 3, 5, 13])
+    def test_cap_tallies_exactly_step_cap_batches(self, monkeypatch, policy, delta, f_max,
+                                                  step_cap):
+        tallied = []
+        add_counts = TallyState.add_counts
+        monkeypatch.setattr(TallyState, "add_counts",
+                            lambda tally, batch: tallied.append(batch) or add_counts(tally, batch))
+        pool = NodePool(1600, 0.0, 20, n_answers=2)
+        stream = derive_stream(7, step_cap)
+        with pytest.raises(SampleCapExceeded):
+            run_verification(pool, policy, delta, f_max, stream, step_cap=step_cap)
+        assert len(tallied) == step_cap
+        # and no batch past the cap was drawn
+        reference = derive_stream(7, step_cap)
+        for _ in range(step_cap):
+            draw_batch(pool, reference)
+        assert stream.generator.bit_generator.state == reference.generator.bit_generator.state
 
 
 class TestRunVerification:

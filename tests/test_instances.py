@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modestop import instances
 from modestop.instances import (
     PATH_CHUNK,
     PATH_CHUNK_MAX,
@@ -223,6 +224,42 @@ class TestSeededStream:
     @settings(max_examples=200, deadline=None)
     def test_seeding_equals_tuple_seed_sequence_property(self, words):
         self._assert_seeded_as_tuple(tuple(words))
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**32 - 1, 2**32 + 7, 2**64 - 1, -3, -(2**40)])
+    @pytest.mark.parametrize("prefix", [(), (0,), (3, 2**32 + 1), (1, 2, 3)])
+    def test_block_hash_equals_seed_sequence(self, seed, prefix):
+        # last indices 0..600 cross the hash blocks' edges at 256 and 512;
+        # the last two cross 2**32, past which an index is hashed alone
+        lasts = [*range(601), 2**32 - 1, 2**32]
+        for last in lasts:
+            expected = np.random.PCG64(np.random.SeedSequence((seed & MASK64, *prefix, last)))
+            got = derive_stream(seed, *prefix, last).generator.bit_generator
+            assert got.state == expected.state, last
+        if not prefix:
+            expected = np.random.PCG64(np.random.SeedSequence(seed & MASK64))
+            assert derive_stream(seed).generator.bit_generator.state == expected.state
+
+    def test_cold_and_warm_memo_give_one_stream(self, monkeypatch):
+        coordinates = [(11, 4, 255), (11, 4, 256), (11, 4, 0), (2**40, 9, 300, 777)]
+        monkeypatch.setattr(instances, "_STREAM_MEMO", {})
+        cold = []
+        for c in coordinates:
+            instances._STREAM_MEMO.clear()
+            cold.append(derive_stream(*c).uniforms(8))
+        # warm: every block already hashed, each by a neighbour of the coordinate
+        for c in coordinates:
+            derive_stream(*c[:-1], c[-1] ^ 1)
+        for c, expected in zip(coordinates, cold):
+            assert np.array_equal(derive_stream(*c).uniforms(8), expected)
+
+    def test_memo_keeps_its_bound(self, monkeypatch):
+        monkeypatch.setattr(instances, "_STREAM_MEMO", {})
+        for prefix in range(500):
+            derive_stream(1, prefix, 0)
+            assert len(instances._STREAM_MEMO) <= instances._STREAM_MEMO_BLOCKS
+        # the oldest blocks were dropped first
+        kept = [(1, prefix, 0) for prefix in range(500 - instances._STREAM_MEMO_BLOCKS, 500)]
+        assert list(instances._STREAM_MEMO) == kept
 
     def test_master_seed_is_reduced_mod_2_64(self):
         assert np.array_equal(derive_stream(-1, 3).uniforms(8), derive_stream(MASK64, 3).uniforms(8))

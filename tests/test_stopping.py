@@ -807,6 +807,23 @@ class TestMarginRows:
         margin, slack = rule.margin_rows(np.array([counts]), np.array([sum(counts)]))
         _assert_within_slack(margin[0], slack[0], scalar)
 
+    @pytest.mark.parametrize("k", [3, 5, 10])
+    def test_ppr_md_rows_in_any_order(self, k):
+        # rows need not come in ascending order of their totals: shuffled
+        # rows get the sorted rows' margins, shuffled the same way
+        rng = np.random.default_rng(k)
+        rows = rng.integers(0, 5000, (64, k))
+        rows[:, 0] += 1
+        rows = rows[np.argsort(rows.sum(axis=1))]
+        totals = rows.sum(axis=1)
+        rule = PprMdRule(k, 0.01)
+        margin, slack = rule.margin_rows(rows, totals)
+        # the largest total first, then the other rows shuffled
+        shuffle = np.concatenate([[len(rows) - 1], rng.permutation(len(rows) - 1)])
+        got_margin, got_slack = rule.margin_rows(rows[shuffle], totals[shuffle])
+        assert np.array_equal(got_margin, margin[shuffle])
+        assert np.array_equal(got_slack, slack[shuffle])
+
     @given(
         counts=st.lists(st.integers(0, 200_000), min_size=2, max_size=6).filter(any),
         delta=ALPHAS,
