@@ -1,11 +1,12 @@
 """Five interchangeable confidence-bound engines on Bernoulli counts.
 
 Each engine maps (successes s, total t) to an interval at its mistake
-probability alpha that contains the empirical mean. ``BoundEngine.interval``
-is the one statement of every engine's interval; it reads the same width and
-rate helpers (``_lucb_width``, ``_a1_width``, ``_kl_rate``) as the margins
-below. Besides the interval, every engine has two closed-form tests used by
-the stopping rules. Each is stated once, as a scalar margin: the test's
+probability alpha that contains the empirical mean. ``BoundEngine.bound``
+is the one statement of every engine's interval ends, and
+``BoundEngine.interval`` is its two ends; it reads the same width and rate
+helpers (``_lucb_width``, ``_a1_width``, ``_kl_rate``) as the margins below.
+Besides the interval, every engine has two closed-form tests used by the
+stopping rules. Each is stated once, as a scalar margin: the test's
 statistic minus its threshold, +inf where the test cannot pass (a trailing
 leader, too few samples).
 
@@ -41,7 +42,6 @@ import numpy as np
 
 from .numerics import (
     Interval,
-    FULL_INTERVAL,
     LOG_GAMMA,
     invert_kl_lower,
     invert_kl_upper,
@@ -49,6 +49,7 @@ from .numerics import (
     log_beta_pdf_half,
     log_beta_pdf_half_array,
     posterior_level_crossings,
+    posterior_level_flank,
 )
 
 __all__ = [
@@ -152,8 +153,17 @@ class BoundEngine:
         object.__setattr__(self, "log_alpha", math.log(self.alpha))
 
     def interval(self, s: int, t: int) -> Interval:
-        """The engine's interval for s successes in t draws; [0, 1] below
-        t = 1 (t = 2 for a1, whose width divides by t - 1; t = 3 for kl-sn).
+        """The engine's interval for s successes in t draws: its two ``bound``
+        ends. On ppr it is ``posterior_level_crossings``, whose ends are the
+        same ``posterior_level_flank`` calls."""
+        if self.kind == "ppr":
+            return posterior_level_crossings(s + 1, t - s + 1, self.alpha)
+        return Interval(self.bound(s, t, False), self.bound(s, t, True))
+
+    def bound(self, s: int, t: int, upper: bool) -> float:
+        """The upper or lower end of the engine's interval for s successes in
+        t draws; [0, 1] below t = 1 (t = 2 for a1, whose width divides by
+        t - 1; t = 3 for kl-sn).
 
         ppr gives the level set of the Beta(s+1, t-s+1) posterior density at
         level alpha: the anytime-valid posterior confidence set for a uniform
@@ -162,15 +172,15 @@ class BoundEngine:
         """
         kind = self.kind
         if kind == "ppr":
-            return posterior_level_crossings(s + 1, t - s + 1, self.alpha)
+            return posterior_level_flank(s + 1, t - s + 1, self.alpha, upper)
         if t < 1 or (kind == "a1" and t < 2) or (kind == "kl-sn" and t < 3):
-            return FULL_INTERVAL
+            return 1.0 if upper else 0.0
         p_hat = s / t
         if kind == "lucb" or kind == "a1":
             w = _lucb_width(t, self.alpha) if kind == "lucb" else _a1_width(s, t, self.alpha)
-            return Interval(max(0.0, p_hat - w), min(1.0, p_hat + w))
+            return min(1.0, p_hat + w) if upper else max(0.0, p_hat - w)
         beta = _kl_rate(self, t)
-        return Interval(invert_kl_lower(p_hat, t, beta), invert_kl_upper(p_hat, t, beta))
+        return invert_kl_upper(p_hat, t, beta) if upper else invert_kl_lower(p_hat, t, beta)
 
 
 def make_engine(kind: str, alpha: float) -> BoundEngine:

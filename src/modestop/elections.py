@@ -13,7 +13,9 @@ Two polling policies are provided: round-robin over unresolved
 constituencies, and the confidence-bound-difference policy that each step
 queries one promising constituency for each of the two aggregate contenders.
 Its bound widths come from the rule's own engine, at the rule's per-test
-mistake probability.
+mistake probability. They are solved on demand: a selection solves, for each
+unresolved constituency whose counts or contenders changed since its last
+solve, only the interval ends its two scores read.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import make_engine  # noqa: F401  unused; perfbench/tracer.py patches it here
-from .instances import SeededStream, TallyState
+from .instances import SeededStream, TallyState, _as_int
 from .stopping import SampleCapExceeded, make_rule, parse_rule_token
 
 __all__ = [
@@ -198,7 +200,7 @@ def synthetic_election() -> ElectionInstance:
 
 
 class _ConstituencyState:
-    __slots__ = ("index", "cum", "tally", "winner")
+    __slots__ = ("index", "cum", "tally", "winner", "solved_for")
 
     def __init__(self, index: int, con: Constituency) -> None:
         k = len(con.votes)
@@ -209,6 +211,7 @@ class _ConstituencyState:
         self.cum = cum
         self.tally = TallyState(k)
         self.winner: int | None = None
+        self.solved_for: tuple[int, int] | None = None  # contenders of the DCB ends at these counts
 
 
 class ElectionRun:
@@ -231,6 +234,7 @@ class ElectionRun:
     ) -> None:
         if policy not in ELECTION_POLICIES:
             raise ValueError(f"unknown policy {policy!r}; expected one of {ELECTION_POLICIES}")
+        batch = _as_int(batch, "batch size must be an int")
         if batch < 1:
             raise ValueError(f"batch size must be >= 1, got {batch}")
         if not 0.0 < delta < 1.0:
@@ -262,43 +266,43 @@ class ElectionRun:
         if policy == "dcb":
             self.lcb = np.zeros((self.c, self.k, self.k))
             self.ucb = np.ones((self.c, self.k, self.k))
-            for st in self.states:
-                self._refresh_widths(st)
 
     # -- per-constituency bookkeeping -------------------------------------
 
-    def _refresh_widths(self, st: _ConstituencyState) -> None:
-        """Rewrite row st.index of the widths: 1v1 entry (i, j) is party i's pair
-        interval on counts i and j; 1vr row i repeats i's interval at the total."""
-        counts = st.tally.counts
-        t = st.tally.total
-        k = self.k
-        interval = self.rule.engine.interval
+    def _solve_ends(self, st: _ConstituencyState, a: int, b: int) -> None:
+        """Solve the ends of block st.index of the widths that the scores of
+        contenders a != b read: ucb[a, j], lcb[j, a], ucb[j, b] and lcb[b, j].
+        1v1 entry (i, j) is party i's pair interval on counts i and j; 1vr row
+        i repeats i's interval at the total."""
+        counts, t = st.tally.counts, st.tally.total
+        bound = self.rule.engine.bound
         lcb, ucb = self.lcb[st.index], self.ucb[st.index]
-        for i in range(k):
+        ca, cb = counts[a], counts[b]
+        for j, cj in enumerate(counts):
             if self.scheme == "1vr":
-                iv = interval(counts[i], t)
-                lcb[i] = iv.lo
-                ucb[i] = iv.hi
-                continue
-            for j in range(k):
-                if i != j:
-                    iv = interval(counts[i], counts[i] + counts[j])
-                    lcb[i, j] = iv.lo
-                    ucb[i, j] = iv.hi
+                if j != b:
+                    ucb[j] = bound(cj, t, True)
+                if j != a:
+                    lcb[j] = bound(cj, t, False)
+            elif j != a:
+                ucb[a, j] = bound(ca, ca + cj, True)
+                lcb[j, a] = bound(cj, cj + ca, False)
+                if j != b:
+                    ucb[j, b] = bound(cj, cj + cb, True)
+                    lcb[b, j] = bound(cb, cb + cj, False)
+        st.solved_for = (a, b)
 
     def _sample_batch(self, st: _ConstituencyState) -> None:
         us = self.stream.uniforms(self.batch)
         idxs = np.searchsorted(st.cum, us, side="right")
         st.tally.add_counts(np.bincount(idxs, minlength=self.k))
+        st.solved_for = None
         self.samples += self.batch
         declared = self.rule.check(st.tally)
         if declared is not None:
             st.winner = declared
             self.unresolved -= 1
             self.wins[declared] += 1
-        elif self.lcb is not None:
-            self._refresh_widths(st)
 
     # -- selection policies ------------------------------------------------
 
@@ -332,9 +336,13 @@ class ElectionRun:
         Contender a scores min_{j != a} (ucb[a, j] - lcb[j, a]) and contender
         b scores max_{j != b} (ucb[j, b] - lcb[b, j]). Ties break toward the
         lowest constituency id (``argmax`` takes the first maximum). ``step``
-        runs only while a constituency is unresolved.
+        runs only while a constituency is unresolved. Only the ends these
+        scores read are solved, and each once per batch and contender pair.
         """
         a, b = self.dcb_contenders()
+        for st in self.states:
+            if st.winner is None and st.solved_for != (a, b):
+                self._solve_ends(st, a, b)
         resolved = np.array([st.winner is not None for st in self.states])
         score_a = np.delete(self.ucb[:, a, :] - self.lcb[:, :, a], a, axis=1).min(axis=1)
         score_b = np.delete(self.ucb[:, :, b] - self.lcb[:, b, :], b, axis=1).max(axis=1)
@@ -384,6 +392,7 @@ def run_election(
     stream: SeededStream,
     sample_cap: int = DEFAULT_ELECTION_SAMPLE_CAP,
 ) -> ElectionRecord:
+    sample_cap = _as_int(sample_cap, "sample_cap must be an int")
     if sample_cap < 1:
         raise ValueError(f"sample_cap must be >= 1, got {sample_cap}")
     run = ElectionRun(instance, policy, rule_token, delta, batch, stream)

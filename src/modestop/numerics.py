@@ -39,6 +39,7 @@ __all__ = [
     "kl_bernoulli",
     "invert_kl_lower",
     "invert_kl_upper",
+    "posterior_level_flank",
     "posterior_level_crossings",
 ]
 
@@ -69,9 +70,6 @@ class Interval:
 
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
-
-
-FULL_INTERVAL = Interval(0.0, 1.0)
 
 
 class LogGammaTable:
@@ -304,8 +302,8 @@ def _bisect_flank(a: int, b: int, log_level: float, x_fail: float, x_ok: float) 
     return x_ok
 
 
-def posterior_level_crossings(a: int, b: int, level: float) -> Interval:
-    """Leftmost and rightmost solutions of Beta(x; a, b) = level.
+def posterior_level_flank(a: int, b: int, level: float, upper: bool) -> float:
+    """The rightmost (upper) or leftmost solution of Beta(x; a, b) = level.
 
     The Beta density with integer shapes a, b >= 1 is unimodal with mode
     (a-1)/(a+b-2) (an endpoint when a = 1 or b = 1), so each flank is
@@ -320,10 +318,11 @@ def posterior_level_crossings(a: int, b: int, level: float) -> Interval:
     if a < 1 or b < 1:
         raise ValueError(f"integer shapes must be >= 1, got a={a}, b={b}")
     log_level = math.log(level)
+    edge = 1.0 if upper else 0.0
     if a == 1 and b == 1:
         if log_level > 1e-12:
             raise EmptyLevelSetError(f"uniform density 1 never reaches level {level}")
-        return FULL_INTERVAL
+        return edge
     if a == 1:
         mode = 0.0
     elif b == 1:
@@ -333,16 +332,18 @@ def posterior_level_crossings(a: int, b: int, level: float) -> Interval:
     log_peak = log_beta_pdf(mode, a, b)
     if log_level > log_peak:
         if log_level <= log_peak + 1e-9:
-            return Interval(mode, mode)  # level grazes the peak
+            return mode  # level grazes the peak
         raise EmptyLevelSetError(
             f"level {level} exceeds the Beta({a},{b}) peak density {math.exp(log_peak)}"
         )
-    if mode == 0.0 or log_beta_pdf(0.0, a, b) >= log_level:
-        lo = 0.0
-    else:
-        lo = _bisect_flank(a, b, log_level, x_fail=0.0, x_ok=mode)
-    if mode == 1.0 or log_beta_pdf(1.0, a, b) >= log_level:
-        hi = 1.0
-    else:
-        hi = _bisect_flank(a, b, log_level, x_fail=1.0, x_ok=mode)
-    return Interval(lo, hi)
+    if mode == edge or log_beta_pdf(edge, a, b) >= log_level:
+        return edge
+    return _bisect_flank(a, b, log_level, x_fail=edge, x_ok=mode)
+
+
+def posterior_level_crossings(a: int, b: int, level: float) -> Interval:
+    """Leftmost and rightmost solutions of Beta(x; a, b) = level: the two
+    ``posterior_level_flank`` ends."""
+    return Interval(
+        posterior_level_flank(a, b, level, False), posterior_level_flank(a, b, level, True)
+    )

@@ -159,6 +159,27 @@ class TestIntervalPin:
         )
 
 
+class TestBoundEnds:
+    # ``bound`` gives each end of ``interval`` bit for bit: every s <= t <= 60,
+    # which holds t below each engine's minimum, s = 0 and s = t, and a sparse
+    # grid up to t = 1e6. No engine's interval raises EmptyLevelSetError, as
+    # alpha < 1; test_numerics holds the ppr flanks to it where levels do.
+    COUNTS = [(s, t) for t in range(61) for s in range(t + 1)] + [
+        (s, t)
+        for t in (97, 1000, 12345, 99991, 10**6)
+        for s in (0, 1, t // 3, t // 2, t - 1, t)
+    ]
+
+    @pytest.mark.parametrize("kind", ENGINE_KINDS)
+    def test_ends_are_the_interval(self, kind):
+        for alpha in (0.1, 1e-6):
+            engine = BoundEngine(kind, alpha)
+            for s, t in self.COUNTS:
+                iv = engine.interval(s, t)
+                ends = engine.bound(s, t, False), engine.bound(s, t, True)
+                assert struct.pack("<2d", *ends) == struct.pack("<2d", iv.lo, iv.hi), (s, t)
+
+
 @st.composite
 def _count_pairs(draw):
     t = draw(st.integers(min_value=1, max_value=400))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modestop.bounds import make_engine
+from modestop.bounds import ENGINE_KINDS, make_engine
 from modestop.elections import (
     Constituency,
     ElectionDataError,
@@ -224,10 +224,9 @@ class TestSelection:
         run = ElectionRun(inst, "dcb", rule, 0.1, 10, derive_stream(0, 0))
         for st, counts in zip(run.states, [(1, 1), (6, 4), (6, 4), (300, 200)]):
             st.tally.add_counts(np.array(counts))
-            run._refresh_widths(st)
+        assert run.dcb_select() == (0, 0)  # solves the ends it reads
         assert run.lcb[1].tolist() == run.lcb[2].tolist()
         assert run.ucb[1].tolist() == run.ucb[2].tolist()
-        assert run.dcb_select() == (0, 0)
         run.states[0].winner = 0
         run.unresolved -= 1
         assert run.dcb_select() == (1, 1)
@@ -292,6 +291,87 @@ class TestSelection:
             assert (expected_c1, expected_c2) == run.dcb_select()
             if run.step() is not None:
                 break
+
+
+ELECTION_TOKENS = [f"{kind}-{scheme}" for kind in ENGINE_KINDS for scheme in ("1v1", "1vr")]
+
+
+def _eager_widths(run, st, lcb, ucb):
+    """The widths as an eager refresh wrote them after every batch: 1v1
+    entry (i, j) is party i's pair interval on counts i and j, 1vr row i
+    repeats i's interval at the total."""
+    counts, t = st.tally.counts, st.tally.total
+    interval = run.rule.engine.interval
+    for i in range(run.k):
+        if run.scheme == "1vr":
+            iv = interval(counts[i], t)
+            lcb[st.index, i], ucb[st.index, i] = iv.lo, iv.hi
+            continue
+        for j in range(run.k):
+            if i != j:
+                iv = interval(counts[i], counts[i] + counts[j])
+                lcb[st.index, i, j], ucb[st.index, i, j] = iv.lo, iv.hi
+
+
+def _lazy_parity_instance(k, seed):
+    """Five constituencies with margins of 8-30 points over K parties and a
+    strict seat winner."""
+    rng = np.random.default_rng(seed)
+    while True:
+        rows = []
+        for _ in range(5):
+            votes = rng.integers(20, 60, k)
+            votes[rng.integers(k)] = votes.max() + rng.integers(8, 30)
+            rows.append(tuple(int(v) for v in votes))
+        inst = ElectionInstance(
+            tuple("ABCD"[:k]), tuple(Constituency(f"c{i}", v) for i, v in enumerate(rows))
+        )
+        if inst.true_winner is not None:
+            return inst
+
+
+class TestLazyWidths:
+    @pytest.mark.parametrize("rule", ELECTION_TOKENS)
+    def test_reads_equal_an_eager_refresh(self, rule):
+        # at every step the ends dcb_select reads, and its pick, equal those
+        # of widths refreshed at every batch, as the selection once kept them
+        switches = same_pick = 0
+        for k in (2, 3, 4):
+            for seed in range(2):
+                inst = _lazy_parity_instance(k, seed)
+                run = ElectionRun(inst, "dcb", rule, 0.1, 50, derive_stream(8, seed))
+                lcb, ucb = np.zeros_like(run.lcb), np.ones_like(run.ucb)
+                totals = [None] * run.c
+                pair = None
+                for _ in range(2000):
+                    open_ids = [st.index for st in run.states if st.winner is None]
+                    for c in open_ids:
+                        if totals[c] != run.states[c].tally.total:
+                            _eager_widths(run, run.states[c], lcb, ucb)
+                            totals[c] = run.states[c].tally.total
+                    a, b = run.dcb_contenders()
+                    score_a = np.delete(ucb[:, a, :] - lcb[:, :, a], a, axis=1).min(axis=1)
+                    score_b = np.delete(ucb[:, :, b] - lcb[:, b, :], b, axis=1).max(axis=1)
+                    closed = [st.winner is not None for st in run.states]
+                    score_a[closed] = score_b[closed] = -np.inf
+                    expected = (int(np.argmax(score_a)), int(np.argmax(score_b)))
+                    assert run.dcb_select() == expected
+                    # the entries the two scores read, bit for bit
+                    reads = [(run.ucb, ucb, a, j) for j in range(k) if j != a]
+                    reads += [(run.lcb, lcb, j, a) for j in range(k) if j != a]
+                    reads += [(run.ucb, ucb, j, b) for j in range(k) if j != b]
+                    reads += [(run.lcb, lcb, b, j) for j in range(k) if j != b]
+                    for got, want, i, j in reads:
+                        assert got[open_ids, i, j].tobytes() == want[open_ids, i, j].tobytes()
+                    switches += pair is not None and pair != (a, b)
+                    same_pick += expected[0] == expected[1]
+                    pair = (a, b)
+                    if run.step() is not None:
+                        break
+                else:
+                    pytest.fail(f"{rule} K={k} seed {seed} ran 2000 steps")
+        assert switches >= 1
+        assert same_pick >= 1
 
 
 class TestAccounting:
@@ -386,6 +466,33 @@ class TestRunElection:
         with pytest.raises(ValueError) as err:
             run_election(inst, "rr", "ppr-1v1", 0.01, 1, derive_stream(0, 0), sample_cap=cap)
         assert str(err.value) == f"sample_cap must be >= 1, got {cap}"
+
+    @pytest.mark.parametrize("cap", [2.5, 1e5])
+    def test_rejects_a_float_sample_cap_before_any_draw(self, monkeypatch, cap):
+        monkeypatch.setattr(ElectionRun, "step", lambda self: pytest.fail("a batch was drawn"))
+        inst = ElectionInstance(("A", "B"), (Constituency("only", (100, 0)),))
+        with pytest.raises(ValueError) as err:
+            run_election(inst, "rr", "ppr-1v1", 0.01, 1, derive_stream(0, 0), sample_cap=cap)
+        assert str(err.value) == f"sample_cap must be an int, got {cap!r}"
+
+    def test_rejects_a_float_batch_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(ElectionRun, "step", lambda self: pytest.fail("a batch was drawn"))
+        inst = ElectionInstance(("A", "B"), (Constituency("only", (100, 0)),))
+        message = "batch size must be an int, got 200.0"
+        with pytest.raises(ValueError) as err:
+            run_election(inst, "dcb", "ppr-1v1", 0.01, 200.0, derive_stream(0, 0))
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            ElectionRun(inst, "rr", "ppr-1v1", 0.01, 200.0, derive_stream(0, 0))
+        assert str(err.value) == message
+
+    def test_numpy_int_batch_and_cap_run_as_ints(self):
+        inst = TestSelection()._three()
+        plain = run_election(inst, "dcb", "ppr-1v1", 0.05, 25, derive_stream(3, 0), 10**6)
+        numpy_ints = run_election(
+            inst, "dcb", "ppr-1v1", 0.05, np.int64(25), derive_stream(3, 0), np.int64(10**6)
+        )
+        assert numpy_ints == plain
 
     def test_batch_rounding(self):
         inst = ElectionInstance(("A", "B"), (Constituency("only", (100, 0)),))

@@ -1,4 +1,5 @@
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from modestop.numerics import (
     log_beta_pdf_half,
     log_beta_pdf_half_array,
     posterior_level_crossings,
+    posterior_level_flank,
 )
 
 
@@ -304,6 +306,29 @@ class TestPosteriorLevelCrossings:
         assert iv.lo == pytest.approx((0.01 / 11.0) ** 0.1, abs=1e-9)
         iv = posterior_level_crossings(1, 11, 0.01)
         assert iv.lo == 0.0
+
+    def test_flanks_are_the_crossings(self):
+        # each end bit for bit, at levels from far below the peak through
+        # grazing it to above it, where both flanks raise as the crossings do
+        grazed = empty = 0
+        for a, b in [(1, 1), (2, 2), (3, 2), (1, 11), (11, 1), (40, 7), (500, 499)]:
+            mode = 0.5 if a == b == 1 else (a - 1) / (a + b - 2)
+            peak = beta_pdf(mode, a, b)
+            levels = (1e-8, 0.01, 0.5, 1.0, peak * (1 - 1e-6), peak, peak * (1 + 1e-10), 2 * peak)
+            for level in levels:
+                try:
+                    iv = posterior_level_crossings(a, b, level)
+                except EmptyLevelSetError:
+                    empty += 1
+                    for upper in (False, True):
+                        with pytest.raises(EmptyLevelSetError):
+                            posterior_level_flank(a, b, level, upper)
+                    continue
+                ends = [posterior_level_flank(a, b, level, upper) for upper in (False, True)]
+                assert struct.pack("<2d", *ends) == struct.pack("<2d", iv.lo, iv.hi), (a, b, level)
+                grazed += a + b > 2 and iv.lo == iv.hi == mode
+        assert grazed >= 1
+        assert empty >= 1
 
     @given(
         st.integers(min_value=1, max_value=200),
