@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modestop import harness
@@ -89,6 +89,9 @@ class TestExperimentSpec:
         delta=UNIT_FLOATS,
         replications=st.one_of(st.integers(-3, 5), st.booleans(), st.floats(0, 5)),
     )
+    @example(probs=(0.5, 0.25, 0.25), rule="ppr-1v1", delta=5e-324, replications=1)
+    @example(probs=(0.6, 0.4), rule="a1-1v1", delta=5e-324, replications=1)
+    @example(probs=(0.6, 0.4), rule="ppr-1v1", delta=5e-324, replications=1)
     @settings(max_examples=300, deadline=None)
     def test_accepts_exactly_the_valid_specs(self, probs, rule, delta, replications):
         try:
@@ -106,12 +109,17 @@ class TestExperimentSpec:
         if valid and rule == "ppr-adaptive":
             # it never declares a lone answer
             valid = sum(p > 0 for p in probs) >= 2
-        if valid and rule.startswith("kl-sn"):
-            # the rule's engine needs a KL-SN rate root, which a budget of
-            # alpha <= 2 e^2 * 200 e^-200 (about 4.09e-84) does not have
+        if valid and rule.endswith(("1v1", "1vr")):
             k = len(probs)
             alpha = delta / (k - 1) if rule.endswith("1v1") else delta / k
-            valid = alpha / (2.0 * math.e**2) > 200.0 * math.exp(-200.0)
+            if rule == "a1-1v1":
+                alpha /= 2.0  # its pair width is evaluated at half the budget
+            # a subnormal delta can leave the per-test budget at 0.0
+            valid = alpha > 0.0
+            if rule.startswith("kl-sn"):
+                # the rule's engine needs a KL-SN rate root, which a budget of
+                # alpha <= 2 e^2 * 200 e^-200 (about 4.09e-84) does not have
+                valid = alpha / (2.0 * math.e**2) > 200.0 * math.exp(-200.0)
         kw = dict(probs=probs, rule=rule, delta=delta, replications=replications)
         if valid:
             _spec(**kw)
