@@ -48,9 +48,9 @@ from .numerics import (
     kl_bernoulli,
     log_beta_pdf_half,
     log_beta_pdf_half_array,
-    posterior_level_crossings,
     posterior_level_flank,
 )
+from .numerics import posterior_level_crossings  # noqa: F401  perfbench/tracer.py patches it here
 
 __all__ = [
     "ENGINE_KINDS",
@@ -154,10 +154,7 @@ class BoundEngine:
 
     def interval(self, s: int, t: int) -> Interval:
         """The engine's interval for s successes in t draws: its two ``bound``
-        ends. On ppr it is ``posterior_level_crossings``, whose ends are the
-        same ``posterior_level_flank`` calls."""
-        if self.kind == "ppr":
-            return posterior_level_crossings(s + 1, t - s + 1, self.alpha)
+        ends."""
         return Interval(self.bound(s, t, False), self.bound(s, t, True))
 
     def bound(self, s: int, t: int, upper: bool) -> float:

@@ -13,9 +13,9 @@ Two polling policies are provided: round-robin over unresolved
 constituencies, and the confidence-bound-difference policy that each step
 queries one promising constituency for each of the two aggregate contenders.
 Its bound widths come from the rule's own engine, at the rule's per-test
-mistake probability. They are solved on demand: a selection solves, for each
-unresolved constituency whose counts or contenders changed since its last
-solve, only the interval ends its two scores read.
+mistake probability. They are solved on demand: a selection solves only the
+interval ends its two scores read, and each end at most once at a
+constituency's counts.
 """
 
 from __future__ import annotations
@@ -199,8 +199,26 @@ def synthetic_election() -> ElectionInstance:
     return ElectionInstance(parties, constituencies)
 
 
+def _read_masks(k: int, scheme: str) -> np.ndarray:
+    """reads[a, b] marks the width ends the DCB scores of contenders a != b
+    read, flattened from [0] in lcb and [1] in ucb: ucb[a, j], lcb[j, a],
+    ucb[j, b] and lcb[b, j] under 1v1. A 1vr row repeats one interval, so its
+    ends are rows (one column): hi of every row but b, lo of every row but a."""
+    reads = np.zeros((k, k, 2, k, 1 if scheme == "1vr" else k), dtype=bool)
+    for a in range(k):
+        for b in range(k):
+            lo, hi = reads[a, b]
+            if scheme == "1vr":
+                hi[:] = lo[:] = True
+                hi[b] = lo[a] = False
+            else:
+                hi[a, :] = lo[:, a] = hi[:, b] = lo[b, :] = True
+                hi[a, a] = lo[a, a] = hi[b, b] = lo[b, b] = False
+    return reads.reshape(k, k, -1)
+
+
 class _ConstituencyState:
-    __slots__ = ("index", "cum", "tally", "winner", "solved_for")
+    __slots__ = ("index", "cum", "tally", "winner")
 
     def __init__(self, index: int, con: Constituency) -> None:
         k = len(con.votes)
@@ -211,7 +229,6 @@ class _ConstituencyState:
         self.cum = cum
         self.tally = TallyState(k)
         self.winner: int | None = None
-        self.solved_for: tuple[int, int] | None = None  # contenders of the DCB ends at these counts
 
 
 class ElectionRun:
@@ -266,43 +283,40 @@ class ElectionRun:
         if policy == "dcb":
             self.lcb = np.zeros((self.c, self.k, self.k))
             self.ucb = np.ones((self.c, self.k, self.k))
+            self._reads = _read_masks(self.k, scheme)
+            # the ends of each block not solved at its constituency's current
+            # counts; none of a resolved one's, which no score reads
+            self._stale = np.ones((self.c, self._reads.shape[2]), dtype=bool)
 
     # -- per-constituency bookkeeping -------------------------------------
 
-    def _solve_ends(self, st: _ConstituencyState, a: int, b: int) -> None:
-        """Solve the ends of block st.index of the widths that the scores of
-        contenders a != b read: ucb[a, j], lcb[j, a], ucb[j, b] and lcb[b, j].
-        1v1 entry (i, j) is party i's pair interval on counts i and j; 1vr row
-        i repeats i's interval at the total."""
-        counts, t = st.tally.counts, st.tally.total
+    def _solve_ends(self, c: int, ends: np.ndarray) -> None:
+        """Solve the ends of block c of the widths that ends marks, in the
+        layout of ``_read_masks``. 1v1 entry (i, j) is party i's pair interval
+        on counts i and j; under 1vr end i is row i, i's interval at the total."""
+        tally = self.states[c].tally
+        counts = tally.counts
         bound = self.rule.engine.bound
-        lcb, ucb = self.lcb[st.index], self.ucb[st.index]
-        ca, cb = counts[a], counts[b]
-        for j, cj in enumerate(counts):
+        widths = (self.lcb[c], self.ucb[c])
+        for upper, i, j in np.argwhere(ends.reshape(2, self.k, -1)).tolist():
             if self.scheme == "1vr":
-                if j != b:
-                    ucb[j] = bound(cj, t, True)
-                if j != a:
-                    lcb[j] = bound(cj, t, False)
-            elif j != a:
-                ucb[a, j] = bound(ca, ca + cj, True)
-                lcb[j, a] = bound(cj, cj + ca, False)
-                if j != b:
-                    ucb[j, b] = bound(cj, cj + cb, True)
-                    lcb[b, j] = bound(cb, cb + cj, False)
-        st.solved_for = (a, b)
+                widths[upper][i] = bound(counts[i], tally.total, upper == 1)
+            else:
+                widths[upper][i, j] = bound(counts[i], counts[i] + counts[j], upper == 1)
+        self._stale[c, ends] = False
 
     def _sample_batch(self, st: _ConstituencyState) -> None:
         us = self.stream.uniforms(self.batch)
         idxs = np.searchsorted(st.cum, us, side="right")
         st.tally.add_counts(np.bincount(idxs, minlength=self.k))
-        st.solved_for = None
         self.samples += self.batch
         declared = self.rule.check(st.tally)
         if declared is not None:
             st.winner = declared
             self.unresolved -= 1
             self.wins[declared] += 1
+        if self.lcb is not None:
+            self._stale[st.index] = declared is None
 
     # -- selection policies ------------------------------------------------
 
@@ -337,13 +351,15 @@ class ElectionRun:
         b scores max_{j != b} (ucb[j, b] - lcb[b, j]). Ties break toward the
         lowest constituency id (``argmax`` takes the first maximum). ``step``
         runs only while a constituency is unresolved. Only the ends these
-        scores read are solved, and each once per batch and contender pair.
+        scores read are solved, and only those not solved at the current
+        counts, so no end is solved more often than after every batch.
         """
         a, b = self.dcb_contenders()
-        for st in self.states:
-            if st.winner is None and st.solved_for != (a, b):
-                self._solve_ends(st, a, b)
         resolved = np.array([st.winner is not None for st in self.states])
+        reads = self._reads[a, b]
+        # a boolean matrix product: does any end block c's scores read need a solve
+        for c in np.flatnonzero(self._stale @ reads).tolist():
+            self._solve_ends(c, self._stale[c] & reads)
         score_a = np.delete(self.ucb[:, a, :] - self.lcb[:, :, a], a, axis=1).min(axis=1)
         score_b = np.delete(self.ucb[:, :, b] - self.lcb[:, b, :], b, axis=1).max(axis=1)
         score_a[resolved] = score_b[resolved] = -math.inf

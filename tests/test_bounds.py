@@ -17,7 +17,7 @@ from modestop.bounds import (
     one_vs_rest_separated,
     pair_beats_half,
 )
-from modestop.numerics import LOG_GAMMA, kl_bernoulli
+from modestop.numerics import LOG_GAMMA, kl_bernoulli, posterior_level_crossings
 
 
 def interval(kind, s, t, alpha):
@@ -160,10 +160,11 @@ class TestIntervalPin:
 
 
 class TestBoundEnds:
-    # ``bound`` gives each end of ``interval`` bit for bit: every s <= t <= 60,
-    # which holds t below each engine's minimum, s = 0 and s = t, and a sparse
-    # grid up to t = 1e6. No engine's interval raises EmptyLevelSetError, as
-    # alpha < 1; test_numerics holds the ppr flanks to it where levels do.
+    # ``bound`` gives each end of ``interval`` bit for bit, and on ppr each
+    # end of the posterior level crossings: every s <= t <= 60, which holds t
+    # below each engine's minimum, s = 0 and s = t, and a sparse grid up to
+    # t = 1e6. No engine's interval raises EmptyLevelSetError, as alpha < 1;
+    # test_numerics holds the ppr flanks to the crossings where levels do.
     COUNTS = [(s, t) for t in range(61) for s in range(t + 1)] + [
         (s, t)
         for t in (97, 1000, 12345, 99991, 10**6)
@@ -175,9 +176,12 @@ class TestBoundEnds:
         for alpha in (0.1, 1e-6):
             engine = BoundEngine(kind, alpha)
             for s, t in self.COUNTS:
+                ends = struct.pack("<2d", engine.bound(s, t, False), engine.bound(s, t, True))
                 iv = engine.interval(s, t)
-                ends = engine.bound(s, t, False), engine.bound(s, t, True)
-                assert struct.pack("<2d", *ends) == struct.pack("<2d", iv.lo, iv.hi), (s, t)
+                assert ends == struct.pack("<2d", iv.lo, iv.hi), (s, t)
+                if kind == "ppr":
+                    iv = posterior_level_crossings(s + 1, t - s + 1, alpha)
+                    assert ends == struct.pack("<2d", iv.lo, iv.hi), (s, t)
 
 
 @st.composite

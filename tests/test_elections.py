@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modestop.bounds import ENGINE_KINDS, make_engine
+from modestop.bounds import ENGINE_KINDS, BoundEngine, make_engine
 from modestop.elections import (
     Constituency,
     ElectionDataError,
@@ -296,12 +296,12 @@ class TestSelection:
 ELECTION_TOKENS = [f"{kind}-{scheme}" for kind in ENGINE_KINDS for scheme in ("1v1", "1vr")]
 
 
-def _eager_widths(run, st, lcb, ucb):
+def _eager_widths(run, engine, st, lcb, ucb):
     """The widths as an eager refresh wrote them after every batch: 1v1
     entry (i, j) is party i's pair interval on counts i and j, 1vr row i
-    repeats i's interval at the total."""
+    repeats i's interval at the total. Returns the number of ends solved."""
     counts, t = st.tally.counts, st.tally.total
-    interval = run.rule.engine.interval
+    interval = engine.interval
     for i in range(run.k):
         if run.scheme == "1vr":
             iv = interval(counts[i], t)
@@ -311,6 +311,7 @@ def _eager_widths(run, st, lcb, ucb):
             if i != j:
                 iv = interval(counts[i], counts[i] + counts[j])
                 lcb[st.index, i, j], ucb[st.index, i, j] = iv.lo, iv.hi
+    return 2 * run.k if run.scheme == "1vr" else 2 * run.k * (run.k - 1)
 
 
 def _lazy_parity_instance(k):
@@ -333,10 +334,21 @@ def _lazy_parity_instance(k):
 class TestLazyWidths:
     @pytest.mark.parametrize("rule", ELECTION_TOKENS)
     @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_reads_equal_an_eager_refresh(self, rule, k):
+    def test_reads_equal_an_eager_refresh(self, monkeypatch, rule, k):
         # at every step the ends dcb_select reads, and its pick, equal those
-        # of an oracle that refreshes every width after every batch
+        # of an oracle that refreshes every width after every batch, and the
+        # run has solved no more ends than the oracle
         run = ElectionRun(_lazy_parity_instance(k), "dcb", rule, 0.1, 50, derive_stream(8, 0))
+        oracle = BoundEngine(run.rule.engine.kind, run.rule.engine.alpha)
+        solves = eager_solves = 0
+        bound = BoundEngine.bound
+
+        def counted_bound(engine, s, t, upper):
+            nonlocal solves
+            solves += engine is run.rule.engine
+            return bound(engine, s, t, upper)
+
+        monkeypatch.setattr(BoundEngine, "bound", counted_bound)
         lcb, ucb = np.zeros_like(run.lcb), np.ones_like(run.ucb)
         totals = [None] * run.c
         pair, switches, same_pick = None, 0, 0
@@ -344,7 +356,7 @@ class TestLazyWidths:
             open_ids = [st.index for st in run.states if st.winner is None]
             for c in open_ids:
                 if totals[c] != run.states[c].tally.total:
-                    _eager_widths(run, run.states[c], lcb, ucb)
+                    eager_solves += _eager_widths(run, oracle, run.states[c], lcb, ucb)
                     totals[c] = run.states[c].tally.total
             a, b = run.dcb_contenders()
             score_a = np.delete(ucb[:, a, :] - lcb[:, :, a], a, axis=1).min(axis=1)
@@ -353,6 +365,7 @@ class TestLazyWidths:
             score_a[closed] = score_b[closed] = -np.inf
             expected = (int(np.argmax(score_a)), int(np.argmax(score_b)))
             assert run.dcb_select() == expected
+            assert solves <= eager_solves
             # the entries the two scores read, bit for bit
             reads = [(run.ucb, ucb, a, j) for j in range(k) if j != a]
             reads += [(run.lcb, lcb, j, a) for j in range(k) if j != a]
