@@ -201,9 +201,9 @@ def synthetic_election() -> ElectionInstance:
 
 def _read_masks(k: int, scheme: str) -> np.ndarray:
     """reads[a, b] marks the width ends the DCB scores of contenders a != b
-    read, flattened from [0] in lcb and [1] in ucb: ucb[a, j], lcb[j, a],
-    ucb[j, b] and lcb[b, j] under 1v1. A 1vr row repeats one interval, so its
-    ends are rows (one column): hi of every row but b, lo of every row but a."""
+    read, [0] in lcb and [1] in ucb: ucb[a, j], lcb[j, a], ucb[j, b] and
+    lcb[b, j] under 1v1. A 1vr row repeats one interval, so its ends are
+    rows (one column): hi of every row but b, lo of every row but a."""
     reads = np.zeros((k, k, 2, k, 1 if scheme == "1vr" else k), dtype=bool)
     for a in range(k):
         for b in range(k):
@@ -214,7 +214,7 @@ def _read_masks(k: int, scheme: str) -> np.ndarray:
             else:
                 hi[a, :] = lo[:, a] = hi[:, b] = lo[b, :] = True
                 hi[a, a] = lo[a, a] = hi[b, b] = lo[b, b] = False
-    return reads.reshape(k, k, -1)
+    return reads
 
 
 class _ConstituencyState:
@@ -286,24 +286,30 @@ class ElectionRun:
             self._reads = _read_masks(self.k, scheme)
             # the ends of each block not solved at its constituency's current
             # counts; none of a resolved one's, which no score reads
-            self._stale = np.ones((self.c, self._reads.shape[2]), dtype=bool)
+            self._stale = np.ones((self.c, *self._reads.shape[2:]), dtype=bool)
+            # (upper, i, j) of each end of a block, in flat order
+            self._end_index = list(np.ndindex(self._stale.shape[1:]))
 
     # -- per-constituency bookkeeping -------------------------------------
 
-    def _solve_ends(self, c: int, ends: np.ndarray) -> None:
-        """Solve the ends of block c of the widths that ends marks, in the
-        layout of ``_read_masks``. 1v1 entry (i, j) is party i's pair interval
-        on counts i and j; under 1vr end i is row i, i's interval at the total."""
-        tally = self.states[c].tally
-        counts = tally.counts
+    def _solve_ends(self, ends: np.ndarray) -> None:
+        """Solve the width ends that ends marks: [c, 0] in lcb and [c, 1] in
+        ucb of block c, in the layout of ``_read_masks``. 1v1 entry (i, j) is
+        party i's pair interval on counts i and j; under 1vr end i is row i,
+        i's interval at the total."""
         bound = self.rule.engine.bound
-        widths = (self.lcb[c], self.ucb[c])
-        for upper, i, j in np.argwhere(ends.reshape(2, self.k, -1)).tolist():
+        widths = (self.lcb, self.ucb)
+        per_block = len(self._end_index)
+        # a flat nonzero is several times cheaper than one over four axes
+        for e in np.flatnonzero(ends).tolist():
+            c, e = divmod(e, per_block)
+            upper, i, j = self._end_index[e]
+            tally = self.states[c].tally
+            counts = tally.counts
             if self.scheme == "1vr":
-                widths[upper][i] = bound(counts[i], tally.total, upper == 1)
+                widths[upper][c, i] = bound(counts[i], tally.total, upper == 1)
             else:
-                widths[upper][i, j] = bound(counts[i], counts[i] + counts[j], upper == 1)
-        self._stale[c, ends] = False
+                widths[upper][c, i, j] = bound(counts[i], counts[i] + counts[j], upper == 1)
 
     def _sample_batch(self, st: _ConstituencyState) -> None:
         us = self.stream.uniforms(self.batch)
@@ -357,9 +363,10 @@ class ElectionRun:
         a, b = self.dcb_contenders()
         resolved = np.array([st.winner is not None for st in self.states])
         reads = self._reads[a, b]
-        # a boolean matrix product: does any end block c's scores read need a solve
-        for c in np.flatnonzero(self._stale @ reads).tolist():
-            self._solve_ends(c, self._stale[c] & reads)
+        todo = self._stale & reads
+        if todo.any():
+            self._solve_ends(todo)
+            self._stale &= ~reads
         score_a = np.delete(self.ucb[:, a, :] - self.lcb[:, :, a], a, axis=1).min(axis=1)
         score_b = np.delete(self.ucb[:, :, b] - self.lcb[:, b, :], b, axis=1).max(axis=1)
         score_a[resolved] = score_b[resolved] = -math.inf
