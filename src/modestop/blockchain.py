@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instances import SeededStream, TallyState, _as_int, derive_stream
+from .instances import (SeededStream, TallyState, _distinct, _int_at_least, _probability,
+                        derive_stream)
 from .stopping import SampleCapExceeded, make_rule
 
 __all__ = [
@@ -52,16 +53,13 @@ class NodePool:
     n_answers: int = 2
 
     def __post_init__(self) -> None:
-        if self.n_nodes < 1:
-            raise ValueError(f"need at least one node, got N={self.n_nodes}")
+        _int_at_least("n_nodes", self.n_nodes, 1)
         if not 0.0 <= self.byzantine_fraction < 0.5:
             raise ValueError(
                 f"the Byzantine fraction must lie in [0, 1/2), got {self.byzantine_fraction}"
             )
-        if not 1 <= self.batch_size <= self.n_nodes:
-            raise ValueError(f"batch size must lie in [1, N={self.n_nodes}], got {self.batch_size}")
-        if self.n_answers < 2:
-            raise ValueError(f"need at least two possible answers, got K={self.n_answers}")
+        _check_batch_size(self.batch_size, self.n_nodes)
+        _int_at_least("n_answers", self.n_answers, 2)
         byz = self.byzantine_count
         wrong = self.n_answers - 1
         base, extra = divmod(byz, wrong)
@@ -81,16 +79,19 @@ class NodePool:
         return self._colors  # type: ignore[attr-defined]
 
 
+def _check_batch_size(m: int, n: int) -> None:
+    if _int_at_least("batch size", m, 1) > n:
+        raise ValueError(f"batch size must lie in [1, N={n}], got {m}")
+
+
 def sprt_threshold(delta: float, n: int, m: int, f_max: float | None) -> float:
     """ln((1-delta)/delta) * 2q(1-q)N (1-f_max) f_max / (1-2 f_max), q = m/N."""
     if f_max is None:
         raise ValueError("SPRT requires f_max")
     if not 0.0 < f_max < 0.5:
         raise ValueError(f"f_max must lie in (0, 1/2), got {f_max}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if not 1 <= m <= n:
-        raise ValueError(f"batch size must lie in [1, N={n}], got {m}")
+    _probability("delta", delta)
+    _check_batch_size(m, n)
     q = m / n
     return (
         math.log((1.0 - delta) / delta) * 2.0 * q * (1.0 - q) * n * (1.0 - f_max) * f_max
@@ -150,9 +151,7 @@ def run_verification(
     the stop.
     """
     _check_policy(policy)
-    step_cap = _as_int(step_cap, "step_cap must be an int")
-    if step_cap < 1:
-        raise ValueError(f"step_cap must be >= 1, got {step_cap}")
+    step_cap = _int_at_least("step_cap", step_cap, 1)
     m = pool.batch_size
     if policy == "sprt":
         threshold = sprt_threshold(delta, pool.n_nodes, m, f_max)
@@ -201,15 +200,12 @@ def sweep_f(
     reproducible independently of sweep order; every pool and policy is checked
     first, and so is every f at which a policy cannot declare.
     """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
+    runs = _int_at_least("runs", runs, 1)
     pools = [NodePool(n_nodes=n, byzantine_fraction=f, batch_size=m, n_answers=k) for f in f_values]
     for policy in policies:
         _check_policy(policy)
-    for name, values in (("f", f_values), ("policy", policies)):
-        for i, value in enumerate(values):
-            if value in values[:i]:
-                raise ValueError(f"{name} {value!r} is listed twice")
+    _distinct("f", f_values)
+    _distinct("policy", policies)
     if "sprt" in policies:
         sprt_threshold(delta, n, m, f_max)
     if "ppr-adaptive" in policies:

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .instances import _probability
 from .numerics import (
     Interval,
     LOG_GAMMA,
@@ -147,8 +148,7 @@ class BoundEngine:
     def __post_init__(self) -> None:
         if self.kind not in ENGINE_KINDS:
             raise ValueError(f"unknown bound engine {self.kind!r}; expected one of {ENGINE_KINDS}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        _probability("alpha", self.alpha)
         object.__setattr__(self, "gamma", _kl_sn_gamma(self.alpha) if self.kind == "kl-sn" else 0.0)
         object.__setattr__(self, "log_alpha", math.log(self.alpha))
 

@@ -12,7 +12,7 @@ import sys
 from dataclasses import astuple, fields
 
 from . import blockchain, elections, harness, theory
-from .instances import derive_stream
+from .instances import _int_at_least, derive_stream
 from .stopping import RULE_TOKENS, parse_rule_token
 
 
@@ -221,8 +221,7 @@ def _cmd_election_sim(args) -> int:
         instance = elections.synthetic_election()
     else:
         instance = elections.load_election_csv(args.data)
-    if args.seeds < 1:
-        raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
+    _int_at_least("--seeds", args.seeds, 1)
     rows = []
     engine_kind, scheme = parse_rule_token(args.rule)
     for s in range(args.seeds):

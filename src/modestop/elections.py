@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import make_engine  # noqa: F401  unused; perfbench/tracer.py patches it here
-from .instances import SeededStream, TallyState, _as_int
+from .instances import SeededStream, TallyState, _int_at_least, _probability
 from .stopping import SampleCapExceeded, make_rule, parse_rule_token
 
 __all__ = [
@@ -251,11 +251,8 @@ class ElectionRun:
     ) -> None:
         if policy not in ELECTION_POLICIES:
             raise ValueError(f"unknown policy {policy!r}; expected one of {ELECTION_POLICIES}")
-        batch = _as_int(batch, "batch size must be an int")
-        if batch < 1:
-            raise ValueError(f"batch size must be >= 1, got {batch}")
-        if not 0.0 < delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {delta}")
+        batch = _int_at_least("batch size", batch, 1)
+        _probability("delta", delta)
         _, scheme = parse_rule_token(rule_token)
         if scheme not in ("1v1", "1vr"):
             # the DCB formulas need the bound widths of an engine
@@ -273,7 +270,11 @@ class ElectionRun:
         self.stream = stream
         self.k = instance.k
         self.c = instance.c
-        self.rule = make_rule(rule_token, self.k, delta / self.c)
+        try:
+            self.rule = make_rule(rule_token, self.k, delta / self.c)
+        except ValueError as err:  # the rule's other inputs are checked above
+            message = f"delta={delta} is too small at K={self.k}, C={self.c}: {err}"
+            raise ValueError(message) from None
         self.states = [_ConstituencyState(i, con) for i, con in enumerate(instance.constituencies)]
         self.wins = [0] * self.k
         self.samples = 0
@@ -415,9 +416,7 @@ def run_election(
     stream: SeededStream,
     sample_cap: int = DEFAULT_ELECTION_SAMPLE_CAP,
 ) -> ElectionRecord:
-    sample_cap = _as_int(sample_cap, "sample_cap must be an int")
-    if sample_cap < 1:
-        raise ValueError(f"sample_cap must be >= 1, got {sample_cap}")
+    sample_cap = _int_at_least("sample_cap", sample_cap, 1)
     run = ElectionRun(instance, policy, rule_token, delta, batch, stream)
     while True:
         winner = run.step()

@@ -11,11 +11,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 from dataclasses import astuple, dataclass, fields
 from itertools import product
 
-from .instances import DiscreteInstance, _as_int, derive_stream
+from .instances import DiscreteInstance, _as_int, _distinct, _int_at_least, derive_stream
 from .stopping import TrialRecord, make_rule, parse_rule_token, run_mode_estimation
 
 __all__ = [
@@ -69,9 +68,7 @@ class ExperimentSpec:
                 f"positive probability, got probs {self.probs}"
             )
         _as_int(self.master_seed, "master seed must be an int")
-        reps = self.replications
-        if isinstance(reps, bool) or not isinstance(reps, numbers.Integral) or reps < 1:
-            raise ValueError(f"replications must be an int >= 1, got {reps!r}")
+        _int_at_least("replications", self.replications, 1)
 
 
 @dataclass(frozen=True)
@@ -198,13 +195,12 @@ def table1_suite(
     fast=True caps replications at 20 for the two slow instances (P5, P6).
     """
     names = list(instances) if instances else list(TABLE1_INSTANCES)
-    for i, name in enumerate(names):
+    for name in names:
         if name not in TABLE1_INSTANCES:
             raise ValueError(
                 f"unknown Table-1 instance {name!r}; expected one of {', '.join(TABLE1_INSTANCES)}"
             )
-        if name in names[:i]:
-            raise ValueError(f"Table-1 instance {name!r} is listed twice")
+    _distinct("Table-1 instance", names)
     grid = [
         (name, TABLE1_INSTANCES[name], 0.01, capped_replications(name, reps, fast))
         for name in names

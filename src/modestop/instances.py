@@ -1,4 +1,5 @@
-"""Problem instances, seeded sampling streams, and O(1) tally maintenance."""
+"""Problem instances, seeded sampling streams, O(1) tally maintenance, and the
+input rules every driver checks."""
 
 from __future__ import annotations
 
@@ -40,8 +41,7 @@ class DiscreteInstance:
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.probs) < 2:
-            raise ValueError(f"an instance needs K >= 2 values, got {len(self.probs)}")
+        _int_at_least("K", len(self.probs), 2)
         for i, p in enumerate(self.probs):
             if not math.isfinite(p):
                 raise ValueError(f"probability {i} is not a finite number: {p}")
@@ -77,6 +77,31 @@ def _as_int(value, requirement: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{requirement}, got {value!r}") from None
+
+
+def _int_at_least(name: str, value, least: int) -> int:
+    """value as an int of at least ``least``, or a ValueError naming the
+    argument: a bool is no count, and a float is rejected, not truncated."""
+    if type(value) is not int:  # checked once per trial or run: keep an int's path short
+        if isinstance(value, bool) or not hasattr(value, "__index__"):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+        value = operator.index(value)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
+def _probability(name: str, value: float) -> None:
+    """Reject a value outside (0, 1), NaN included."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {value}")
+
+
+def _distinct(name: str, values) -> None:
+    """Reject the first value of the sequence values that repeats an earlier one."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{name} {value!r} is listed twice")
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four
@@ -315,9 +340,7 @@ class TallyState:
     __slots__ = ("counts", "total", "first", "second", "order")
 
     def __init__(self, k: int) -> None:
-        if k < 2:
-            raise ValueError(f"tally needs K >= 2 values, got {k}")
-        self.counts = [0] * k
+        self.counts = [0] * _int_at_least("K", k, 2)
         self.total = 0
         self.first = 0
         self.second = 1
@@ -333,20 +356,14 @@ class TallyState:
         if c == 1:
             self.order.append(idx)
         first = self.first
-        if idx == first:
-            return
-        cf = counts[first]
-        second = self.second
-        if idx == second:
+        if idx != first:
+            cf = counts[first]
             if c > cf or (c == cf and idx < first):
-                self.first, self.second = second, first
-            return
-        if c > cf or (c == cf and idx < first):
-            self.first, self.second = idx, first
-        else:
-            cs = counts[second]
-            if c > cs or (c == cs and idx < second):
-                self.second = idx
+                self.first, self.second = idx, first
+            else:  # a rival may pass second; second itself has cs == c and stays
+                cs = counts[self.second]
+                if c > cs or (c == cs and idx < self.second):
+                    self.second = idx
 
     def add_counts(self, batch_counts) -> None:
         """Bulk update from per-value counts; first/second by full scan. A

@@ -59,7 +59,8 @@ from .bounds import (
     pair_beats_half,
     pair_margin_array,
 )
-from .instances import DiscreteInstance, SamplePath, SeededStream, TallyState, _as_int
+from .instances import (DiscreteInstance, SamplePath, SeededStream, TallyState, _int_at_least,
+                        _probability)
 from .numerics import LN2, LOG_GAMMA, log_beta_pdf_half, log_beta_pdf_half_array
 
 __all__ = [
@@ -132,20 +133,27 @@ def _top_two(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lead, trail
 
 
-def _validate(delta: float, k: int = 2) -> None:
-    """The precondition every rule shares: K >= 2 values, delta in (0, 1)."""
-    if k < 2:
-        raise ValueError(f"a stopping rule needs K >= 2 values, got K={k}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-
-
 def pair_test_alpha(engine_kind: str, k: int, delta: float) -> float:
     """Per-pair mistake budget for 1v1 tests: delta/(K-1), except that the
     empirical-Bernstein test spends its budget per one-sided bound, so its
     two-sided pair width is evaluated at half that."""
     alpha = delta / (k - 1)
     return alpha / 2.0 if engine_kind == "a1" else alpha
+
+
+def _split_engine(engine_kind: str, k: int, delta: float, scheme: str) -> BoundEngine:
+    """The engine of an <engine>-<scheme> rule at the budget the scheme splits
+    from delta (``pair_test_alpha`` or delta/K); a budget the engine rejects
+    (0 after underflow, or no kl-sn rate root) is reported by delta and K."""
+    k = _int_at_least("K", k, 2)
+    _probability("delta", delta)
+    alpha = pair_test_alpha(engine_kind, k, delta) if scheme == "1v1" else delta / k
+    try:
+        return make_engine(engine_kind, alpha)
+    except ValueError as err:
+        if engine_kind not in ENGINE_KINDS:
+            raise
+        raise ValueError(f"delta={delta} is too small at K={k}: {err}") from None
 
 
 class Generic1v1Rule(_Rule):
@@ -155,8 +163,7 @@ class Generic1v1Rule(_Rule):
     __slots__ = ("engine",)
 
     def __init__(self, engine_kind: str, k: int, delta: float) -> None:
-        _validate(delta, k)
-        self.engine = make_engine(engine_kind, pair_test_alpha(engine_kind, k, delta))
+        self.engine = _split_engine(engine_kind, k, delta, "1v1")
 
     def check(self, tally: TallyState) -> int | None:
         counts = tally.counts
@@ -187,8 +194,7 @@ class Generic1vrRule(_Rule):
     __slots__ = ("engine",)
 
     def __init__(self, engine_kind: str, k: int, delta: float) -> None:
-        _validate(delta, k)
-        self.engine = make_engine(engine_kind, delta / k)
+        self.engine = _split_engine(engine_kind, k, delta, "1vr")
 
     def check(self, tally: TallyState) -> int | None:
         counts = tally.counts
@@ -218,8 +224,8 @@ class PprMdRule(_Rule):
     reads_every_count = True
 
     def __init__(self, k: int, delta: float) -> None:
-        _validate(delta, k)
-        self._k = k
+        self._k = _int_at_least("K", k, 2)
+        _probability("delta", delta)
         self._log_threshold = math.log(delta) - LOG_GAMMA(k)
 
     def slice_log_quantity(self, tally: TallyState, j: int) -> float:
@@ -289,7 +295,7 @@ class PprAdaptiveRule(_Rule):
     __slots__ = ("_k_delta",)
 
     def __init__(self, delta: float) -> None:
-        _validate(delta)
+        _probability("delta", delta)
         self._k_delta = PI_SQUARED_OVER_6_INV * delta
 
     def budget(self, a: int, b: int) -> float:
@@ -382,14 +388,6 @@ def shared_boundary(token: str, delta: float) -> PairBoundary:
     return boundary
 
 
-def _check_limits(sample_cap: int) -> int:
-    """The sample cap as an int; reject a non-int, and a cap below 1."""
-    sample_cap = _as_int(sample_cap, "sample_cap must be an int")
-    if sample_cap < 1:
-        raise ValueError(f"sample_cap must be >= 1, got {sample_cap}")
-    return sample_cap
-
-
 def _path_chunks(path: SamplePath, sample_cap: int):
     """Yield (t0, samples t0 .. t0 + n - 1) for each drawn chunk of the path,
     the last one cut at sample_cap."""
@@ -411,7 +409,7 @@ def scan_per_sample(
     """Feed the path to the rule one sample at a time, checking after every
     sample up to sample_cap. Returns (samples, declared index), or None when
     the rule has not declared by sample_cap."""
-    sample_cap = _check_limits(sample_cap)
+    sample_cap = _int_at_least("sample_cap", sample_cap, 1)
     tally = TallyState(k)
     check = rule.check
     update = tally.update
@@ -482,7 +480,7 @@ def declaration_time(
     Returns (samples consumed, declared index). Raises SampleCapExceeded when
     the rule has not declared after sample_cap samples.
     """
-    sample_cap = _check_limits(sample_cap)
+    sample_cap = _int_at_least("sample_cap", sample_cap, 1)
     k = instance.k
     if k == 2:
         found = shared_boundary(rule_token, delta).first_crossing(

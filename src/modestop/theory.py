@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import ppr_separation_log_density
+from .instances import _int_at_least, _probability
 from .numerics import log_beta_pdf_half
 
 __all__ = [
@@ -56,36 +57,19 @@ def _check_gap(p1: float, p2: float) -> None:
         raise ValueError(f"need 1 >= p1 > p2 >= 0, got p1={p1}, p2={p2}")
 
 
-def _check_k(k: int) -> None:
-    if k < 2:
-        raise ValueError(f"need K >= 2, got {k}")
-
-
-def _check_delta(delta: float) -> None:
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-
-
-def _check_at_least(**limits: tuple[int, int]) -> None:
-    """Reject a sweep limit below its least value, which would check nothing."""
-    for name, (value, least) in limits.items():
-        if value < least:
-            raise ValueError(f"{name} must be >= {least}, got {value}")
-
-
 def lower_bound(p1: float, p2: float, delta: float) -> float:
     """p1 / (p1 - p2)^2 * ln(1 / (2.4 delta)): expected samples any
     delta-correct rule must draw."""
     _check_gap(p1, p2)
-    _check_delta(delta)
+    _probability("delta", delta)
     return p1 / (p1 - p2) ** 2 * math.log(1.0 / (2.4 * delta))
 
 
 def a1_upper_bound(p1: float, p2: float, k: int, delta: float) -> float:
     """(592/3) p1/(p1-p2)^2 ln((592/3) sqrt(K/delta) p1/(p1-p2)^2)."""
     _check_gap(p1, p2)
-    _check_k(k)
-    _check_delta(delta)
+    _int_at_least("K", k, 2)
+    _probability("delta", delta)
     c = 592.0 / 3.0
     lead = c * p1 / (p1 - p2) ** 2
     return lead * math.log(c * math.sqrt(k / delta) * p1 / (p1 - p2) ** 2)
@@ -95,7 +79,7 @@ def ppr_bernoulli_upper(p1: float, delta: float) -> float:
     """20.775 p1/(p1-1/2)^2 ln(2.49 / ((p1-1/2)^2 delta)) for p1 > 1/2."""
     if not 0.5 < p1 <= 1.0:
         raise ValueError(f"need p1 in (1/2, 1], got {p1}")
-    _check_delta(delta)
+    _probability("delta", delta)
     gap = p1 - 0.5
     return 20.775 * p1 / gap**2 * math.log(2.49 / (gap**2 * delta))
 
@@ -103,8 +87,8 @@ def ppr_bernoulli_upper(p1: float, delta: float) -> float:
 def ppr_1v1_upper(p1: float, p2: float, k: int, delta: float) -> float:
     """194.07 p1/(p1-p2)^2 ln(sqrt(79.68 (K-1)/delta) p1/(p1-p2))."""
     _check_gap(p1, p2)
-    _check_k(k)
-    _check_delta(delta)
+    _int_at_least("K", k, 2)
+    _probability("delta", delta)
     gap = p1 - p2
     return 194.07 * p1 / gap**2 * math.log(math.sqrt(79.68 * (k - 1) / delta) * p1 / gap)
 
@@ -113,7 +97,7 @@ def bound_report(p1: float, p2: float, k: int, delta: float) -> BoundReport:
     """The four calculators at the top two probabilities p1 > p2 of a
     K-valued distribution, which needs p1 + p2 <= 1 <= p1 + (K-1) p2 within
     1e-9 (p2 = 1 - p1 at K = 2)."""
-    _check_k(k)
+    _int_at_least("K", k, 2)
     if not p1 + p2 - 1e-9 <= 1.0 <= p1 + (k - 1) * p2 + 1e-9:
         raise ValueError(f"need p1 + p2 <= 1 <= p1 + (K-1) p2, got p1={p1}, p2={p2}, K={k}")
     return BoundReport(
@@ -135,11 +119,11 @@ def verify_thm3_margin(p1: float, p2: float, pj: float, k: int, delta: float) ->
     """
     if not (p1 > p2 >= pj > 0.0):
         raise ValueError(f"need p1 > p2 >= pj > 0, got {(p1, p2, pj)}")
-    _check_k(k)
+    _int_at_least("K", k, 2)
     total = p1 + p2 + (k - 2) * pj
     if total > 1.0 + 1e-9:
         raise ValueError(f"need p1 + p2 + (K-2) pj <= 1, got {total:g} at K={k}")
-    _check_delta(delta)
+    _probability("delta", delta)
     delta_prime = delta / (2.0 * (k - 1))
     q1 = p1 / (p1 + pj)
     u = ppr_bernoulli_upper(q1, delta_prime)
@@ -163,9 +147,10 @@ def verify_1v1_1vr_conjecture(
     delta/(K-1), the k-form says 1v1 declares whenever 1vr does; the strong
     form implies the k-form for every k.
     """
-    _check_at_least(x_max=(x_max, 2), y_max=(y_max, 1), f_max=(f_max, 1))
+    for name, limit, least in (("x_max", x_max, 2), ("y_max", y_max, 1), ("f_max", f_max, 1)):
+        _int_at_least(name, limit, least)
     if k is not None:
-        _check_k(k)
+        _int_at_least("K", k, 2)
     log_factor = 0.0 if k is None else math.log((k - 1) / k)
     failures: list[tuple[int, int, int]] = []
     for x in range(2, x_max + 1):
@@ -195,7 +180,8 @@ def verify_beta_monotonicity(a_max: int, b_max: int) -> bool:
     counts: replacing the runner-up with any smaller count only lowers the
     density at 1/2.
     """
-    _check_at_least(a_max=(a_max, 1), b_max=(b_max, 1))
+    _int_at_least("a_max", a_max, 1)
+    _int_at_least("b_max", b_max, 1)
     for a in range(1, a_max + 1):
         for b in range(1, min(a, b_max) + 1):
             if beta_pdf_half_exact(a, b + 1) < beta_pdf_half_exact(a, b):

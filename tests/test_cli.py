@@ -122,10 +122,10 @@ class TestVerify:
     @pytest.mark.parametrize("k", ["0", "1"])
     def test_conjecture_rejects_bad_k(self, k, capsys):
         assert main(["verify", "conjecture", "--x-max", "4", "--k", k]) == 1
-        assert capsys.readouterr() == ("", f"error: need K >= 2, got {k}\n")
+        assert capsys.readouterr() == ("", f"error: K must be >= 2, got {k}\n")
 
     @pytest.mark.parametrize("args, message", [
-        (["--k", "1"], "need K >= 2, got 1"),
+        (["--k", "1"], "K must be >= 2, got 1"),
         (["--delta", "1.5"], "delta must lie in (0, 1), got 1.5"),
     ])
     def test_margin_rejects_bad_point(self, args, message, capsys):

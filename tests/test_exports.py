@@ -1,6 +1,7 @@
 """Every public name a modestop module exports must exist, no module in the
-package or the tests imports a name it never uses, and every top-level name
-the package defines is read somewhere in the package, the tests or perfbench."""
+package or the tests imports a name it never uses, every top-level name the
+package defines is read somewhere in the package, the tests or perfbench,
+and each input rule the drivers share is stated once."""
 
 import ast
 import importlib
@@ -119,3 +120,47 @@ def test_unused_export_check_sees_an_unused_definition():
     defined = top_level_definitions(source)
     assert defined == {"A": 1, "B": 1, "f": 3, "C": 5}
     assert sorted(set(defined) - read_names([source])) == ["B", "C", "f"]
+
+
+PACKAGE = [path for path in SOURCES if path.parent.name == "modestop"]
+
+
+def statements_stating(phrase: str, sources: dict[str, str]) -> list[str]:
+    """Every simple statement (no compound one, whose body holds others)
+    with a string literal or f-string part that holds phrase, as name:line."""
+    found = []
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.stmt) and not hasattr(node, "body"):
+                texts = [
+                    n.value for n in ast.walk(node)
+                    if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                ]
+                if any(phrase in text for text in texts):
+                    found.append(f"{name}:{node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("phrase", ["must lie in (0, 1)", "is listed twice"])
+def test_each_input_rule_is_stated_once(phrase):
+    # the probability and repeat rules live in instances, beside the count rule
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
+    found = statements_stating(phrase, sources)
+    assert len(found) == 1 and found[0].startswith("instances.py:"), found
+
+
+def test_old_input_checks_stay_gone():
+    defined = set()
+    for path in PACKAGE:
+        defined.update(top_level_definitions(path.read_text(encoding="utf-8")))
+    old = {"_check_limits", "_check_at_least", "_check_delta", "_check_k", "_validate"}
+    assert defined & old == set()
+
+
+def test_statement_check_sees_every_statement():
+    source = (
+        'def f(x):\n    """x must lie in (0, 1)"""\n    if x:\n'
+        '        raise ValueError(f"{x} must lie in (0, 1), got {x}")\n'
+        'MESSAGE = "p must lie in (0, 1)"\n'
+    )
+    assert sorted(statements_stating("must lie in (0, 1)", {"m": source})) == ["m:2", "m:4", "m:5"]

@@ -49,9 +49,9 @@ class TestExperimentSpec:
             ("rule", "ppr-2v2", "unknown rule token 'ppr-2v2'"),
             ("delta", 0.0, r"delta must lie in \(0, 1\), got 0.0"),
             ("delta", math.nan, r"delta must lie in \(0, 1\), got nan"),
-            ("replications", 0, "replications must be an int >= 1, got 0"),
-            ("replications", True, "replications must be an int >= 1, got True"),
-            ("replications", 2.0, "replications must be an int >= 1, got 2.0"),
+            ("replications", 0, "replications must be >= 1, got 0"),
+            ("replications", True, "replications must be an int, got True"),
+            ("replications", 2.0, "replications must be an int, got 2.0"),
             ("probs", (0.5, 0.4), "probabilities must sum to 1, got 0.9"),
             ("probs", (0.5, 0.5), "the mode must be strictly unique"),
             ("delta", 1.0, r"delta must lie in \(0, 1\), got 1.0"),

@@ -49,9 +49,9 @@ class TestDiscreteInstance:
             DiscreteInstance(probs)
 
     def test_rejects_single_value(self):
-        with pytest.raises(ValueError, match=r"^an instance needs K >= 2 values, got 1$"):
+        with pytest.raises(ValueError, match=r"^K must be >= 2, got 1$"):
             DiscreteInstance((1.0,))
-        with pytest.raises(ValueError, match=r"^an instance needs K >= 2 values, got 0$"):
+        with pytest.raises(ValueError, match=r"^K must be >= 2, got 0$"):
             DiscreteInstance(())
 
 
@@ -349,7 +349,7 @@ class TestTallyState:
 
     @pytest.mark.parametrize("k", [1, 0])
     def test_rejects_too_few_values(self, k):
-        with pytest.raises(ValueError, match=rf"^tally needs K >= 2 values, got {k}$"):
+        with pytest.raises(ValueError, match=rf"^K must be >= 2, got {k}$"):
             TallyState(k)
 
     @pytest.mark.parametrize(

@@ -484,7 +484,7 @@ class TestRuleTokens:
     @pytest.mark.parametrize("token", [t for t in RULE_TOKENS if t != "ppr-adaptive"])
     @pytest.mark.parametrize("k", [1, 0])
     def test_rejects_too_few_values(self, token, k):
-        with pytest.raises(ValueError, match=f"needs K >= 2 values, got K={k}"):
+        with pytest.raises(ValueError, match=rf"^K must be >= 2, got {k}$"):
             make_rule(token, k, 0.1)
 
     def test_ppr_1v1_is_the_generic_rule_on_ppr(self):
