@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instances import (SeededStream, TallyState, _distinct, _int_at_least, _probability,
+from .instances import (SeededStream, TallyState, _distinct, _int_at_least, _one_of, _probability,
                         derive_stream)
 from .stopping import SampleCapExceeded, make_rule
 
@@ -124,11 +124,6 @@ class VerificationRecord:
     correct: bool
 
 
-def _check_policy(policy: str) -> None:
-    if policy not in BLOCKCHAIN_POLICIES:
-        raise ValueError(f"unknown policy {policy!r}; expected one of {BLOCKCHAIN_POLICIES}")
-
-
 def run_verification(
     pool: NodePool,
     policy: str,
@@ -150,7 +145,7 @@ def run_verification(
     read one batch at a time. The run owns its stream, which is left past
     the stop.
     """
-    _check_policy(policy)
+    _one_of("policy", policy, BLOCKCHAIN_POLICIES)
     step_cap = _int_at_least("step_cap", step_cap, 1)
     m = pool.batch_size
     if policy == "sprt":
@@ -203,7 +198,7 @@ def sweep_f(
     runs = _int_at_least("runs", runs, 1)
     pools = [NodePool(n_nodes=n, byzantine_fraction=f, batch_size=m, n_answers=k) for f in f_values]
     for policy in policies:
-        _check_policy(policy)
+        _one_of("policy", policy, BLOCKCHAIN_POLICIES)
     _distinct("f", f_values)
     _distinct("policy", policies)
     if "sprt" in policies:

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instances import _probability
+from .instances import _one_of, _probability
 from .numerics import (
     Interval,
     LOG_GAMMA,
@@ -146,8 +146,7 @@ class BoundEngine:
     log_alpha: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in ENGINE_KINDS:
-            raise ValueError(f"unknown bound engine {self.kind!r}; expected one of {ENGINE_KINDS}")
+        _one_of("bound engine", self.kind, ENGINE_KINDS)
         _probability("alpha", self.alpha)
         object.__setattr__(self, "gamma", _kl_sn_gamma(self.alpha) if self.kind == "kl-sn" else 0.0)
         object.__setattr__(self, "log_alpha", math.log(self.alpha))

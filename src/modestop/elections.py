@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import make_engine  # noqa: F401  unused; perfbench/tracer.py patches it here
-from .instances import SeededStream, TallyState, _int_at_least, _probability
+from .instances import SeededStream, TallyState, _int_at_least, _one_of, _probability
 from .stopping import SampleCapExceeded, make_rule, parse_rule_token
 
 __all__ = [
@@ -110,8 +110,7 @@ class ElectionInstance:
         """Index of the strict seat-count winner, None on a tie."""
         seats = self.seat_counts
         top = max(seats)
-        winners = [i for i, s in enumerate(seats) if s == top]
-        return winners[0] if len(winners) == 1 else None
+        return seats.index(top) if seats.count(top) == 1 else None
 
 
 def load_election_csv(path) -> ElectionInstance:
@@ -217,27 +216,17 @@ def _read_masks(k: int, scheme: str) -> np.ndarray:
     return reads
 
 
-class _ConstituencyState:
-    __slots__ = ("index", "cum", "tally", "winner")
-
-    def __init__(self, index: int, con: Constituency) -> None:
-        k = len(con.votes)
-        self.index = index
-        cum = np.cumsum(np.asarray(con.votes, dtype=np.float64))
-        cum /= cum[-1]
-        cum[-1] = 1.0
-        self.cum = cum
-        self.tally = TallyState(k)
-        self.winner: int | None = None
-
-
 class ElectionRun:
     """Mutable state of one election simulation.
 
-    Vote samples are drawn with replacement from each constituency's
-    normalized counts. wins and unresolved move only when a constituency
-    resolves: its winner gains a win and one fewer seat is open, so
-    LCB_party = wins and UCB_party = wins + unresolved.
+    Each fact about constituency c is one row of a run-level record: its
+    cumulative vote shares ``cum[c]``, from which samples are drawn with
+    replacement, and, kept current by ``_sample_batch``, ``tallies[c]``,
+    ``winner[c]`` (-1 while the seat is open) and ``leader[c]``, the party
+    most sampled there (``tally.first``, the lowest index on ties) while the
+    seat is open and sampled, -1 otherwise. wins and unresolved move only
+    when a constituency resolves: its winner gains a win and one fewer seat
+    is open, so LCB_party = wins and UCB_party = wins + unresolved.
     """
 
     def __init__(
@@ -249,8 +238,7 @@ class ElectionRun:
         batch: int,
         stream: SeededStream,
     ) -> None:
-        if policy not in ELECTION_POLICIES:
-            raise ValueError(f"unknown policy {policy!r}; expected one of {ELECTION_POLICIES}")
+        _one_of("policy", policy, ELECTION_POLICIES)
         batch = _int_at_least("batch size", batch, 1)
         _probability("delta", delta)
         _, scheme = parse_rule_token(rule_token)
@@ -275,7 +263,12 @@ class ElectionRun:
         except ValueError as err:  # the rule's other inputs are checked above
             message = f"delta={delta} is too small at K={self.k}, C={self.c}: {err}"
             raise ValueError(message) from None
-        self.states = [_ConstituencyState(i, con) for i, con in enumerate(instance.constituencies)]
+        cum = np.cumsum(np.array([c.votes for c in instance.constituencies], dtype=float), axis=1)
+        self.cum = cum / cum[:, -1:]
+        self.cum[:, -1] = 1.0
+        self.tallies = [TallyState(self.k) for _ in range(self.c)]
+        self.winner = np.full(self.c, -1)
+        self.leader = np.full(self.c, -1)
         self.wins = [0] * self.k
         self.samples = 0
         self.unresolved = self.c
@@ -305,93 +298,90 @@ class ElectionRun:
         for e in np.flatnonzero(ends).tolist():
             c, e = divmod(e, per_block)
             upper, i, j = self._end_index[e]
-            tally = self.states[c].tally
+            tally = self.tallies[c]
             counts = tally.counts
             if self.scheme == "1vr":
                 widths[upper][c, i] = bound(counts[i], tally.total, upper == 1)
             else:
                 widths[upper][c, i, j] = bound(counts[i], counts[i] + counts[j], upper == 1)
 
-    def _sample_batch(self, st: _ConstituencyState) -> None:
+    def _sample_batch(self, c: int) -> None:
+        tally = self.tallies[c]
         us = self.stream.uniforms(self.batch)
-        idxs = np.searchsorted(st.cum, us, side="right")
-        st.tally.add_counts(np.bincount(idxs, minlength=self.k))
+        idxs = np.searchsorted(self.cum[c], us, side="right")
+        tally.add_counts(np.bincount(idxs, minlength=self.k))
         self.samples += self.batch
-        declared = self.rule.check(st.tally)
+        declared = self.rule.check(tally)
+        self.leader[c] = tally.first if declared is None else -1
         if declared is not None:
-            st.winner = declared
+            self.winner[c] = declared
             self.unresolved -= 1
             self.wins[declared] += 1
         if self.lcb is not None:
-            self._stale[st.index] = declared is None
+            self._stale[c] = declared is None
 
     # -- selection policies ------------------------------------------------
 
     def rr_select(self) -> int:
         """Next unresolved constituency in id order, continuing the cycle."""
-        n = self.c
-        for _ in range(n):
-            st = self.states[self._rr_cursor % n]
+        for _ in range(self.c):
+            c = self._rr_cursor % self.c
             self._rr_cursor += 1
-            if st.winner is None:
-                return st.index
+            if self.winner[c] < 0:
+                return c
         raise AssertionError("unreachable: unresolved count out of sync")
 
     def dcb_contenders(self) -> tuple[int, int]:
-        """The party with the most wins plus leads, where a party leads an
-        unresolved constituency it is currently the most sampled in (lowest
-        index on ties), and the rival with the most possible seats."""
-        k = self.k
-        leads = [0] * k
-        for st in self.states:
-            if st.winner is None and st.tally.total > 0:
-                leads[st.tally.first] += 1
-        wins = self.wins
-        a = max(range(k), key=lambda i: (wins[i] + leads[i], -i))
-        b = max((i for i in range(k) if i != a), key=lambda i: (self.unresolved + wins[i], -i))
-        return a, b
+        """The party with the most wins plus leads (the open seats it is the
+        ``leader`` of), and the rival with the most possible seats, wins +
+        unresolved, so the most wins; ties go to the lowest index."""
+        wins = np.array(self.wins)
+        a = int(np.argmax(wins + np.bincount(self.leader + 1, minlength=self.k + 1)[1:]))
+        wins[a] = -1  # below every party's wins
+        return a, int(np.argmax(wins))
 
     def dcb_select(self) -> tuple[int, int]:
         """One promising constituency for each aggregate contender.
 
-        Contender a scores min_{j != a} (ucb[a, j] - lcb[j, a]) and contender
-        b scores max_{j != b} (ucb[j, b] - lcb[b, j]). Ties break toward the
-        lowest constituency id (``argmax`` takes the first maximum). ``step``
-        runs only while a constituency is unresolved. Only the ends these
-        scores read are solved, and only those not solved at the current
-        counts, so no end is solved more often than after every batch.
+        It reads the contenders off ``wins`` and ``leader``, the open seats
+        off ``winner`` and the widths off ``lcb`` and ``ucb``. Contender a
+        scores min_{j != a} (ucb[a, j] - lcb[j, a]) and contender b scores
+        max_{j != b} (ucb[j, b] - lcb[b, j]), with column j = a (j = b) at
+        +inf (-inf); a resolved seat scores -inf. Ties go to the lowest id
+        (``argmax``); ``step`` runs only while a seat is open. Only the ends
+        these scores read are solved, and only those not solved at the
+        current counts, so no end is solved more often than after every batch.
         """
         a, b = self.dcb_contenders()
-        resolved = np.array([st.winner is not None for st in self.states])
         reads = self._reads[a, b]
         todo = self._stale & reads
         if todo.any():
             self._solve_ends(todo)
             self._stale &= ~reads
-        score_a = np.delete(self.ucb[:, a, :] - self.lcb[:, :, a], a, axis=1).min(axis=1)
-        score_b = np.delete(self.ucb[:, :, b] - self.lcb[:, b, :], b, axis=1).max(axis=1)
+        gap_a = self.ucb[:, a, :] - self.lcb[:, :, a]
+        gap_b = self.ucb[:, :, b] - self.lcb[:, b, :]
+        gap_a[:, a], gap_b[:, b] = math.inf, -math.inf  # no party is its own rival
+        score_a, score_b = gap_a.min(axis=1), gap_b.max(axis=1)
+        resolved = self.winner >= 0
         score_a[resolved] = score_b[resolved] = -math.inf
         return int(np.argmax(score_a)), int(np.argmax(score_b))
 
     # -- aggregate ----------------------------------------------------------
 
     def aggregate_check(self) -> int | None:
-        """Declare party i once wins_i > unresolved + wins_j for every rival j."""
-        wins, unresolved = self.wins, self.unresolved
-        for i in range(self.k):
-            wi = wins[i]
-            if all(wi > unresolved + wins[j] for j in range(self.k) if j != i):
-                return i
-        return None
+        """Declare party i once wins_i > unresolved + wins_j for every rival j,
+        which only the party with the most wins can pass, against the next."""
+        second, top = sorted(self.wins)[-2:]
+        return self.wins.index(top) if top > self.unresolved + second else None
 
     def step(self) -> int | None:
         if self.policy == "rr":
-            self._sample_batch(self.states[self.rr_select()])
+            self._sample_batch(self.rr_select())
         else:
             c1, c2 = self.dcb_select()
-            self._sample_batch(self.states[c1])
-            if self.states[c2].winner is None:  # c1's batch may have resolved it
-                self._sample_batch(self.states[c2])
+            self._sample_batch(c1)
+            if self.winner[c2] < 0:  # c1's batch may have resolved it
+                self._sample_batch(c2)
         winner = self.aggregate_check()
         if winner is None and self.unresolved == 0:
             seats = ", ".join(f"{name} {n}" for name, n in zip(self.instance.parties, self.wins))

@@ -14,7 +14,7 @@ import math
 from dataclasses import astuple, dataclass, fields
 from itertools import product
 
-from .instances import DiscreteInstance, _as_int, _distinct, _int_at_least, derive_stream
+from .instances import DiscreteInstance, _as_int, _distinct, _int_at_least, _one_of, derive_stream
 from .stopping import TrialRecord, make_rule, parse_rule_token, run_mode_estimation
 
 __all__ = [
@@ -196,10 +196,7 @@ def table1_suite(
     """
     names = list(instances) if instances else list(TABLE1_INSTANCES)
     for name in names:
-        if name not in TABLE1_INSTANCES:
-            raise ValueError(
-                f"unknown Table-1 instance {name!r}; expected one of {', '.join(TABLE1_INSTANCES)}"
-            )
+        _one_of("Table-1 instance", name, tuple(TABLE1_INSTANCES))
     _distinct("Table-1 instance", names)
     grid = [
         (name, TABLE1_INSTANCES[name], 0.01, capped_replications(name, reps, fast))

@@ -97,6 +97,12 @@ def _probability(name: str, value: float) -> None:
         raise ValueError(f"{name} must lie in (0, 1), got {value}")
 
 
+def _one_of(name: str, value, choices: tuple) -> None:
+    """Reject a value that is not one of the named choices."""
+    if value not in choices:
+        raise ValueError(f"unknown {name} {value!r}; expected one of {choices}")
+
+
 def _distinct(name: str, values) -> None:
     """Reject the first value of the sequence values that repeats an earlier one."""
     for i, value in enumerate(values):

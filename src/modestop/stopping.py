@@ -60,7 +60,7 @@ from .bounds import (
     pair_margin_array,
 )
 from .instances import (DiscreteInstance, SamplePath, SeededStream, TallyState, _int_at_least,
-                        _probability)
+                        _one_of, _probability)
 from .numerics import LN2, LOG_GAMMA, log_beta_pdf_half, log_beta_pdf_half_array
 
 __all__ = [
@@ -341,8 +341,7 @@ RULE_TOKENS = tuple(
 def parse_rule_token(token: str) -> tuple[str, str]:
     """Split a rule token into (engine kind, scheme): ``kl-sn-1vr`` gives
     ("kl-sn", "1vr") and ``ppr-adaptive`` gives ("ppr", "adaptive")."""
-    if token not in RULE_TOKENS:
-        raise ValueError(f"unknown rule token {token!r}; expected one of {RULE_TOKENS}")
+    _one_of("rule token", token, RULE_TOKENS)
     kind, scheme = token.rsplit("-", 1)
     return kind, scheme
 
@@ -353,7 +352,11 @@ def make_rule(token: str, k: int, delta: float) -> _Rule:
     if scheme == "md":
         return PprMdRule(k, delta)
     if scheme == "adaptive":
-        return PprAdaptiveRule(delta)
+        k = _int_at_least("K", k, 2)
+        rule = PprAdaptiveRule(delta)
+        if rule.budget(k - 2, k - 1) == 0.0:  # the last of its K(K-1)/2 pairs holds the least
+            raise ValueError(f"delta={delta} is too small at K={k}: the smallest pair budget is 0.0")
+        return rule
     if scheme == "1vr":
         return Generic1vrRule(kind, k, delta)
     return Ppr1v1Rule(k, delta) if kind == "ppr" else Generic1v1Rule(kind, k, delta)

@@ -410,7 +410,8 @@ class TestSweeps:
         assert main(["table1", "--instances", instances, "--reps", "2"]) == 1
         assert capsys.readouterr() == (
             "",
-            f"error: unknown Table-1 instance {bad!r}; expected one of P1, P2, P3, P4, P5, P6\n",
+            f"error: unknown Table-1 instance {bad!r}; "
+            "expected one of ('P1', 'P2', 'P3', 'P4', 'P5', 'P6')\n",
         )
 
     @pytest.mark.parametrize("instances, twice", [("P1,P1", "P1"), ("P2,P5,P3,P5", "P5")])

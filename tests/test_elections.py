@@ -191,7 +191,7 @@ class TestSelection:
     def test_rr_skips_resolved(self):
         run = ElectionRun(self._tiny(), "rr", "ppr-1v1", 0.1, 10, derive_stream(0, 0))
         run.rr_select()  # cursor past c0
-        run.states[1].winner = 1
+        run.winner[1] = 1
         run.unresolved -= 1
         assert [run.rr_select() for _ in range(4)] == [2, 0, 2, 0]
 
@@ -204,7 +204,7 @@ class TestSelection:
         inst = self._tiny()
         run = ElectionRun(inst, "dcb", "ppr-1v1", 0.1, 10, derive_stream(0, 0))
         for idx in (0, 1):
-            run.states[idx].winner = inst.constituencies[idx].winner
+            run.winner[idx] = inst.constituencies[idx].winner
             run.unresolved -= 1
         assert run.dcb_select() == (2, 2)
 
@@ -222,12 +222,14 @@ class TestSelection:
             ),
         )
         run = ElectionRun(inst, "dcb", rule, 0.1, 10, derive_stream(0, 0))
-        for st, counts in zip(run.states, [(1, 1), (6, 4), (6, 4), (300, 200)]):
-            st.tally.add_counts(np.array(counts))
+        for c, counts in enumerate([(1, 1), (6, 4), (6, 4), (300, 200)]):
+            run.tallies[c].add_counts(np.array(counts))
+            run.leader[c] = run.tallies[c].first
         assert run.dcb_select() == (0, 0)  # solves the ends it reads
         assert run.lcb[1].tolist() == run.lcb[2].tolist()
         assert run.ucb[1].tolist() == run.ucb[2].tolist()
-        run.states[0].winner = 0
+        run.winner[0] = 0
+        run.leader[0] = -1
         run.unresolved -= 1
         assert run.dcb_select() == (1, 1)
 
@@ -253,18 +255,18 @@ class TestSelection:
             wins = run.wins
             assert sum(wins) + run.unresolved == c
             # a party can still take every seat not won by a rival
-            possible = [sum(st.winner in (None, i) for st in run.states) for i in range(k)]
+            possible = [sum(w in (-1, i) for w in run.winner.tolist()) for i in range(k)]
             # a party leads each unresolved constituency it tops the tally of
             leads = [0] * k
-            for st in run.states:
-                if st.winner is None and st.tally.total > 0:
-                    leads[max(range(k), key=lambda i: (st.tally.counts[i], -i))] += 1
+            for w, tally in zip(run.winner.tolist(), run.tallies):
+                if w < 0 and tally.total > 0:
+                    leads[max(range(k), key=lambda i: (tally.counts[i], -i))] += 1
             a = min(range(k), key=lambda i: (-(wins[i] + leads[i]), i))
             b = min((i for i in range(k) if i != a), key=lambda i: (-possible[i], i))
             assert (a, b) == run.dcb_contenders()
 
-            def score(st, party, kind):
-                counts = st.tally.counts
+            def score(c, party, kind):
+                counts = run.tallies[c].counts
                 vals = []
                 for j in range(k):
                     if j == party:
@@ -279,15 +281,11 @@ class TestSelection:
                         vals.append(iv_j.hi - iv_b.lo)
                 return min(vals) if kind == "c1" else max(vals)
 
-            open_states = [st for st in run.states if st.winner is None]
-            if not open_states:
+            open_ids = [c for c in range(run.c) if run.winner[c] < 0]
+            if not open_ids:
                 break
-            expected_c1 = min(
-                open_states, key=lambda st: (-score(st, a, "c1"), st.index)
-            ).index
-            expected_c2 = min(
-                open_states, key=lambda st: (-score(st, b, "c2"), st.index)
-            ).index
+            expected_c1 = min(open_ids, key=lambda c: (-score(c, a, "c1"), c))
+            expected_c2 = min(open_ids, key=lambda c: (-score(c, b, "c2"), c))
             assert (expected_c1, expected_c2) == run.dcb_select()
             if run.step() is not None:
                 break
@@ -296,21 +294,21 @@ class TestSelection:
 ELECTION_TOKENS = [f"{kind}-{scheme}" for kind in ENGINE_KINDS for scheme in ("1v1", "1vr")]
 
 
-def _eager_widths(run, engine, st, lcb, ucb):
+def _eager_widths(run, engine, c, lcb, ucb):
     """The widths as an eager refresh wrote them after every batch: 1v1
     entry (i, j) is party i's pair interval on counts i and j, 1vr row i
     repeats i's interval at the total. Returns the number of ends solved."""
-    counts, t = st.tally.counts, st.tally.total
+    counts, t = run.tallies[c].counts, run.tallies[c].total
     interval = engine.interval
     for i in range(run.k):
         if run.scheme == "1vr":
             iv = interval(counts[i], t)
-            lcb[st.index, i], ucb[st.index, i] = iv.lo, iv.hi
+            lcb[c, i], ucb[c, i] = iv.lo, iv.hi
             continue
         for j in range(run.k):
             if i != j:
                 iv = interval(counts[i], counts[i] + counts[j])
-                lcb[st.index, i, j], ucb[st.index, i, j] = iv.lo, iv.hi
+                lcb[c, i, j], ucb[c, i, j] = iv.lo, iv.hi
     return 2 * run.k if run.scheme == "1vr" else 2 * run.k * (run.k - 1)
 
 
@@ -353,15 +351,15 @@ class TestLazyWidths:
         totals = [None] * run.c
         pair, switches, same_pick = None, 0, 0
         for _ in range(2000):
-            open_ids = [st.index for st in run.states if st.winner is None]
+            open_ids = [c for c in range(run.c) if run.winner[c] < 0]
             for c in open_ids:
-                if totals[c] != run.states[c].tally.total:
-                    eager_solves += _eager_widths(run, oracle, run.states[c], lcb, ucb)
-                    totals[c] = run.states[c].tally.total
+                if totals[c] != run.tallies[c].total:
+                    eager_solves += _eager_widths(run, oracle, c, lcb, ucb)
+                    totals[c] = run.tallies[c].total
             a, b = run.dcb_contenders()
             score_a = np.delete(ucb[:, a, :] - lcb[:, :, a], a, axis=1).min(axis=1)
             score_b = np.delete(ucb[:, :, b] - lcb[:, b, :], b, axis=1).max(axis=1)
-            closed = [st.winner is not None for st in run.states]
+            closed = [run.winner[c] >= 0 for c in range(run.c)]
             score_a[closed] = score_b[closed] = -np.inf
             expected = (int(np.argmax(score_a)), int(np.argmax(score_b)))
             assert run.dcb_select() == expected
@@ -382,6 +380,37 @@ class TestLazyWidths:
             pytest.fail(f"{rule} at K = {k} ran 2000 steps")
         assert switches >= 1
         assert same_pick >= 1  # at K = 2 the two scores are one expression, so every step
+
+
+class TestRunState:
+    @pytest.mark.parametrize("policy", ["rr", "dcb"])
+    @pytest.mark.parametrize("rule", ["ppr-1v1", "kl-sn-1vr"])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_records_agree_after_every_step(self, policy, rule, k):
+        # leader[c] is tally c's first while c is open and sampled, -1
+        # otherwise; winner counts into wins and its -1 entries are the open
+        # seats
+        run = ElectionRun(_lazy_parity_instance(k), policy, rule, 0.1, 50, derive_stream(8, 2))
+        for steps in range(1, 2001):
+            winner = run.step()
+            for c, tally in enumerate(run.tallies):
+                is_open = run.winner[c] < 0
+                expected = tally.first if is_open and tally.total > 0 else -1
+                assert run.leader[c] == expected
+            closed = run.winner[run.winner >= 0]
+            assert np.bincount(closed, minlength=k).tolist() == run.wins
+            assert np.count_nonzero(run.winner < 0) == run.unresolved
+            if winner is not None:
+                break
+        assert 1 < steps < 2000
+
+
+def _aggregate_by_definition(wins, unresolved):
+    """The lowest party i with wins_i > unresolved + wins_j for every j != i."""
+    for i in range(len(wins)):
+        if all(wins[i] > unresolved + wins[j] for j in range(len(wins)) if j != i):
+            return i
+    return None
 
 
 class TestAccounting:
@@ -411,6 +440,18 @@ class TestAccounting:
         assert run.aggregate_check() == 0
         run.wins, run.unresolved = [1, 0], 2
         assert run.aggregate_check() is None  # needs wins_0 > unresolved + wins_1 = 2
+
+    @given(st.integers(2, 6).flatmap(
+        lambda k: st.lists(st.integers(0, 12), min_size=k, max_size=k)), st.integers(0, 12))
+    @settings(max_examples=300, deadline=None)
+    def test_aggregate_check_is_its_definition(self, wins, unresolved):
+        inst = ElectionInstance(
+            tuple("ABCDEF"[: len(wins)]),
+            (Constituency("c0", tuple(range(len(wins), 0, -1))),),
+        )
+        run = ElectionRun(inst, "rr", "ppr-1v1", 0.1, 10, derive_stream(0, 2))
+        run.wins, run.unresolved = wins, unresolved
+        assert run.aggregate_check() == _aggregate_by_definition(wins, unresolved)
 
     def test_all_zero_continues(self):
         inst = synthetic_election()
@@ -449,7 +490,7 @@ class TestTiedSeats:
         )
         run = ElectionRun(inst, policy, "ppr-1v1", 0.1, 200, derive_stream(0, 0))
         # c3 resolves the wrong way, as it may with probability up to delta / C
-        run.states[3].winner = 1
+        run.winner[3] = 1
         run.unresolved -= 1
         run.wins[1] += 1
         assert sum(run.wins) + run.unresolved == run.c

@@ -141,9 +141,10 @@ def statements_stating(phrase: str, sources: dict[str, str]) -> list[str]:
     return found
 
 
-@pytest.mark.parametrize("phrase", ["must lie in (0, 1)", "is listed twice"])
+@pytest.mark.parametrize("phrase", ["must lie in (0, 1)", "is listed twice", "expected one of"])
 def test_each_input_rule_is_stated_once(phrase):
-    # the probability and repeat rules live in instances, beside the count rule
+    # the probability, repeat and choice rules live in instances, beside the
+    # count rule
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
     found = statements_stating(phrase, sources)
     assert len(found) == 1 and found[0].startswith("instances.py:"), found
@@ -153,7 +154,8 @@ def test_old_input_checks_stay_gone():
     defined = set()
     for path in PACKAGE:
         defined.update(top_level_definitions(path.read_text(encoding="utf-8")))
-    old = {"_check_limits", "_check_at_least", "_check_delta", "_check_k", "_validate"}
+    old = {"_check_limits", "_check_at_least", "_check_delta", "_check_k", "_validate",
+           "_check_policy"}
     assert defined & old == set()
 
 

@@ -92,6 +92,8 @@ class TestExperimentSpec:
     @example(probs=(0.5, 0.25, 0.25), rule="ppr-1v1", delta=5e-324, replications=1)
     @example(probs=(0.6, 0.4), rule="a1-1v1", delta=5e-324, replications=1)
     @example(probs=(0.6, 0.4), rule="ppr-1v1", delta=5e-324, replications=1)
+    @example(probs=(0.5, 0.25, 0.25), rule="ppr-adaptive", delta=5e-324, replications=1)
+    @example(probs=(0.6, 0.4), rule="ppr-adaptive", delta=5e-324, replications=1)
     @settings(max_examples=300, deadline=None)
     def test_accepts_exactly_the_valid_specs(self, probs, rule, delta, replications):
         try:
@@ -107,8 +109,10 @@ class TestExperimentSpec:
             and 0.0 < delta < 1.0
         )
         if valid and rule == "ppr-adaptive":
-            # it never declares a lone answer
-            valid = sum(p > 0 for p in probs) >= 2
+            # it never declares a lone answer, and a subnormal delta can
+            # leave the budget of its last pair, k delta / (K(K-1)/2)^2, at 0.0
+            pairs = len(probs) * (len(probs) - 1) // 2
+            valid = sum(p > 0 for p in probs) >= 2 and 6.0 / math.pi**2 * delta / pairs**2 > 0.0
         if valid and rule.endswith(("1v1", "1vr")):
             k = len(probs)
             alpha = delta / (k - 1) if rule.endswith("1v1") else delta / k

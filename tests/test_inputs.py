@@ -46,7 +46,7 @@ COUNTS = {
     "TallyState K": ("K", 2, lambda v, s: TallyState(v)),
     **{
         f"make_rule {token} K": ("K", 2, lambda v, s, token=token: make_rule(token, v, 0.1))
-        for token in RULE_TOKENS if token != "ppr-adaptive"  # it takes no K
+        for token in RULE_TOKENS
     },
     "bound_report K": ("K", 2, lambda v, s: theory.bound_report(0.5, 0.25, v, 0.01)),
     "conjecture x_max": ("x_max", 2, lambda v, s: theory.verify_1v1_1vr_conjecture(v, 1, 1)),
@@ -81,6 +81,8 @@ def test_count_rejected_by_name_before_any_draw(case, bad, monkeypatch):
     ("ppr-1vr", 5e-324, "delta=5e-324 is too small at K=3: alpha must lie in (0, 1), got 0.0"),
     ("kl-sn-1v1", 1e-90,
      "delta=1e-90 is too small at K=3: no KL-SN rate root gamma > 1 exists for alpha=5e-91"),
+    # a trial failed with "math domain error" once its last pair budget underflowed
+    ("ppr-adaptive", 5e-324, "delta=5e-324 is too small at K=3: the smallest pair budget is 0.0"),
 ])
 def test_budget_too_small_is_rejected_by_delta(rule, delta, message):
     with pytest.raises(ValueError) as err:
