@@ -85,7 +85,11 @@ def _check_batch_size(m: int, n: int) -> None:
 
 
 def sprt_threshold(delta: float, n: int, m: int, f_max: float | None) -> float:
-    """ln((1-delta)/delta) * 2q(1-q)N (1-f_max) f_max / (1-2 f_max), q = m/N."""
+    """ln((1-delta)/delta) * 2q(1-q)N (1-f_max) f_max / (1-2 f_max), q = m/N.
+
+    A delta so small that the threshold is not finite (below about 5.6e-309,
+    where (1-delta)/delta overflows) is rejected: no statistic could pass it.
+    """
     if f_max is None:
         raise ValueError("SPRT requires f_max")
     if not 0.0 < f_max < 0.5:
@@ -93,10 +97,13 @@ def sprt_threshold(delta: float, n: int, m: int, f_max: float | None) -> float:
     _probability("delta", delta)
     _check_batch_size(m, n)
     q = m / n
-    return (
+    threshold = (
         math.log((1.0 - delta) / delta) * 2.0 * q * (1.0 - q) * n * (1.0 - f_max) * f_max
         / (1.0 - 2.0 * f_max)
     )
+    if not math.isfinite(threshold):
+        raise ValueError(f"delta={delta} is too small for the SPRT: its threshold is {threshold}")
+    return threshold
 
 
 def sprt_step(m: int, threshold: float, tally: TallyState) -> int | None:

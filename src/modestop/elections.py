@@ -14,14 +14,17 @@ constituencies, and the confidence-bound-difference policy that each step
 queries one promising constituency for each of the two aggregate contenders.
 Its bound widths come from the rule's own engine, at the rule's per-test
 mistake probability. They are solved on demand: a selection solves only the
-interval ends its two scores read, and each end at most once at a
-constituency's counts.
+interval ends its two scores read that are stale at a constituency's counts.
+An end is a pure function of the engine and its integer counts, so a
+process-wide table keeps solved ends across runs: an end whose key fits is
+solved at most once per process while the table has room, not once per run.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,6 +201,101 @@ def synthetic_election() -> ElectionInstance:
     return ElectionInstance(parties, constituencies)
 
 
+# The DCB end table: _END_SLOTS slots of an int64 key and a float64 end, 1 MB
+# in all, filled to _END_ROOM ends and read only after that. A key packs an
+# engine id, the upper flag, s and t into 63 bits, so every key is >= 0 and
+# -1 marks an empty slot.
+_END_SLOT_BITS = 16
+_END_SLOTS = 1 << _END_SLOT_BITS
+_END_ROOM = _END_SLOTS * 3 // 4
+_END_COUNT_BITS = 24  # s and t below 2**24
+_END_ENGINE_BITS = 14  # 16384 engine ids
+_FIBONACCI_64 = 0x9E3779B97F4A7C15  # 2**64 / golden ratio, odd
+_MASK64 = (1 << 64) - 1
+
+
+class _EndTable:
+    """Solved DCB bound ends, shared by every election run in the process.
+
+    ``BoundEngine.bound(s, t, upper)`` is a pure function of the engine's
+    kind and alpha and of its integers, so an end solved by one run is
+    exact for every later run at the same engine. The table is two fixed
+    arrays probed linearly from a multiplicative hash of the key; a key is
+    compared exactly, so a collision costs a probe, never a wrong end.
+    Inserts take a lock and write the end before its key, so a lock-free
+    reader that finds a key finds its end. An end whose key does not fit
+    (an engine past the id bits, s or t past the count bits), and every end
+    missed once the table holds its room, is solved by the engine each time.
+    """
+
+    def __init__(self) -> None:
+        self._keys = np.full(_END_SLOTS, -1, dtype=np.int64)
+        self._ends = np.zeros(_END_SLOTS, dtype=np.float64)
+        self._key_view = memoryview(self._keys)
+        self._end_view = memoryview(self._ends)
+        self._engine_ids: dict[tuple[str, float], int] = {}
+        self._lock = threading.Lock()
+        self.size = 0
+
+    def _engine_id(self, engine) -> int | None:
+        """The engine's (kind, alpha) as a small int; None once every id is
+        taken."""
+        name = (engine.kind, engine.alpha)
+        with self._lock:
+            engine_id = self._engine_ids.get(name)
+            if engine_id is None and len(self._engine_ids) < 1 << _END_ENGINE_BITS:
+                engine_id = self._engine_ids[name] = len(self._engine_ids)
+        return engine_id
+
+    def _insert(self, key: int, slot: int, end: float) -> None:
+        """Store an end at or after the empty slot where its probe stopped."""
+        keys = self._key_view
+        with self._lock:
+            if self.size >= _END_ROOM:
+                return
+            while (found := keys[slot]) >= 0:  # filled since the probe
+                if found == key:
+                    return
+                slot = (slot + 1) & (_END_SLOTS - 1)
+            self._end_view[slot] = end
+            keys[slot] = key
+            self.size += 1
+
+    def solver(self, engine):
+        """``engine.bound`` as a function of (s, t, upper) that reads the
+        table first."""
+        engine_id = self._engine_id(engine)
+        keys, ends = self._key_view, self._end_view
+
+        def bound(s: int, t: int, upper: bool) -> float:
+            if engine_id is None or (s | t) >> _END_COUNT_BITS:
+                return engine.bound(s, t, upper)
+            key = ((engine_id << 1 | upper) << _END_COUNT_BITS | s) << _END_COUNT_BITS | t
+            slot = (key * _FIBONACCI_64 & _MASK64) >> (64 - _END_SLOT_BITS)
+            while (found := keys[slot]) != key:
+                if found < 0:
+                    end = engine.bound(s, t, upper)
+                    self._insert(key, slot, end)
+                    return end
+                slot = (slot + 1) & (_END_SLOTS - 1)
+            return ends[slot]
+
+        return bound
+
+
+_END_TABLE: _EndTable | None = None
+_END_TABLE_LOCK = threading.Lock()
+
+
+def _end_table() -> _EndTable:
+    """The process's end table, allocated by the first DCB run."""
+    global _END_TABLE
+    with _END_TABLE_LOCK:
+        if _END_TABLE is None:
+            _END_TABLE = _EndTable()
+        return _END_TABLE
+
+
 def _read_masks(k: int, scheme: str) -> np.ndarray:
     """reads[a, b] marks the width ends the DCB scores of contenders a != b
     read, [0] in lcb and [1] in ucb: ucb[a, j], lcb[j, a], ucb[j, b] and
@@ -279,10 +377,13 @@ class ElectionRun:
             self.ucb = np.ones((self.c, self.k, self.k))
             self._reads = _read_masks(self.k, scheme)
             # the ends of each block not solved at its constituency's current
-            # counts; none of a resolved one's, which no score reads
-            self._stale = np.ones((self.c, *self._reads.shape[2:]), dtype=bool)
+            # counts; none of a resolved one's, which no score reads, and none
+            # of an unsampled one's: every engine's ends at zero counts are
+            # exactly 0.0 and 1.0, the initial widths
+            self._stale = np.zeros((self.c, *self._reads.shape[2:]), dtype=bool)
             # (upper, i, j) of each end of a block, in flat order
             self._end_index = list(np.ndindex(self._stale.shape[1:]))
+            self._bound = _end_table().solver(self.rule.engine)
 
     # -- per-constituency bookkeeping -------------------------------------
 
@@ -291,7 +392,7 @@ class ElectionRun:
         ucb of block c, in the layout of ``_read_masks``. 1v1 entry (i, j) is
         party i's pair interval on counts i and j; under 1vr end i is row i,
         i's interval at the total."""
-        bound = self.rule.engine.bound
+        bound = self._bound
         widths = (self.lcb, self.ucb)
         per_block = len(self._end_index)
         # a flat nonzero is several times cheaper than one over four axes
@@ -349,8 +450,9 @@ class ElectionRun:
         max_{j != b} (ucb[j, b] - lcb[b, j]), with column j = a (j = b) at
         +inf (-inf); a resolved seat scores -inf. Ties go to the lowest id
         (``argmax``); ``step`` runs only while a seat is open. Only the ends
-        these scores read are solved, and only those not solved at the
-        current counts, so no end is solved more often than after every batch.
+        these scores read are refreshed, and only those not refreshed at the
+        current counts, so no end is refreshed more often than after every
+        batch; the end table answers a refresh it holds without a solve.
         """
         a, b = self.dcb_contenders()
         reads = self._reads[a, b]

@@ -375,7 +375,11 @@ class TallyState:
         """Bulk update from per-value counts; first/second by full scan. A
         batch that is not K non-negative integer counts is rejected before
         the tally changes."""
-        batch = [_as_int(c, "batch counts must be integers") for c in batch_counts]
+        int_array = type(batch_counts) is np.ndarray and batch_counts.dtype.kind in "iu"
+        if int_array and batch_counts.ndim == 1:
+            batch = batch_counts.tolist()  # Python ints, in one call
+        else:
+            batch = [_as_int(c, "batch counts must be integers") for c in batch_counts]
         counts = self.counts
         if len(batch) != len(counts):
             raise ValueError(f"a batch needs K={len(counts)} counts, got {len(batch)}")

@@ -1,3 +1,4 @@
+import math
 import statistics
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modestop import elections
 from modestop.bounds import ENGINE_KINDS, BoundEngine, make_engine
 from modestop.elections import (
     Constituency,
@@ -225,7 +227,9 @@ class TestSelection:
         for c, counts in enumerate([(1, 1), (6, 4), (6, 4), (300, 200)]):
             run.tallies[c].add_counts(np.array(counts))
             run.leader[c] = run.tallies[c].first
+            run._stale[c] = True  # as _sample_batch marks a sampled block
         assert run.dcb_select() == (0, 0)  # solves the ends it reads
+        assert run.ucb[3].min() < 1.0
         assert run.lcb[1].tolist() == run.lcb[2].tolist()
         assert run.ucb[1].tolist() == run.ucb[2].tolist()
         run.winner[0] = 0
@@ -380,6 +384,153 @@ class TestLazyWidths:
             pytest.fail(f"{rule} at K = {k} ran 2000 steps")
         assert switches >= 1
         assert same_pick >= 1  # at K = 2 the two scores are one expression, so every step
+
+
+def _smallest_alpha(kind):
+    """The smallest alpha a ``kind`` engine accepts, by bisection on the
+    bits of the positive floats, which order them."""
+
+    def accepted(bits):
+        try:
+            BoundEngine(kind, float(np.int64(bits).view(np.float64)))
+        except ValueError:
+            return False
+        return True
+
+    lo, hi = 1, int(np.float64(0.5).view(np.int64))  # 5e-324 and 0.5
+    if accepted(lo):
+        return 5e-324
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if accepted(mid) else (mid, hi)
+    return float(np.int64(hi).view(np.float64))
+
+
+class _StubEngine:
+    """An engine whose every end is a distinct exact float, counting solves."""
+
+    def __init__(self, kind, alpha):
+        self.kind, self.alpha, self.solves = kind, alpha, 0
+
+    def end(self, s, t, upper):
+        return float(s * 100_003 + t) + (0.5 if upper else 0.0) + self.alpha
+
+    def bound(self, s, t, upper):
+        self.solves += 1
+        return self.end(s, t, upper)
+
+
+def _ends(n):
+    """n distinct (s, t, upper) ends, s <= t."""
+    ends = ((s, t, upper) for t in range(n) for s in range(t + 1) for upper in (False, True))
+    return [end for end, _ in zip(ends, range(n))]
+
+
+class TestEndTable:
+    @pytest.mark.parametrize("kind", ENGINE_KINDS)
+    def test_every_engine_ends_at_zero_counts_are_the_initial_widths(self, kind):
+        # a run starts with no stale end: an unsampled block's 0.0 and 1.0
+        # must be its exact ends, at every alpha down to the smallest accepted
+        smallest = _smallest_alpha(kind)
+        grid = [5e-324, 1e-300, 1e-84, 1e-10, 0.01, 0.5, 0.999, math.nextafter(1.0, 0.0)]
+        for alpha in [smallest] + [a for a in grid if a > smallest]:
+            engine = BoundEngine(kind, alpha)
+            ends = (engine.bound(0, 0, False), engine.bound(0, 0, True))
+            assert [end.hex() for end in ends] == [(0.0).hex(), (1.0).hex()], alpha
+
+    @pytest.mark.parametrize("rule", ELECTION_TOKENS)
+    def test_first_selection_solves_nothing(self, monkeypatch, rule):
+        solves = 0
+        bound = BoundEngine.bound
+
+        def counted_bound(engine, s, t, upper):
+            nonlocal solves
+            solves += 1
+            return bound(engine, s, t, upper)
+
+        monkeypatch.setattr(BoundEngine, "bound", counted_bound)
+        monkeypatch.setattr(elections, "_END_TABLE", elections._EndTable())
+        run = ElectionRun(synthetic_election(), "dcb", rule, 0.01, 200, derive_stream(1, 0))
+        assert run.dcb_select() == (0, 0)
+        assert solves == 0
+        assert not run.lcb.any() and (run.ucb == 1.0).all()
+
+    def test_holds_at_most_its_room_in_fixed_arrays(self):
+        table = elections._EndTable()
+        nbytes = [table._keys.nbytes, table._ends.nbytes]
+        assert sum(nbytes) == 1 << 20
+        engine = _StubEngine("stub", 0.25)
+        bound = table.solver(engine)
+        ends = _ends(elections._END_ROOM + 5000)
+        for _ in range(2):
+            engine.solves = 0
+            assert all(bound(*end) == engine.end(*end) for end in ends)
+            assert table.size == elections._END_ROOM
+            assert int((table._keys >= 0).sum()) == elections._END_ROOM
+            assert [table._keys.nbytes, table._ends.nbytes] == nbytes
+        # the first pass solved every end; the second only those past the room
+        assert engine.solves == len(ends) - elections._END_ROOM
+
+    def test_keys_out_of_range_are_solved_exactly(self):
+        table = elections._EndTable()
+        engine = _StubEngine("stub", 0.25)
+        bound = table.solver(engine)
+        top = (1 << elections._END_COUNT_BITS) - 1
+        for s, t in [(0, top + 1), (top + 1, top + 1), (3, 1 << 40), (-1, 5)]:
+            for upper in (False, True):
+                assert [bound(s, t, upper), bound(s, t, upper)] == [engine.end(s, t, upper)] * 2
+        assert table.size == 0 and engine.solves == 16
+        # an engine past the id bits is solved every time; the last id is kept
+        for i in range(1, 1 << elections._END_ENGINE_BITS):
+            table._engine_id(_StubEngine("stub", 0.25 + i))
+        last = _StubEngine("stub", 0.25 + (1 << elections._END_ENGINE_BITS) - 1)
+        past = _StubEngine("stub", 0.25 + (1 << elections._END_ENGINE_BITS))
+        for stub in (last, past):
+            bound = table.solver(stub)
+            assert [bound(top, top, True), bound(top, top, True)] == [stub.end(top, top, True)] * 2
+        assert (last.solves, past.solves, table.size) == (1, 2, 1)
+
+    def test_engines_differing_only_in_alpha_share_nothing(self):
+        table = elections._EndTable()
+        a = _StubEngine("ppr", 0.01)
+        b = _StubEngine("ppr", math.nextafter(0.01, 1.0))
+        same = _StubEngine("ppr", 0.01)
+        ends = _ends(3000)
+        for engine in (a, b, same):
+            bound = table.solver(engine)
+            assert all(bound(*end) == engine.end(*end) for end in ends)
+        assert (a.solves, b.solves, same.solves) == (3000, 3000, 0)
+        assert table.size == 6000
+
+    @pytest.mark.parametrize("rule", ["ppr-1v1", "kl-sn-1v1", "ppr-1vr", "lucb-1vr"])
+    def test_every_end_read_is_a_fresh_engines(self, monkeypatch, rule):
+        monkeypatch.setattr(elections, "_END_TABLE", elections._EndTable())
+        inst = synthetic_election()
+        passes = []
+        for _ in ("cold", "warm"):
+            reads, samples = [], []
+            for i in range(3):
+                run = ElectionRun(inst, "dcb", rule, 0.01, 200, derive_stream(1, i))
+                solve = run._bound
+
+                def read(s, t, upper, solve=solve):
+                    end = solve(s, t, upper)
+                    reads.append((s, t, upper, end.hex()))
+                    return end
+
+                run._bound = read
+                while run.step() is None:
+                    pass
+                samples.append(run.samples)
+            passes.append((reads, samples, elections._END_TABLE.size))
+        (cold, cold_samples, cold_size), (warm, warm_samples, warm_size) = passes
+        fresh = BoundEngine(run.rule.engine.kind, run.rule.engine.alpha)
+        assert cold and [end for *_, end in cold] == [
+            fresh.bound(s, t, upper).hex() for s, t, upper, _ in cold
+        ]
+        # the warm pass reads the same ends from the table and adds none
+        assert (warm, warm_samples) == (cold, cold_samples)
+        assert 0 < cold_size == warm_size
 
 
 class TestRunState:

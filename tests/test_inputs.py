@@ -105,6 +105,26 @@ def test_election_budget_too_small_is_rejected_by_delta(rule, delta, message):
     assert stream.generator.bit_generator.state == state
 
 
+SPRT_TOO_SMALL = "delta=5e-324 is too small for the SPRT: its threshold is inf"
+
+
+# an sprt run at such a delta spent its whole 1e6-batch cap, then raised
+# SampleCapExceeded
+@pytest.mark.parametrize("call", [
+    lambda s: blockchain.sprt_threshold(5e-324, 1600, 20, 0.1),
+    lambda s: run_verification(NodePool(1600, 0.1, 20, 10), "sprt", 5e-324, 0.2, s),
+    lambda s: sweep_f(1600, 20, 10, 5e-324, 0.2, [0.1], ["sprt"], 2, 0),
+], ids=["sprt_threshold", "run_verification", "sweep_f"])
+def test_sprt_threshold_overflow_is_rejected_by_delta(call, monkeypatch):
+    monkeypatch.setattr(blockchain, "run_verification", lambda *a: pytest.fail("a run started"))
+    stream = derive_stream(0, 0)
+    state = stream.generator.bit_generator.state
+    with pytest.raises(ValueError) as err:
+        call(stream)
+    assert str(err.value) == SPRT_TOO_SMALL
+    assert stream.generator.bit_generator.state == state
+
+
 def test_unknown_engine_is_not_blamed_on_delta():
     with pytest.raises(ValueError, match=r"^unknown bound engine 'bogus'"):
         Generic1v1Rule("bogus", 3, 0.1)

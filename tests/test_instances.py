@@ -363,6 +363,12 @@ class TestTallyState:
             # truncating would have added [2, 0]
             ([2.7, 0.9], r"^batch counts must be integers, got 2\.7$"),
             ([1, np.float64(3.0)], r"^batch counts must be integers, got np\.float64\(3\.0\)$"),
+            # numpy arrays: an int array is converted at once, any other as above
+            (np.array([3, -1]), r"^batch counts must be non-negative, got -1$"),
+            (np.array([1, 2, 3], dtype=np.uint8), r"^a batch needs K=2 counts, got 3$"),
+            (np.array([True, False]), r"^batch counts must be integers, got np\.True_$"),
+            (np.array([2.0, 1.0]), r"^batch counts must be integers, got np\.float64\(2\.0\)$"),
+            (np.array([[1, 2], [3, 4]]), r"^batch counts must be integers, got array\(\[1, 2\]\)$"),
         ],
     )
     @pytest.mark.parametrize("before", [[], [0, 2]])
@@ -396,6 +402,15 @@ class TestTallyState:
         tally = TallyState(4)
         tally.add_counts(np.array([3, 0, 5, 5], dtype=np.int64))
         assert tally.counts == [3, 0, 5, 5] and tally.total == 13
+        assert {type(c) for c in tally.counts} == {int}
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.uint64])
+    def test_bulk_add_takes_every_numpy_int_dtype(self, dtype):
+        tally = TallyState(3)
+        tally.add_counts(np.array([0, 7, 2], dtype=dtype))
+        tally.add_counts(np.array([5, 0, 2], dtype=dtype))
+        assert (tally.counts, tally.total, tally.order) == ([5, 7, 4], 16, [1, 2, 0])
+        assert (tally.first, tally.second) == (1, 0)
         assert {type(c) for c in tally.counts} == {int}
 
     @given(
