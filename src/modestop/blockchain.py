@@ -164,8 +164,9 @@ def run_verification(
     steps, ahead = 0, _DRAW_AHEAD
     while steps < step_cap:
         size = min(ahead, step_cap - steps)
-        for batch in draw(colors, m, size=size).tolist():
-            # answers new in a batch are discovered in answer-index order
+        for batch in draw(colors, m, size=size):
+            # answers new in a batch are discovered in answer-index order; a
+            # row of the int64 block takes add_counts's one-tolist() path
             tally.add_counts(batch)
             declared = sprt_step(m, threshold, tally) if policy == "sprt" else check(tally)
             if declared is not None:

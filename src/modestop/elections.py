@@ -13,8 +13,11 @@ Two polling policies are provided: round-robin over unresolved
 constituencies, and the confidence-bound-difference policy that each step
 queries one promising constituency for each of the two aggregate contenders.
 Its bound widths come from the rule's own engine, at the rule's per-test
-mistake probability. They are solved on demand: a selection solves only the
-interval ends its two scores read that are stale at a constituency's counts.
+mistake probability. Each constituency's two scores are kept for the
+current contender pair, so a selection rescores only the constituencies
+sampled since the last one, and all of them only when the pair changes. A
+rescore solves only the interval ends its scores read that are stale at the
+constituency's counts.
 An end is a pure function of the engine and its integer counts, so a
 process-wide table keeps solved ends across runs: an end whose key fits is
 solved at most once per process while the table has room, not once per run.
@@ -26,6 +29,7 @@ import csv
 import math
 import threading
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -296,22 +300,33 @@ def _end_table() -> _EndTable:
         return _END_TABLE
 
 
-def _read_masks(k: int, scheme: str) -> np.ndarray:
-    """reads[a, b] marks the width ends the DCB scores of contenders a != b
-    read, [0] in lcb and [1] in ucb: ucb[a, j], lcb[j, a], ucb[j, b] and
-    lcb[b, j] under 1v1. A 1vr row repeats one interval, so its ends are
-    rows (one column): hi of every row but b, lo of every row but a."""
-    reads = np.zeros((k, k, 2, k, 1 if scheme == "1vr" else k), dtype=bool)
-    for a in range(k):
-        for b in range(k):
-            lo, hi = reads[a, b]
-            if scheme == "1vr":
-                hi[:] = lo[:] = True
-                hi[b] = lo[a] = False
-            else:
-                hi[a, :] = lo[:, a] = hi[:, b] = lo[b, :] = True
-                hi[a, a] = lo[a, a] = hi[b, b] = lo[b, b] = False
-    return reads
+@cache
+def _width_ends(k: int, scheme: str) -> tuple[tuple, tuple]:
+    """The ends of a constituency's (K, K) width block, and the ones the DCB
+    scores of each contender pair read.
+
+    End e is (upper, i, j): lcb[i, j], or ucb[i, j] when upper. A 1vr row
+    repeats one interval, so its ends are rows, j = 0. reads[a][b] holds bit
+    e for each end that contenders a != b read: ucb[a, j], lcb[j, a],
+    ucb[j, b] and lcb[b, j] under 1v1; hi of every row but b and lo of every
+    row but a under 1vr."""
+
+    def read(a: int, b: int, upper: bool, i: int, j: int) -> bool:
+        if scheme == "1vr":
+            return i != (b if upper else a)
+        return i == a != j or j == b != i if upper else j == a != i or i == b != j
+
+    ends = tuple(
+        (upper, i, j)
+        for upper in (False, True)
+        for i in range(k)
+        for j in range(1 if scheme == "1vr" else k)
+    )
+    reads = tuple(
+        tuple(sum(1 << e for e, end in enumerate(ends) if read(a, b, *end)) for b in range(k))
+        for a in range(k)
+    )
+    return ends, reads
 
 
 class ElectionRun:
@@ -322,9 +337,11 @@ class ElectionRun:
     replacement, and, kept current by ``_sample_batch``, ``tallies[c]``,
     ``winner[c]`` (-1 while the seat is open) and ``leader[c]``, the party
     most sampled there (``tally.first``, the lowest index on ties) while the
-    seat is open and sampled, -1 otherwise. wins and unresolved move only
-    when a constituency resolves: its winner gains a win and one fewer seat
-    is open, so LCB_party = wins and UCB_party = wins + unresolved.
+    seat is open and sampled, -1 otherwise. ``_leads`` counts each party's
+    entries in ``leader`` and moves only when one changes. wins and
+    unresolved move only when a constituency resolves: its winner gains a win
+    and one fewer seat is open, so LCB_party = wins and UCB_party = wins +
+    unresolved.
     """
 
     def __init__(
@@ -368,6 +385,7 @@ class ElectionRun:
         self.winner = np.full(self.c, -1)
         self.leader = np.full(self.c, -1)
         self.wins = [0] * self.k
+        self._leads = [0] * self.k
         self.samples = 0
         self.unresolved = self.c
         self._rr_cursor = 0
@@ -375,51 +393,79 @@ class ElectionRun:
         if policy == "dcb":
             self.lcb = np.zeros((self.c, self.k, self.k))
             self.ucb = np.ones((self.c, self.k, self.k))
-            self._reads = _read_masks(self.k, scheme)
-            # the ends of each block not solved at its constituency's current
-            # counts; none of a resolved one's, which no score reads, and none
+            self._ends, self._reads = _width_ends(self.k, scheme)
+            self._every_end = (1 << len(self._ends)) - 1
+            # per seat, the bit set of the ends not solved at its current
+            # counts; none of a resolved seat's, which no score reads, and none
             # of an unsampled one's: every engine's ends at zero counts are
             # exactly 0.0 and 1.0, the initial widths
-            self._stale = np.zeros((self.c, *self._reads.shape[2:]), dtype=bool)
-            # (upper, i, j) of each end of a block, in flat order
-            self._end_index = list(np.ndindex(self._stale.shape[1:]))
+            self._stale = [0] * self.c
             self._bound = _end_table().solver(self.rule.engine)
+            # each seat's two scores for the contender pair _pair, kept by
+            # _rescore, and the seats sampled since they were last scored.
+            # Before any batch every width is its initial 0.0 or 1.0, so every
+            # seat scores 1.0 - 0.0 for the opening pair
+            self.score_a = np.ones(self.c)
+            self.score_b = np.ones(self.c)
+            self._pair = self.dcb_contenders()
+            self._sampled: list[int] = []
 
     # -- per-constituency bookkeeping -------------------------------------
 
-    def _solve_ends(self, ends: np.ndarray) -> None:
-        """Solve the width ends that ends marks: [c, 0] in lcb and [c, 1] in
-        ucb of block c, in the layout of ``_read_masks``. 1v1 entry (i, j) is
-        party i's pair interval on counts i and j; under 1vr end i is row i,
-        i's interval at the total."""
-        bound = self._bound
-        widths = (self.lcb, self.ucb)
-        per_block = len(self._end_index)
-        # a flat nonzero is several times cheaper than one over four axes
-        for e in np.flatnonzero(ends).tolist():
-            c, e = divmod(e, per_block)
-            upper, i, j = self._end_index[e]
-            tally = self.tallies[c]
-            counts = tally.counts
-            if self.scheme == "1vr":
-                widths[upper][c, i] = bound(counts[i], tally.total, upper == 1)
-            else:
-                widths[upper][c, i, j] = bound(counts[i], counts[i] + counts[j], upper == 1)
+    def _solve_ends(self, c: int, ends: int) -> None:
+        """Solve the width ends of block c in the bit set ends. 1v1 end (i, j)
+        is party i's pair interval on counts i and j; under 1vr end i is row
+        i, i's interval at the total."""
+        bound, tally = self._bound, self.tallies[c]
+        counts = tally.counts
+        widths = (self.lcb[c], self.ucb[c])
+        for e, (upper, i, j) in enumerate(self._ends):
+            if ends >> e & 1:
+                if self.scheme == "1vr":
+                    widths[upper][i] = bound(counts[i], tally.total, upper)
+                else:
+                    widths[upper][i, j] = bound(counts[i], counts[i] + counts[j], upper)
 
-    def _sample_batch(self, c: int) -> None:
-        tally = self.tallies[c]
-        us = self.stream.uniforms(self.batch)
-        idxs = np.searchsorted(self.cum[c], us, side="right")
-        tally.add_counts(np.bincount(idxs, minlength=self.k))
-        self.samples += self.batch
-        declared = self.rule.check(tally)
-        self.leader[c] = tally.first if declared is None else -1
+    def _rescore(self, c: int) -> None:
+        """Seat c's two scores for the contender pair (a, b), -inf once it is
+        resolved: a scores min_{j != a} (ucb[a, j] - lcb[j, a]) and b scores
+        max_{j != b} (ucb[j, b] - lcb[b, j]). It first solves the stale ends
+        these read; the end table answers a solve it holds."""
+        if self.winner[c] >= 0:
+            self.score_a[c] = self.score_b[c] = -math.inf
+            return
+        a, b = self._pair
+        if todo := self._stale[c] & self._reads[a][b]:
+            self._stale[c] ^= todo
+            self._solve_ends(c, todo)
+        hi, lo = self.ucb[c].tolist(), self.lcb[c].tolist()
+        self.score_a[c] = min([hi[a][j] - lo[j][a] for j in range(self.k) if j != a])
+        self.score_b[c] = max([hi[j][b] - lo[b][j] for j in range(self.k) if j != b])
+
+    def _record(self, c: int, declared: int | None) -> None:
+        """Keep seat c's records current after a batch that the rule checked,
+        declared being its verdict."""
+        leader = self.tallies[c].first if declared is None else -1
+        if leader != (was := self.leader[c]):
+            self.leader[c] = leader
+            if was >= 0:
+                self._leads[was] -= 1
+            if leader >= 0:
+                self._leads[leader] += 1
         if declared is not None:
             self.winner[c] = declared
             self.unresolved -= 1
             self.wins[declared] += 1
         if self.lcb is not None:
-            self._stale[c] = declared is None
+            self._stale[c] = self._every_end if declared is None else 0
+            self._sampled.append(c)
+
+    def _sample_batch(self, c: int) -> None:
+        tally = self.tallies[c]
+        idxs = self.cum[c].searchsorted(self.stream.uniforms(self.batch), side="right")
+        tally.add_counts(np.bincount(idxs, minlength=self.k))
+        self.samples += self.batch
+        self._record(c, self.rule.check(tally))
 
     # -- selection policies ------------------------------------------------
 
@@ -436,37 +482,29 @@ class ElectionRun:
         """The party with the most wins plus leads (the open seats it is the
         ``leader`` of), and the rival with the most possible seats, wins +
         unresolved, so the most wins; ties go to the lowest index."""
-        wins = np.array(self.wins)
-        a = int(np.argmax(wins + np.bincount(self.leader + 1, minlength=self.k + 1)[1:]))
-        wins[a] = -1  # below every party's wins
-        return a, int(np.argmax(wins))
+        held = [w + n for w, n in zip(self.wins, self._leads)]
+        a = held.index(max(held))
+        rivals = self.wins.copy()
+        rivals[a] = -1  # below every party's wins
+        return a, rivals.index(max(rivals))
 
     def dcb_select(self) -> tuple[int, int]:
         """One promising constituency for each aggregate contender.
 
-        It reads the contenders off ``wins`` and ``leader``, the open seats
-        off ``winner`` and the widths off ``lcb`` and ``ucb``. Contender a
-        scores min_{j != a} (ucb[a, j] - lcb[j, a]) and contender b scores
-        max_{j != b} (ucb[j, b] - lcb[b, j]), with column j = a (j = b) at
-        +inf (-inf); a resolved seat scores -inf. Ties go to the lowest id
-        (``argmax``); ``step`` runs only while a seat is open. Only the ends
-        these scores read are refreshed, and only those not refreshed at the
-        current counts, so no end is refreshed more often than after every
-        batch; the end table answers a refresh it holds without a solve.
+        It reads the contenders off ``wins`` and the lead counts, and picks
+        the seats with the highest ``score_a`` and ``score_b``, ties to the
+        lowest id (``argmax``); ``step`` runs only while a seat is open. The
+        scores are kept for the contender pair ``_pair``: while it holds,
+        only the seats sampled since the last selection are rescored, and a
+        new pair rescores every seat, each through ``_rescore``. So every
+        end a score reads is solved at most once per batch of its seat.
         """
-        a, b = self.dcb_contenders()
-        reads = self._reads[a, b]
-        todo = self._stale & reads
-        if todo.any():
-            self._solve_ends(todo)
-            self._stale &= ~reads
-        gap_a = self.ucb[:, a, :] - self.lcb[:, :, a]
-        gap_b = self.ucb[:, :, b] - self.lcb[:, b, :]
-        gap_a[:, a], gap_b[:, b] = math.inf, -math.inf  # no party is its own rival
-        score_a, score_b = gap_a.min(axis=1), gap_b.max(axis=1)
-        resolved = self.winner >= 0
-        score_a[resolved] = score_b[resolved] = -math.inf
-        return int(np.argmax(score_a)), int(np.argmax(score_b))
+        pair = self.dcb_contenders()
+        seats = self._sampled if pair == self._pair else range(self.c)
+        self._pair, self._sampled = pair, []
+        for c in seats:
+            self._rescore(c)
+        return int(self.score_a.argmax()), int(self.score_b.argmax())
 
     # -- aggregate ----------------------------------------------------------
 

@@ -206,8 +206,7 @@ class TestSelection:
         inst = self._tiny()
         run = ElectionRun(inst, "dcb", "ppr-1v1", 0.1, 10, derive_stream(0, 0))
         for idx in (0, 1):
-            run.winner[idx] = inst.constituencies[idx].winner
-            run.unresolved -= 1
+            run._record(idx, inst.constituencies[idx].winner)  # as a declaring batch
         assert run.dcb_select() == (2, 2)
 
     @pytest.mark.parametrize("rule", ["ppr-1v1", "kl-sn-1vr"])
@@ -226,15 +225,12 @@ class TestSelection:
         run = ElectionRun(inst, "dcb", rule, 0.1, 10, derive_stream(0, 0))
         for c, counts in enumerate([(1, 1), (6, 4), (6, 4), (300, 200)]):
             run.tallies[c].add_counts(np.array(counts))
-            run.leader[c] = run.tallies[c].first
-            run._stale[c] = True  # as _sample_batch marks a sampled block
+            run._record(c, None)  # as a batch the rule does not declare on
         assert run.dcb_select() == (0, 0)  # solves the ends it reads
         assert run.ucb[3].min() < 1.0
         assert run.lcb[1].tolist() == run.lcb[2].tolist()
         assert run.ucb[1].tolist() == run.ucb[2].tolist()
-        run.winner[0] = 0
-        run.leader[0] = -1
-        run.unresolved -= 1
+        run._record(0, 0)  # as a batch that declares c0 for A
         assert run.dcb_select() == (1, 1)
 
     def test_dcb_matches_straight_line_reimplementation(self):
@@ -533,14 +529,85 @@ class TestEndTable:
         assert 0 < cold_size == warm_size
 
 
+def _count_solves(monkeypatch):
+    """Count BoundEngine.bound calls into the returned one-item list, on a
+    fresh end table."""
+    solves = [0]
+    bound = BoundEngine.bound
+
+    def counted_bound(engine, s, t, upper):
+        solves[0] += 1
+        return bound(engine, s, t, upper)
+
+    monkeypatch.setattr(BoundEngine, "bound", counted_bound)
+    monkeypatch.setattr(elections, "_END_TABLE", elections._EndTable())
+    return solves
+
+
+class TestSelectionCache:
+    @pytest.mark.parametrize("rule", ["ppr-1v1", "kl-sn-1v1", "ppr-1vr", "lucb-1vr"])
+    def test_selection_without_a_batch_solves_nothing(self, monkeypatch, rule):
+        # a second selection with no batch since the first rescores no seat:
+        # it returns the same pair, solves no end and leaves every width and
+        # score unchanged to the byte
+        solves = _count_solves(monkeypatch)
+        run = ElectionRun(_lazy_parity_instance(3), "dcb", rule, 0.1, 50, derive_stream(8, 3))
+        first_solves = 0
+        for _ in range(2000):
+            solves[0] = 0
+            pair = run.dcb_select()
+            first_solves += solves[0]
+            state = [x.tobytes() for x in (run.lcb, run.ucb, run.score_a, run.score_b)]
+            solves[0] = 0
+            assert run.dcb_select() == pair
+            assert solves[0] == 0
+            assert [x.tobytes() for x in (run.lcb, run.ucb, run.score_a, run.score_b)] == state
+            if run.step() is not None:
+                break
+        else:
+            pytest.fail(f"{rule} ran 2000 steps")
+        assert first_solves > 0
+
+    @pytest.mark.parametrize("rule", ["ppr-1v1", "kl-sn-1vr"])
+    def test_scores_after_a_contender_switch_are_recomputed(self, rule):
+        # after every selection, a switch of contender pair included, each
+        # open seat's scores equal a from-scratch recompute from a fresh
+        # engine's intervals at its current counts; a resolved seat's are -inf
+        run = ElectionRun(_lazy_parity_instance(3), "dcb", rule, 0.1, 50, derive_stream(8, 0))
+        oracle = BoundEngine(run.rule.engine.kind, run.rule.engine.alpha)
+        pair, switches = None, 0
+        for _ in range(2000):
+            run.dcb_select()
+            a, b = run.dcb_contenders()
+            lcb, ucb = np.zeros_like(run.lcb), np.ones_like(run.ucb)
+            open_ids = [c for c in range(run.c) if run.winner[c] < 0]
+            for c in open_ids:
+                _eager_widths(run, oracle, c, lcb, ucb)
+            gap_a = ucb[:, a, :] - lcb[:, :, a]
+            gap_b = ucb[:, :, b] - lcb[:, b, :]
+            gap_a[:, a], gap_b[:, b] = np.inf, -np.inf
+            score_a, score_b = gap_a.min(axis=1), gap_b.max(axis=1)
+            closed = [c for c in range(run.c) if run.winner[c] >= 0]
+            score_a[closed] = score_b[closed] = -np.inf
+            assert run.score_a.tobytes() == score_a.tobytes()
+            assert run.score_b.tobytes() == score_b.tobytes()
+            switches += pair is not None and pair != (a, b)
+            pair = (a, b)
+            if run.step() is not None:
+                break
+        else:
+            pytest.fail(f"{rule} ran 2000 steps")
+        assert switches >= 1
+
+
 class TestRunState:
     @pytest.mark.parametrize("policy", ["rr", "dcb"])
     @pytest.mark.parametrize("rule", ["ppr-1v1", "kl-sn-1vr"])
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_records_agree_after_every_step(self, policy, rule, k):
         # leader[c] is tally c's first while c is open and sampled, -1
-        # otherwise; winner counts into wins and its -1 entries are the open
-        # seats
+        # otherwise, and counts into the lead counts; winner counts into wins
+        # and its -1 entries are the open seats
         run = ElectionRun(_lazy_parity_instance(k), policy, rule, 0.1, 50, derive_stream(8, 2))
         for steps in range(1, 2001):
             winner = run.step()
@@ -548,6 +615,8 @@ class TestRunState:
                 is_open = run.winner[c] < 0
                 expected = tally.first if is_open and tally.total > 0 else -1
                 assert run.leader[c] == expected
+            leading = run.leader[run.leader >= 0]
+            assert np.bincount(leading, minlength=k).tolist() == run._leads
             closed = run.winner[run.winner >= 0]
             assert np.bincount(closed, minlength=k).tolist() == run.wins
             assert np.count_nonzero(run.winner < 0) == run.unresolved
