@@ -571,7 +571,7 @@ class TestSelectionCache:
     @pytest.mark.parametrize("rule", ["ppr-1v1", "kl-sn-1vr"])
     def test_scores_after_a_contender_switch_are_recomputed(self, rule):
         # after every selection, a switch of contender pair included, each
-        # open seat's scores equal a from-scratch recompute from a fresh
+        # open seat's scores equal a full recompute from a fresh
         # engine's intervals at its current counts; a resolved seat's are -inf
         run = ElectionRun(_lazy_parity_instance(3), "dcb", rule, 0.1, 50, derive_stream(8, 0))
         oracle = BoundEngine(run.rule.engine.kind, run.rule.engine.alpha)
