@@ -14,10 +14,11 @@ constituencies, and the confidence-bound-difference policy that each step
 queries one promising constituency for each of the two aggregate contenders.
 Its bound widths come from the rule's own engine, at the rule's per-test
 mistake probability. Each constituency's two scores are kept for the
-current contender pair, so a selection rescores only the constituencies
-sampled since the last one, and all of them only when the pair changes. A
-rescore solves only the interval ends its scores read that are stale at the
-constituency's counts.
+current contender pair and the one before it, so a selection rescores only
+the constituencies sampled since the last one, a return to the pair before
+only those sampled since it was left, and a new pair only the open sampled
+constituencies. A rescore solves only the interval ends its scores read that
+are stale at the constituency's counts.
 An end is a pure function of the engine and its integer counts, so a
 process-wide table keeps solved ends across runs: an end whose key fits is
 solved at most once per process while the table has room, not once per run.
@@ -408,7 +409,9 @@ class ElectionRun:
             self.score_a = np.ones(self.c)
             self.score_b = np.ones(self.c)
             self._pair = self.dcb_contenders()
-            self._sampled: list[int] = []
+            self._sampled: set[int] = set()
+            # the same four for the pair before _pair, None before a switch
+            self._kept: tuple | None = None
 
     # -- per-constituency bookkeeping -------------------------------------
 
@@ -419,12 +422,14 @@ class ElectionRun:
         bound, tally = self._bound, self.tallies[c]
         counts = tally.counts
         widths = (self.lcb[c], self.ucb[c])
-        for e, (upper, i, j) in enumerate(self._ends):
-            if ends >> e & 1:
-                if self.scheme == "1vr":
-                    widths[upper][i] = bound(counts[i], tally.total, upper)
-                else:
-                    widths[upper][i, j] = bound(counts[i], counts[i] + counts[j], upper)
+        while ends:
+            low = ends & -ends
+            ends ^= low
+            upper, i, j = self._ends[low.bit_length() - 1]
+            if self.scheme == "1vr":
+                widths[upper][i] = bound(counts[i], tally.total, upper)
+            else:
+                widths[upper][i, j] = bound(counts[i], counts[i] + counts[j], upper)
 
     def _rescore(self, c: int) -> None:
         """Seat c's two scores for the contender pair (a, b), -inf once it is
@@ -438,9 +443,11 @@ class ElectionRun:
         if todo := self._stale[c] & self._reads[a][b]:
             self._stale[c] ^= todo
             self._solve_ends(c, todo)
-        hi, lo = self.ucb[c].tolist(), self.lcb[c].tolist()
-        self.score_a[c] = min([hi[a][j] - lo[j][a] for j in range(self.k) if j != a])
-        self.score_b[c] = max([hi[j][b] - lo[b][j] for j in range(self.k) if j != b])
+        hi, lo = self.ucb[c], self.lcb[c]  # a's row and column, b's column and row
+        hi_a, lo_a = hi[a].tolist(), lo[:, a].tolist()
+        hi_b, lo_b = hi[:, b].tolist(), lo[b].tolist()
+        self.score_a[c] = min([hi_a[j] - lo_a[j] for j in range(self.k) if j != a])
+        self.score_b[c] = max([hi_b[j] - lo_b[j] for j in range(self.k) if j != b])
 
     def _record(self, c: int, declared: int | None) -> None:
         """Keep seat c's records current after a batch that the rule checked,
@@ -458,7 +465,9 @@ class ElectionRun:
             self.wins[declared] += 1
         if self.lcb is not None:
             self._stale[c] = self._every_end if declared is None else 0
-            self._sampled.append(c)
+            self._sampled.add(c)
+            if self._kept is not None:
+                self._kept[3].add(c)
 
     def _sample_batch(self, c: int) -> None:
         tally = self.tallies[c]
@@ -488,22 +497,40 @@ class ElectionRun:
         rivals[a] = -1  # below every party's wins
         return a, rivals.index(max(rivals))
 
+    def _switch(self, pair: tuple[int, int]) -> None:
+        """Make pair the scored contender pair, keeping the outgoing pair's
+        scores and the seats sampled since them in ``_kept``. A return to the
+        kept pair takes its scores back, so only the seats sampled since are
+        rescored. Any other pair starts from a copy of the outgoing scores,
+        exact for every seat but the open sampled ones (``leader`` >= 0) and
+        those in ``_sampled``: a resolved seat scores -inf and an unsampled one
+        1.0 under every pair, so those two sets are the seats to rescore."""
+        outgoing = (self._pair, self.score_a, self.score_b, self._sampled)
+        if self._kept is not None and self._kept[0] == pair:
+            _, self.score_a, self.score_b, self._sampled = self._kept
+        else:
+            self.score_a, self.score_b = self.score_a.copy(), self.score_b.copy()
+            self._sampled = self._sampled | set(np.flatnonzero(self.leader >= 0).tolist())
+        self._pair, self._kept = pair, outgoing
+
     def dcb_select(self) -> tuple[int, int]:
         """One promising constituency for each aggregate contender.
 
         It reads the contenders off ``wins`` and the lead counts, and picks
         the seats with the highest ``score_a`` and ``score_b``, ties to the
         lowest id (``argmax``); ``step`` runs only while a seat is open. The
-        scores are kept for the contender pair ``_pair``: while it holds,
-        only the seats sampled since the last selection are rescored, and a
-        new pair rescores every seat, each through ``_rescore``. So every
-        end a score reads is solved at most once per batch of its seat.
+        scores are kept for the contender pair ``_pair``, and rescored, each
+        seat through ``_rescore``, only where they may have changed: the
+        seats sampled since the last selection while the pair holds, and
+        after a switch the seats ``_switch`` names. So every end a score
+        reads is solved at most once per batch of its seat.
         """
         pair = self.dcb_contenders()
-        seats = self._sampled if pair == self._pair else range(self.c)
-        self._pair, self._sampled = pair, []
-        for c in seats:
+        if pair != self._pair:
+            self._switch(pair)
+        for c in self._sampled:
             self._rescore(c)
+        self._sampled = set()
         return int(self.score_a.argmax()), int(self.score_b.argmax())
 
     # -- aggregate ----------------------------------------------------------

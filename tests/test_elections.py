@@ -572,32 +572,38 @@ class TestSelectionCache:
     def test_scores_after_a_contender_switch_are_recomputed(self, rule):
         # after every selection, a switch of contender pair included, each
         # open seat's scores equal a full recompute from a fresh
-        # engine's intervals at its current counts; a resolved seat's are -inf
-        run = ElectionRun(_lazy_parity_instance(3), "dcb", rule, 0.1, 50, derive_stream(8, 0))
-        oracle = BoundEngine(run.rule.engine.kind, run.rule.engine.alpha)
-        pair, switches = None, 0
-        for _ in range(2000):
-            run.dcb_select()
-            a, b = run.dcb_contenders()
-            lcb, ucb = np.zeros_like(run.lcb), np.ones_like(run.ucb)
-            open_ids = [c for c in range(run.c) if run.winner[c] < 0]
-            for c in open_ids:
-                _eager_widths(run, oracle, c, lcb, ucb)
-            gap_a = ucb[:, a, :] - lcb[:, :, a]
-            gap_b = ucb[:, :, b] - lcb[:, b, :]
-            gap_a[:, a], gap_b[:, b] = np.inf, -np.inf
-            score_a, score_b = gap_a.min(axis=1), gap_b.max(axis=1)
-            closed = [c for c in range(run.c) if run.winner[c] >= 0]
-            score_a[closed] = score_b[closed] = -np.inf
-            assert run.score_a.tobytes() == score_a.tobytes()
-            assert run.score_b.tobytes() == score_b.tobytes()
-            switches += pair is not None and pair != (a, b)
-            pair = (a, b)
-            if run.step() is not None:
-                break
-        else:
-            pytest.fail(f"{rule} ran 2000 steps")
-        assert switches >= 1
+        # engine's intervals at its current counts; a resolved seat's are -inf.
+        # The runs switch both back to the pair before the last one, whose
+        # scores are kept, and to a pair not kept
+        returns = new_pairs = 0
+        for trial in range(4):
+            run = ElectionRun(_lazy_parity_instance(3), "dcb", rule, 0.1, 50, derive_stream(8, trial))
+            oracle = BoundEngine(run.rule.engine.kind, run.rule.engine.alpha)
+            pairs = [run.dcb_contenders()]
+            for _ in range(2000):
+                run.dcb_select()
+                a, b = run.dcb_contenders()
+                lcb, ucb = np.zeros_like(run.lcb), np.ones_like(run.ucb)
+                open_ids = [c for c in range(run.c) if run.winner[c] < 0]
+                for c in open_ids:
+                    _eager_widths(run, oracle, c, lcb, ucb)
+                gap_a = ucb[:, a, :] - lcb[:, :, a]
+                gap_b = ucb[:, :, b] - lcb[:, b, :]
+                gap_a[:, a], gap_b[:, b] = np.inf, -np.inf
+                score_a, score_b = gap_a.min(axis=1), gap_b.max(axis=1)
+                closed = [c for c in range(run.c) if run.winner[c] >= 0]
+                score_a[closed] = score_b[closed] = -np.inf
+                assert run.score_a.tobytes() == score_a.tobytes()
+                assert run.score_b.tobytes() == score_b.tobytes()
+                if (a, b) != pairs[-1]:
+                    returns += len(pairs) > 1 and (a, b) == pairs[-2]
+                    new_pairs += len(pairs) == 1 or (a, b) != pairs[-2]
+                    pairs.append((a, b))
+                if run.step() is not None:
+                    break
+            else:
+                pytest.fail(f"{rule} ran 2000 steps")
+        assert returns >= 1 and new_pairs >= 1
 
 
 class TestRunState:
