@@ -22,15 +22,22 @@ are stale at the constituency's counts.
 An end is a pure function of the engine and its integer counts, so a
 process-wide table keeps solved ends across runs: an end whose key fits is
 solved at most once per process while the table has room, not once per run.
+
+A run owns its stream. It draws the uniforms of 4, 8, ... batches at a time,
+the first time it polls, sorts each batch's row once and counts a batch by
+K - 1 searches for the constituency's cumulative shares; the counts are the
+ones drawing and counting batch by batch gives. The stream is left past the
+stop, by at most one block.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
 import threading
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -106,14 +113,16 @@ class ElectionInstance:
     def c(self) -> int:
         return len(self.constituencies)
 
-    @property
+    @cached_property
     def seat_counts(self) -> tuple[int, ...]:
+        """Seats per party, computed once per instance; like true_winner it
+        is kept outside the fields, which alone compare and hash."""
         seats = [0] * self.k
         for con in self.constituencies:
             seats[con.winner] += 1
         return tuple(seats)
 
-    @property
+    @cached_property
     def true_winner(self) -> int | None:
         """Index of the strict seat-count winner, None on a tie."""
         seats = self.seat_counts
@@ -217,6 +226,12 @@ _END_COUNT_BITS = 24  # s and t below 2**24
 _END_ENGINE_BITS = 14  # 16384 engine ids
 _FIBONACCI_64 = 0x9E3779B97F4A7C15  # 2**64 / golden ratio, odd
 _MASK64 = (1 << 64) - 1
+
+# A run draws its uniforms in blocks of _DRAW_AHEAD, 2 * _DRAW_AHEAD, ...
+# batches, each at most _DRAW_AHEAD_UNIFORMS uniforms (128 KB), or one batch
+# where a batch is larger.
+_DRAW_AHEAD = 4
+_DRAW_AHEAD_UNIFORMS = 1 << 14
 
 
 class _EndTable:
@@ -335,7 +350,8 @@ class ElectionRun:
 
     Each fact about constituency c is one row of a run-level record: its
     cumulative vote shares ``cum[c]``, from which samples are drawn with
-    replacement, and, kept current by ``_sample_batch``, ``tallies[c]``,
+    replacement (``cuts[c]``, all but the last, are what a batch is counted
+    against), and, kept current by ``_sample_batch``, ``tallies[c]``,
     ``winner[c]`` (-1 while the seat is open) and ``leader[c]``, the party
     most sampled there (``tally.first``, the lowest index on ties) while the
     seat is open and sampled, -1 otherwise. ``_leads`` counts each party's
@@ -343,6 +359,11 @@ class ElectionRun:
     unresolved move only when a constituency resolves: its winner gains a win
     and one fewer seat is open, so LCB_party = wins and UCB_party = wins +
     unresolved.
+
+    The run owns ``stream``: its uniforms are drawn ahead in blocks of whole
+    batches, the first at the first batch, so a run rejected by its
+    constructor leaves the stream untouched, and a stopped run leaves it
+    past the stop.
     """
 
     def __init__(
@@ -382,6 +403,11 @@ class ElectionRun:
         cum = np.cumsum(np.array([c.votes for c in instance.constituencies], dtype=float), axis=1)
         self.cum = cum / cum[:, -1:]
         self.cum[:, -1] = 1.0
+        self.cuts = np.ascontiguousarray(self.cum[:, :-1])
+        # the uniforms drawn ahead, one sorted batch a row, and the next row
+        self._block = np.empty((0, batch))
+        self._row = 0
+        self._ahead = _DRAW_AHEAD
         self.tallies = [TallyState(self.k) for _ in range(self.c)]
         self.winner = np.full(self.c, -1)
         self.leader = np.full(self.c, -1)
@@ -469,10 +495,27 @@ class ElectionRun:
             if self._kept is not None:
                 self._kept[3].add(c)
 
+    def _draw_ahead(self) -> None:
+        """Draw the next block of batches, a sorted row each. PCG64 draws
+        ``random(a)`` then ``random(b)`` as ``random(a + b)``, so the rows are
+        the batches drawn one at a time."""
+        rows = max(1, min(self._ahead, _DRAW_AHEAD_UNIFORMS // self.batch))
+        self._block = self.stream.uniforms(rows * self.batch).reshape(rows, self.batch)
+        self._block.sort(axis=1)
+        self._row = 0
+        self._ahead = 2 * rows
+
     def _sample_batch(self, c: int) -> None:
+        """Poll seat c with the next row. Value j is drawn where
+        cum[c, j - 1] <= u < cum[c, j], so ends[j] = #(u < cum[c, j]) samples
+        take a value up to j: on the sorted row, K - 1 searches for cuts[c]
+        count the batch by the comparisons a search per sample makes."""
+        if self._row == len(self._block):
+            self._draw_ahead()
+        ends = [*self._block[self._row].searchsorted(self.cuts[c]).tolist(), self.batch]
+        self._row += 1
         tally = self.tallies[c]
-        idxs = self.cum[c].searchsorted(self.stream.uniforms(self.batch), side="right")
-        tally.add_counts(np.bincount(idxs, minlength=self.k))
+        tally.add_counts([ends[0], *map(operator.sub, ends[1:], ends)])
         self.samples += self.batch
         self._record(c, self.rule.check(tally))
 
@@ -573,6 +616,10 @@ def run_election(
     stream: SeededStream,
     sample_cap: int = DEFAULT_ELECTION_SAMPLE_CAP,
 ) -> ElectionRecord:
+    """Step one ``ElectionRun`` until a party is declared, or raise
+    ``SampleCapExceeded`` once its samples reach sample_cap first. The run
+    owns its stream, which is left past the stop; an input it rejects leaves
+    the stream untouched."""
     sample_cap = _int_at_least("sample_cap", sample_cap, 1)
     run = ElectionRun(instance, policy, rule_token, delta, batch, stream)
     while True:

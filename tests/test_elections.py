@@ -158,6 +158,21 @@ class TestSyntheticInstance:
         seats = inst.seat_counts
         assert seats[0] > seats[1] > seats[2]
 
+    def test_seat_counts_are_counted_once_and_outside_the_fields(self, monkeypatch):
+        counted = []
+        winner = Constituency.winner
+        monkeypatch.setattr(Constituency, "winner", property(lambda con: counted.append(con)
+                                                             or winner.fget(con)))
+        inst = synthetic_election()
+        fresh = synthetic_election()
+        for _ in range(2):
+            assert inst.seat_counts == (34, 13, 3)  # the near ties go alpha, alpha, beta, beta
+            assert inst.true_winner == 0
+            run_election(inst, "rr", "ppr-1v1", 0.1, 200, derive_stream(0, 0))
+        assert counted == list(inst.constituencies)
+        assert inst == fresh and hash(inst) == hash(fresh)
+        assert "seat_counts" in vars(inst) and "seat_counts" not in vars(fresh)
+
 
 class TestSelection:
     def _tiny(self):
@@ -629,6 +644,92 @@ class TestRunState:
             if winner is not None:
                 break
         assert 1 < steps < 2000
+
+
+def _zero_vote_instance(k):
+    """Four seats over K parties, party 0 winning three. The first three each
+    give one party no votes, so two cumulative shares tie: the last party's,
+    the first's (a share of 0.0) and a middle one's. The last seat, won by 20
+    votes, takes every run past its first block."""
+    rows = []
+    for winner, zero in ((0, k - 1), (1, 0), (0, k // 2), (0, None)):
+        votes = [30 + 7 * j for j in range(k)]
+        if zero is not None:
+            votes[zero] = 0
+        votes[winner] = max(votes) + (20 if zero is None else 40)
+        rows.append(tuple(votes))
+    parties = tuple(f"p{j}" for j in range(k))
+    return ElectionInstance(parties, tuple(Constituency(f"c{i}", v) for i, v in enumerate(rows)))
+
+
+class TestBlockDraw:
+    @pytest.mark.parametrize("policy", ["rr", "dcb"])
+    @pytest.mark.parametrize("batch", [1, 7, 200])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_every_tally_matches_a_batch_at_a_time_draw(self, monkeypatch, policy, batch, k):
+        # the oracle replays the run's seat sequence on a fresh stream, batch
+        # uniforms at a time, each counted by one search per sample
+        inst = _zero_vote_instance(k)
+        votes = np.array([c.votes for c in inst.constituencies], dtype=float)
+        cum = np.cumsum(votes, axis=1) / votes.sum(axis=1, keepdims=True)
+        cum[:, -1] = 1.0
+        oracle = derive_stream(9, k, batch)
+        expected = [[0] * k for _ in range(inst.c)]
+        sample_batch = ElectionRun._sample_batch
+        seats = []
+
+        def replayed(run, c):
+            sample_batch(run, c)
+            us = oracle.uniforms(batch)
+            counts = np.bincount(cum[c].searchsorted(us, side="right"), minlength=k)
+            expected[c] = [n + m for n, m in zip(expected[c], counts.tolist())]
+            seats.append(c)
+            assert [tally.counts for tally in run.tallies] == expected
+
+        monkeypatch.setattr(ElectionRun, "_sample_batch", replayed)
+        run = ElectionRun(inst, policy, "ppr-1v1", 0.05, batch, derive_stream(9, k, batch))
+        for _ in range(5000):
+            if run.step() is not None:
+                break
+        else:
+            pytest.fail("the run took 5000 steps")
+        assert run.samples == len(seats) * batch
+        assert len(set(seats)) > 1 and len(seats) > elections._DRAW_AHEAD  # past one block
+
+    @pytest.mark.parametrize("batch", [1, 7, 200])
+    def test_first_block_is_drawn_at_the_first_batch(self, batch):
+        stream = derive_stream(3, batch)
+        run = ElectionRun(synthetic_election(), "dcb", "ppr-1v1", 0.01, batch, stream)
+        fresh = derive_stream(3, batch)
+        assert stream.generator.bit_generator.state == fresh.generator.bit_generator.state
+        run.step()
+        fresh.uniforms(elections._DRAW_AHEAD * batch)
+        assert stream.generator.bit_generator.state == fresh.generator.bit_generator.state
+
+    def test_rejected_run_leaves_the_stream_untouched(self):
+        tied = ElectionInstance(
+            ("A", "B"), (Constituency("c0", (60, 40)), Constituency("c1", (40, 60)))
+        )
+        stream = derive_stream(0, 0)
+        state = stream.generator.bit_generator.state
+        with pytest.raises(ElectionDataError):
+            run_election(tied, "rr", "ppr-1v1", 0.1, 10, stream)
+        assert stream.generator.bit_generator.state == state
+
+    @pytest.mark.parametrize("batch", [1, 200, 40_000])
+    def test_held_block_is_bounded(self, batch):
+        # blocks of 4, 8, ... batches up to the cap, or one batch past it
+        cap = elections._DRAW_AHEAD_UNIFORMS
+        run = ElectionRun(synthetic_election(), "rr", "ppr-1v1", 0.01, batch, derive_stream(1, 0))
+        rows = []
+        for _ in range(16):
+            run._draw_ahead()
+            assert run._block.shape[1] == batch
+            assert run._block.size <= max(batch, cap)
+            rows.append(len(run._block))
+        most = max(1, cap // batch)
+        assert rows == [min(elections._DRAW_AHEAD << i, most) for i in range(16)]
+        assert rows[-1] * batch == (cap - cap % batch if batch <= cap else batch)
 
 
 def _aggregate_by_definition(wins, unresolved):

@@ -108,10 +108,12 @@ class TestSampling:
 
     @pytest.mark.parametrize("zeros", ["none", "middle", "last"])
     @pytest.mark.parametrize("k, dtype", [(2, np.uint8), (3, np.uint8), (10, np.uint8),
-                                          (256, np.uint8), (257, np.uint16)])
+                                          (256, np.uint8), (257, np.uint16),
+                                          (1000, np.uint16), (2000, np.uint16)])
     def test_draw_matches_searchsorted(self, k, dtype, zeros):
-        # dyadic probabilities, so that every cumulative bound is exact
-        probs = [2.0**-10] * k
+        # dyadic probabilities, so that every cumulative bound is exact; from
+        # K = 500 the path draws by search, below it by comparison
+        probs = [2.0 ** (-10 if k <= 1000 else -12)] * k
         if zeros != "none":
             probs[k // 2 if zeros == "middle" else k - 1] = 0.0
         probs[0] = 1.0 - sum(probs[1:])
@@ -369,6 +371,7 @@ class TestTallyState:
             (np.array([True, False]), r"^batch counts must be integers, got np\.True_$"),
             (np.array([2.0, 1.0]), r"^batch counts must be integers, got np\.float64\(2\.0\)$"),
             (np.array([[1, 2], [3, 4]]), r"^batch counts must be integers, got array\(\[1, 2\]\)$"),
+            ((np.int64(1), "2"), r"^batch counts must be integers, got '2'$"),
         ],
     )
     @pytest.mark.parametrize("before", [[], [0, 2]])
@@ -380,6 +383,13 @@ class TestTallyState:
         with pytest.raises(ValueError, match=message):
             tally.add_counts(batch)
         assert (tally.counts, tally.total, tally.first, tally.second, tally.order) == state
+
+    def test_rejected_iterator_names_its_first_non_int(self):
+        # an iterator is read once, so the message names the count itself
+        tally = TallyState(2)
+        with pytest.raises(ValueError, match=r"^batch counts must be integers, got 2\.5$"):
+            tally.add_counts(c for c in [1, 2.5])
+        assert (tally.counts, tally.total, tally.order) == ([0, 0], 0, [])
 
     @pytest.mark.parametrize("idx", [-1, -3, 3, 7])
     @pytest.mark.parametrize("before", [[], [0, 2, 2]])
@@ -402,6 +412,20 @@ class TestTallyState:
         tally = TallyState(4)
         tally.add_counts(np.array([3, 0, 5, 5], dtype=np.int64))
         assert tally.counts == [3, 0, 5, 5] and tally.total == 13
+        assert {type(c) for c in tally.counts} == {int}
+
+    @pytest.mark.parametrize("batch, counts", [
+        ([True, 2], [1, 2]),  # a Python bool is an index, read as 0 or 1
+        ([np.int64(3), np.uint8(4)], [3, 4]),
+        ([np.int32(1), 5], [1, 5]),
+        ((2, 0), [2, 0]),
+        (iter([0, 3]), [0, 3]),
+        (range(2), [0, 1]),
+    ])
+    def test_bulk_add_takes_any_sequence_of_ints_as_ints(self, batch, counts):
+        tally = TallyState(2)
+        tally.add_counts(batch)
+        assert tally.counts == counts and tally.total == sum(counts)
         assert {type(c) for c in tally.counts} == {int}
 
     @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.uint64])
