@@ -729,7 +729,6 @@ class TestBlockDraw:
             rows.append(len(run._block))
         most = max(1, cap // batch)
         assert rows == [min(elections._DRAW_AHEAD << i, most) for i in range(16)]
-        assert rows[-1] * batch == (cap - cap % batch if batch <= cap else batch)
 
 
 def _aggregate_by_definition(wins, unresolved):
