@@ -28,11 +28,6 @@ __all__ = [
 PATH_CHUNK = 1024
 PATH_CHUNK_MAX = 4 * PATH_CHUNK
 
-# From K = _SEARCH_DRAW_K up, SamplePath maps uniforms to value indices by a
-# binary search per uniform instead of K - 1 comparisons each: at K = 1000 a
-# 4096-uniform chunk took 316.6 against 861.8 µs (shared 2-vCPU x86-64 host).
-_SEARCH_DRAW_K = 500
-
 
 @dataclass(frozen=True)
 class DiscreteInstance:
@@ -278,11 +273,10 @@ class SamplePath:
 
     Uniforms are drawn one chunk at a time, on the schedule at
     ``PATH_CHUNK``; a sample's value index is the number of cumulative
-    bounds at or below its uniform, counted by comparison below K =
-    ``_SEARCH_DRAW_K`` and by binary search from there. Each drawn chunk is
-    kept as an array of sample indices of the smallest unsigned type that
-    holds K - 1 (1 byte a sample for K <= 256), and this list of chunks is
-    the path's only storage. PCG64 draws ``random(a)`` then ``random(b)`` as
+    bounds at or below its uniform. Each drawn chunk is kept as an array of
+    sample indices of the smallest unsigned type that holds K - 1 (1 byte a
+    sample for K <= 256), and this list of chunks is the path's only
+    storage. PCG64 draws ``random(a)`` then ``random(b)`` as
     ``random(a + b)``, so the samples do not depend on the schedule.
     Readers walk the path chunk by chunk; ``path[t]`` indexes into the chunk
     holding sample t. A path shared across stopping rules gives every rule
@@ -302,12 +296,9 @@ class SamplePath:
         while c >= len(chunks):
             n = len(chunks)
             us = self._stream.uniforms(_chunk_start(n + 1) - _chunk_start(n))
-            cum = self._cum
-            dtype = np.min_scalar_type(len(cum) - 1)
-            if len(cum) >= _SEARCH_DRAW_K:
-                chunks.append(cum.searchsorted(us, side="right").astype(dtype))
-            else:  # the same count, as cum[-1] = 1.0 exceeds every uniform
-                chunks.append((us >= cum[:-1, None]).sum(axis=0, dtype=dtype))
+            # searchsorted(cum, us, side="right"), as cum[-1] = 1.0 exceeds every uniform
+            bounds = self._cum[:-1, None]
+            chunks.append((us >= bounds).sum(axis=0, dtype=np.min_scalar_type(len(bounds))))
         return chunks[c]
 
     def __getitem__(self, t: int) -> int:
@@ -388,12 +379,7 @@ class TallyState:
         if int_array and batch_counts.ndim == 1:
             batch = batch_counts.tolist()  # Python ints, in one call
         else:
-            # a list or tuple is read as it is, anything else once into a list
-            batch = batch_counts if type(batch_counts) in (list, tuple) else list(batch_counts)
-            try:
-                batch = list(map(operator.index, batch))
-            except TypeError:  # name the first count that is not an int
-                batch = [_as_int(c, "batch counts must be integers") for c in batch]
+            batch = [_as_int(c, "batch counts must be integers") for c in batch_counts]
         counts = self.counts
         if len(batch) != len(counts):
             raise ValueError(f"a batch needs K={len(counts)} counts, got {len(batch)}")

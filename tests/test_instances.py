@@ -111,8 +111,8 @@ class TestSampling:
                                           (256, np.uint8), (257, np.uint16),
                                           (1000, np.uint16), (2000, np.uint16)])
     def test_draw_matches_searchsorted(self, k, dtype, zeros):
-        # dyadic probabilities, so that every cumulative bound is exact; from
-        # K = 500 the path draws by search, below it by comparison
+        # dyadic probabilities, so that every cumulative bound is exact (a
+        # step of 2^-12 at K = 2000, where 2^-10 would sum past 1)
         probs = [2.0 ** (-10 if k <= 1000 else -12)] * k
         if zeros != "none":
             probs[k // 2 if zeros == "middle" else k - 1] = 0.0
