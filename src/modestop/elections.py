@@ -23,11 +23,20 @@ An end is a pure function of the engine and its integer counts, so a
 process-wide table keeps solved ends across runs: an end whose key fits is
 solved at most once per process while the table has room, not once per run.
 
-A run owns its stream. It draws the uniforms of 4, 8, ... batches at a time,
-the first time it polls, sorts each batch's row once and counts a batch by
-K - 1 searches for the constituency's cumulative shares; the counts are the
-ones drawing and counting batch by batch gives. The stream is left past the
-stop, by at most one block.
+A run owns its stream, and each policy draws from it in its own way. A
+round-robin step is a round: the open constituencies from the cursor to the
+last id, each polled once, in id order. A verdict reads only its own
+constituency's tally, so a round draws its batches in slices of at most
+_DRAW_AHEAD_UNIFORMS uniforms (or one batch), counts a slice with one
+comparison of each uniform against each cumulative share, and confirms with
+``check`` only the polls that the rule's margin screen passes, in poll
+order; the first poll that declares a party, or that reaches the sample cap,
+ends the run. The stream is left past the stop by at most the rest of one
+slice. DCB draws the uniforms of 4, 8, ... batches at a time, the first time
+it polls, sorts each batch's row once and counts a batch by K - 1 searches
+for the constituency's cumulative shares. The stream is left past the stop
+by at most one block. Either way the counts are the ones drawing and
+counting batch by batch gives.
 """
 
 from __future__ import annotations
@@ -128,6 +137,16 @@ class ElectionInstance:
         seats = self.seat_counts
         top = max(seats)
         return seats.index(top) if seats.count(top) == 1 else None
+
+    @cached_property
+    def cuts(self) -> np.ndarray:
+        """The (C, K - 1) cumulative vote shares but the last, which is 1.0:
+        value j is drawn where cuts[c, j - 1] <= u < cuts[c, j]. Read-only,
+        computed once per instance and kept outside the fields."""
+        cum = np.cumsum(np.array([c.votes for c in self.constituencies], dtype=float), axis=1)
+        cuts = cum[:, :-1] / cum[:, -1:]
+        cuts.flags.writeable = False
+        return cuts
 
 
 def load_election_csv(path) -> ElectionInstance:
@@ -348,22 +367,22 @@ def _width_ends(k: int, scheme: str) -> tuple[tuple, tuple]:
 class ElectionRun:
     """Mutable state of one election simulation.
 
-    Each fact about constituency c is one row of a run-level record: its
-    cumulative vote shares ``cum[c]``, from which samples are drawn with
-    replacement (``cuts[c]``, all but the last, are what a batch is counted
-    against), and, kept current by ``_sample_batch``, ``tallies[c]``,
-    ``winner[c]`` (-1 while the seat is open) and ``leader[c]``, the party
-    most sampled there (``tally.first``, the lowest index on ties) while the
-    seat is open and sampled, -1 otherwise. ``_leads`` counts each party's
-    entries in ``leader`` and moves only when one changes. wins and
-    unresolved move only when a constituency resolves: its winner gains a win
-    and one fewer seat is open, so LCB_party = wins and UCB_party = wins +
-    unresolved.
+    Each fact about constituency c is one row of a run-level record:
+    ``winner[c]`` (-1 while the seat is open) and its samples, which
+    round-robin keeps as ``counts[c]``, a row of a (C, K) int64 array, and
+    DCB as ``tallies[c]``. DCB also keeps ``leader[c]``, the party most
+    sampled there (``tally.first``, the lowest index on ties) while the seat
+    is open and sampled, -1 otherwise; ``_leads`` counts each party's entries
+    in ``leader`` and moves only when one changes. wins and unresolved move
+    only when a constituency resolves: its winner gains a win and one fewer
+    seat is open, so LCB_party = wins and UCB_party = wins + unresolved.
 
-    The run owns ``stream``: its uniforms are drawn ahead in blocks of whole
-    batches, the first at the first batch, so a run rejected by its
-    constructor leaves the stream untouched, and a stopped run leaves it
-    past the stop.
+    The run owns ``stream`` and draws nothing before its first poll, so a
+    run rejected by its constructor leaves the stream untouched. A
+    round-robin step polls one round and stops at the poll whose samples
+    reach ``_sample_cap``, the cap ``run_election`` sets; it leaves the stream
+    past the stop by at most the rest of one slice. DCB draws its batches
+    ahead in blocks and leaves the stream past the stop by at most one block.
     """
 
     def __init__(
@@ -400,44 +419,44 @@ class ElectionRun:
         except ValueError as err:  # the rule's other inputs are checked above
             message = f"delta={delta} is too small at K={self.k}, C={self.c}: {err}"
             raise ValueError(message) from None
-        cum = np.cumsum(np.array([c.votes for c in instance.constituencies], dtype=float), axis=1)
-        self.cum = cum / cum[:, -1:]
-        self.cum[:, -1] = 1.0
-        self.cuts = np.ascontiguousarray(self.cum[:, :-1])
+        self.cuts = instance.cuts
+        self.winner = np.full(self.c, -1)
+        self.wins = [0] * self.k
+        self.samples = 0
+        self.unresolved = self.c
+        self._sample_cap = DEFAULT_ELECTION_SAMPLE_CAP
+        if policy == "rr":
+            self.counts = np.zeros((self.c, self.k), dtype=np.int64)
+            self._rr_cursor = 0
+            return
         # the uniforms drawn ahead, one sorted batch a row, and the next row
         self._block = np.empty((0, batch))
         self._row = 0
         self._ahead = _DRAW_AHEAD
         self.tallies = [TallyState(self.k) for _ in range(self.c)]
-        self.winner = np.full(self.c, -1)
         self.leader = np.full(self.c, -1)
-        self.wins = [0] * self.k
         self._leads = [0] * self.k
-        self.samples = 0
-        self.unresolved = self.c
-        self._rr_cursor = 0
-        self.lcb = self.ucb = None  # DCB widths, one (K, K) block per constituency
-        if policy == "dcb":
-            self.lcb = np.zeros((self.c, self.k, self.k))
-            self.ucb = np.ones((self.c, self.k, self.k))
-            self._ends, self._reads = _width_ends(self.k, scheme)
-            self._every_end = (1 << len(self._ends)) - 1
-            # per seat, the bit set of the ends not solved at its current
-            # counts; none of a resolved seat's, which no score reads, and none
-            # of an unsampled one's: every engine's ends at zero counts are
-            # exactly 0.0 and 1.0, the initial widths
-            self._stale = [0] * self.c
-            self._bound = _end_table().solver(self.rule.engine)
-            # each seat's two scores for the contender pair _pair, kept by
-            # _rescore, and the seats sampled since they were last scored.
-            # Before any batch every width is its initial 0.0 or 1.0, so every
-            # seat scores 1.0 - 0.0 for the opening pair
-            self.score_a = np.ones(self.c)
-            self.score_b = np.ones(self.c)
-            self._pair = self.dcb_contenders()
-            self._sampled: set[int] = set()
-            # the same four for the pair before _pair, None before a switch
-            self._kept: tuple | None = None
+        # the DCB widths, one (K, K) block per constituency
+        self.lcb = np.zeros((self.c, self.k, self.k))
+        self.ucb = np.ones((self.c, self.k, self.k))
+        self._ends, self._reads = _width_ends(self.k, scheme)
+        self._every_end = (1 << len(self._ends)) - 1
+        # per seat, the bit set of the ends not solved at its current
+        # counts; none of a resolved seat's, which no score reads, and none
+        # of an unsampled one's: every engine's ends at zero counts are
+        # exactly 0.0 and 1.0, the initial widths
+        self._stale = [0] * self.c
+        self._bound = _end_table().solver(self.rule.engine)
+        # each seat's two scores for the contender pair _pair, kept by
+        # _rescore, and the seats sampled since they were last scored.
+        # Before any batch every width is its initial 0.0 or 1.0, so every
+        # seat scores 1.0 - 0.0 for the opening pair
+        self.score_a = np.ones(self.c)
+        self.score_b = np.ones(self.c)
+        self._pair = self.dcb_contenders()
+        self._sampled: set[int] = set()
+        # the same four for the pair before _pair, None before a switch
+        self._kept: tuple | None = None
 
     # -- per-constituency bookkeeping -------------------------------------
 
@@ -475,9 +494,15 @@ class ElectionRun:
         self.score_a[c] = min([hi_a[j] - lo_a[j] for j in range(self.k) if j != a])
         self.score_b[c] = max([hi_b[j] - lo_b[j] for j in range(self.k) if j != b])
 
+    def _resolve(self, c: int, declared: int) -> None:
+        """Close seat c for the party the rule declared there."""
+        self.winner[c] = declared
+        self.unresolved -= 1
+        self.wins[declared] += 1
+
     def _record(self, c: int, declared: int | None) -> None:
-        """Keep seat c's records current after a batch that the rule checked,
-        declared being its verdict."""
+        """Keep seat c's DCB records current after a batch that the rule
+        checked, declared being its verdict."""
         leader = self.tallies[c].first if declared is None else -1
         if leader != (was := self.leader[c]):
             self.leader[c] = leader
@@ -486,14 +511,11 @@ class ElectionRun:
             if leader >= 0:
                 self._leads[leader] += 1
         if declared is not None:
-            self.winner[c] = declared
-            self.unresolved -= 1
-            self.wins[declared] += 1
-        if self.lcb is not None:
-            self._stale[c] = self._every_end if declared is None else 0
-            self._sampled.add(c)
-            if self._kept is not None:
-                self._kept[3].add(c)
+            self._resolve(c, declared)
+        self._stale[c] = self._every_end if declared is None else 0
+        self._sampled.add(c)
+        if self._kept is not None:
+            self._kept[3].add(c)
 
     def _draw_ahead(self) -> None:
         """Draw the next block of batches, a sorted row each. PCG64 draws
@@ -506,8 +528,7 @@ class ElectionRun:
         self._ahead = 2 * rows
 
     def _sample_batch(self, c: int) -> None:
-        """Poll seat c with the next row. Value j is drawn where
-        cum[c, j - 1] <= u < cum[c, j], so ends[j] = #(u < cum[c, j]) samples
+        """Poll seat c with the next row. ends[j] = #(u < cuts[c, j]) samples
         take a value up to j: on the sorted row, K - 1 searches for cuts[c]
         count the batch by the comparisons a search per sample makes."""
         if self._row == len(self._block):
@@ -521,14 +542,60 @@ class ElectionRun:
 
     # -- selection policies ------------------------------------------------
 
-    def rr_select(self) -> int:
-        """Next unresolved constituency in id order, continuing the cycle."""
-        for _ in range(self.c):
-            c = self._rr_cursor % self.c
-            self._rr_cursor += 1
-            if self.winner[c] < 0:
-                return c
-        raise AssertionError("unreachable: unresolved count out of sync")
+    def rr_select(self) -> np.ndarray:
+        """The open seats of the next round, in id order: those from the
+        cursor to the last id, or every open seat when none of those is."""
+        seats = np.flatnonzero(self.winner[self._rr_cursor :] < 0) + self._rr_cursor
+        if not len(seats):
+            self._rr_cursor = 0
+            seats = np.flatnonzero(self.winner < 0)
+            if not len(seats):
+                raise AssertionError("unreachable: unresolved count out of sync")
+        return seats
+
+    def _poll_round(self) -> int | None:
+        """Poll the round ``rr_select`` names, one batch a seat, up to the
+        poll whose samples reach ``_sample_cap``, and return the first party
+        declared, or None.
+
+        A slice of polls takes its rows of uniforms in one draw.
+        #(u < cuts[c, j]) samples take a value up to j, so one comparison
+        of the slice against each seat's cuts counts it. Each poll's row of
+        cumulative counts then passes the rule's margin screen, and only the
+        rows it passes are confirmed by ``check``, in poll order, each
+        resolution followed by ``aggregate_check``. The counts of the polls
+        up to the first one that declares (or that resolves the last open
+        seat) are kept; the rest of its slice is not.
+        """
+        seats = self.rr_select()
+        k, batch, rule = self.k, self.batch, self.rule
+        polls = min(len(seats), max(1, -((self.samples - self._sample_cap) // batch)))
+        most = max(1, _DRAW_AHEAD_UNIFORMS // batch)
+        for start in range(0, polls, most):
+            part = seats[start : min(start + most, polls)]
+            rows = self.stream.uniforms(len(part) * batch).reshape(len(part), batch)
+            counts = np.full((len(part), k), batch)
+            (rows[:, None] < self.cuts[part, :, None]).sum(axis=2, out=counts[:, :-1])
+            counts[:, 1:] -= counts[:, :-1]  # numpy buffers the overlap
+            counts += self.counts[part]
+            margin, slack = rule.margin_rows(counts, counts.sum(axis=1))
+            kept, winner = len(part), None
+            for r in np.flatnonzero(margin <= slack).tolist():
+                tally = TallyState(k)
+                tally.add_counts(counts[r])
+                declared = rule.check(tally)
+                if declared is not None:
+                    self._resolve(int(part[r]), declared)
+                    winner = self.aggregate_check()
+                    if winner is not None or not self.unresolved:
+                        kept = r + 1
+                        break
+            self.counts[part[:kept]] = counts[:kept]
+            self.samples += kept * batch
+            self._rr_cursor = int(part[kept - 1]) + 1
+            if winner is not None or not self.unresolved:
+                return self._verdict(winner)
+        return None
 
     def dcb_contenders(self) -> tuple[int, int]:
         """The party with the most wins plus leads (the open seats it is the
@@ -584,19 +651,23 @@ class ElectionRun:
         second, top = sorted(self.wins)[-2:]
         return self.wins.index(top) if top > self.unresolved + second else None
 
-    def step(self) -> int | None:
-        if self.policy == "rr":
-            self._sample_batch(self.rr_select())
-        else:
-            c1, c2 = self.dcb_select()
-            self._sample_batch(c1)
-            if self.winner[c2] < 0:  # c1's batch may have resolved it
-                self._sample_batch(c2)
-        winner = self.aggregate_check()
+    def _verdict(self, winner: int | None) -> int | None:
+        """winner, or ElectionTieError once every seat is resolved without one."""
         if winner is None and self.unresolved == 0:
             seats = ", ".join(f"{name} {n}" for name, n in zip(self.instance.parties, self.wins))
             raise ElectionTieError(f"every constituency resolved, but the seats tie: {seats}")
         return winner
+
+    def step(self) -> int | None:
+        """One round-robin round, or one DCB selection and its one or two
+        batches; the party declared, or None."""
+        if self.policy == "rr":
+            return self._poll_round()
+        c1, c2 = self.dcb_select()
+        self._sample_batch(c1)
+        if self.winner[c2] < 0:  # c1's batch may have resolved it
+            self._sample_batch(c2)
+        return self._verdict(self.aggregate_check())
 
 
 @dataclass(frozen=True)
@@ -617,11 +688,16 @@ def run_election(
     sample_cap: int = DEFAULT_ELECTION_SAMPLE_CAP,
 ) -> ElectionRecord:
     """Step one ``ElectionRun`` until a party is declared, or raise
-    ``SampleCapExceeded`` once its samples reach sample_cap first. The run
-    owns its stream, which is left past the stop; an input it rejects leaves
-    the stream untouched."""
+    ``SampleCapExceeded`` once its samples reach sample_cap first. A
+    round-robin step polls a whole round but stops at the poll that reaches
+    the cap, so either policy declares, raises or finds a tie at the poll
+    where polling one batch at a time would. The run owns its stream, which
+    is left past the stop, by at most one block under ``dcb`` and at most
+    the rest of one slice under ``rr``; an input it rejects leaves the
+    stream untouched."""
     sample_cap = _int_at_least("sample_cap", sample_cap, 1)
     run = ElectionRun(instance, policy, rule_token, delta, batch, stream)
+    run._sample_cap = sample_cap
     while True:
         winner = run.step()
         if winner is not None:
