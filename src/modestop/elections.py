@@ -555,17 +555,14 @@ class ElectionRun:
 
     def _poll_round(self) -> int | None:
         """Poll the round ``rr_select`` names, one batch a seat, up to the
-        poll whose samples reach ``_sample_cap``, and return the first party
-        declared, or None.
+        poll whose samples reach ``_sample_cap``; the party declared, or None.
 
-        A slice of polls takes its rows of uniforms in one draw.
-        #(u < cuts[c, j]) samples take a value up to j, so one comparison
-        of the slice against each seat's cuts counts it. Each poll's row of
-        cumulative counts then passes the rule's margin screen, and only the
-        rows it passes are confirmed by ``check``, in poll order, each
-        resolution followed by ``aggregate_check``. The counts of the polls
-        up to the first one that declares (or that resolves the last open
-        seat) are kept; the rest of its slice is not.
+        A slice's rows of uniforms are one draw, and #(u < cuts[c, j])
+        samples take a value up to j, so one comparison counts the slice.
+        ``check`` confirms, in poll order, only the rows the rule's margin
+        screen passes, each resolution followed by ``aggregate_check``. The
+        polls after the one that ends the run are dropped with the rest of
+        its slice.
         """
         seats = self.rr_select()
         k, batch, rule = self.k, self.batch, self.rule
@@ -573,16 +570,16 @@ class ElectionRun:
         most = max(1, _DRAW_AHEAD_UNIFORMS // batch)
         for start in range(0, polls, most):
             part = seats[start : min(start + most, polls)]
-            rows = self.stream.uniforms(len(part) * batch).reshape(len(part), batch)
-            counts = np.full((len(part), k), batch)
-            (rows[:, None] < self.cuts[part, :, None]).sum(axis=2, out=counts[:, :-1])
-            counts[:, 1:] -= counts[:, :-1]  # numpy buffers the overlap
-            counts += self.counts[part]
-            margin, slack = rule.margin_rows(counts, counts.sum(axis=1))
+            us = self.stream.uniforms(len(part) * batch).reshape(len(part), batch)
+            rows = np.full((len(part), k), batch)
+            (us[:, None] < self.cuts[part, :, None]).sum(axis=2, out=rows[:, :-1])
+            rows[:, 1:] -= rows[:, :-1]  # numpy buffers the overlap
+            rows += self.counts[part]
+            margin, slack = rule.margin_rows(rows, rows.sum(axis=1))
             kept, winner = len(part), None
             for r in np.flatnonzero(margin <= slack).tolist():
                 tally = TallyState(k)
-                tally.add_counts(counts[r])
+                tally.add_counts(rows[r])
                 declared = rule.check(tally)
                 if declared is not None:
                     self._resolve(int(part[r]), declared)
@@ -590,7 +587,7 @@ class ElectionRun:
                     if winner is not None or not self.unresolved:
                         kept = r + 1
                         break
-            self.counts[part[:kept]] = counts[:kept]
+            self.counts[part[:kept]] = rows[:kept]
             self.samples += kept * batch
             self._rr_cursor = int(part[kept - 1]) + 1
             if winner is not None or not self.unresolved:
