@@ -2,7 +2,9 @@
 
 At K = 2 every stopping rule is a pair test that declares after n samples
 exactly when the leader's count reaches b(n). ``PairBoundary`` keeps b as an
-int32 table and screens a sample path with it, one chunk at a time.
+int32 table and screens a sample path with it, one chunk at a time. At any
+K, a 1v1 rule's runner-up pair test is such a test on the pair's counts, and
+reads the same table at n = lead + trail.
 """
 
 from __future__ import annotations

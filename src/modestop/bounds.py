@@ -109,7 +109,10 @@ def _kl_sn_gamma(alpha: float) -> float:
 
 
 def lucb_exploration_rate(t: int, alpha: float) -> float:
-    return math.log(LUCB_SCALE * t**LUCB_POWER / alpha)
+    rate = math.log(LUCB_SCALE * t**LUCB_POWER / alpha)
+    if rate == math.inf:  # the quotient overflows at a tiny alpha: take its log in parts
+        return math.log(LUCB_SCALE) + LUCB_POWER * math.log(t) - math.log(alpha)
+    return rate
 
 
 def kl_sn_exploration_rate(t: int, gamma: float) -> float:
@@ -127,6 +130,8 @@ def _a1_width(s: int, t: int, alpha: float) -> float:
     # empirical variance of 0/1 samples: V = s (t - s) / (t (t - 1))
     variance = s * (t - s) / (t * (t - 1.0))
     budget = math.log(4.0 * t * t / alpha)
+    if budget == math.inf:  # the quotient overflows at a tiny alpha: take its log in parts
+        budget = math.log(4.0) + 2.0 * math.log(t) - math.log(alpha)
     return math.sqrt(2.0 * variance * budget / t) + 7.0 * budget / (3.0 * (t - 1.0))
 
 
@@ -305,7 +310,12 @@ SCREEN_SLACK = 1e-12  # also the slack of ``stopping.PprMdRule.margin_rows``
 
 
 def _lucb_rate_array(t: np.ndarray, alpha: float) -> np.ndarray:
-    return np.log(LUCB_SCALE * t**LUCB_POWER / alpha)
+    with np.errstate(over="ignore"):
+        rate = np.log(LUCB_SCALE * t**LUCB_POWER / alpha)
+    over = np.isinf(rate)
+    if over.any():  # as in ``lucb_exploration_rate``
+        rate[over] = math.log(LUCB_SCALE) + LUCB_POWER * np.log(t[over]) - math.log(alpha)
+    return rate
 
 
 def _kl_rate_array(engine: BoundEngine, t: np.ndarray) -> np.ndarray:
@@ -322,7 +332,11 @@ def _a1_width_array(s: np.ndarray, t: np.ndarray, alpha: float) -> np.ndarray:
     # rows below t = 2 are masked by the callers; t - 1 is floored at 1 for them
     t_less_1 = np.maximum(t - 1.0, 1.0)
     variance = s * (t - s) / (t * t_less_1)
-    budget = np.log(4.0 * t * t / alpha)
+    with np.errstate(over="ignore"):
+        budget = np.log(4.0 * t * t / alpha)
+    over = np.isinf(budget)
+    if over.any():  # as in ``_a1_width``
+        budget[over] = math.log(4.0) + 2.0 * np.log(t[over]) - math.log(alpha)
     return np.sqrt(2.0 * variance * budget / t) + 7.0 * budget / (3.0 * t_less_1)
 
 

@@ -3,8 +3,9 @@
 An election instance is a set of constituencies, each holding per-party vote
 counts; polling draws voters with replacement from a constituency's
 normalized counts. Every constituency runs the same mode-estimation
-stopping rule at mistake probability delta / C; a rule is a function of the
-tally alone, so one rule object per run checks every constituency's tally.
+stopping rule at mistake probability delta / C. A 1v1 or 1vr rule decides
+on a constituency's two largest counts and its total (``rule.decides``), so
+one rule object per run decides every constituency from its row of counts.
 The overall winner is declared as soon as one party's guaranteed seat count
 (its wins) exceeds every rival's possible seat count (its wins plus the
 unresolved constituencies).
@@ -25,25 +26,22 @@ solved at most once per process while the table has room, not once per run.
 
 A run owns its stream, and each policy draws from it in its own way. A
 round-robin step is a round: the open constituencies from the cursor to the
-last id, each polled once, in id order. A verdict reads only its own
-constituency's tally, so a round draws its batches in slices of at most
-_DRAW_AHEAD_UNIFORMS uniforms (or one batch), counts a slice with one
-comparison of each uniform against each cumulative share, and confirms with
-``check`` only the polls that the rule's margin screen passes, in poll
-order; the first poll that declares a party, or that reaches the sample cap,
-ends the run. The stream is left past the stop by at most the rest of one
-slice. DCB draws the uniforms of 4, 8, ... batches at a time, the first time
-it polls, sorts each batch's row once and counts a batch by K - 1 searches
-for the constituency's cumulative shares. The stream is left past the stop
-by at most one block. Either way the counts are the ones drawing and
-counting batch by batch gives.
+last id, each polled once, in id order. It draws its batches in slices of
+at most _DRAW_AHEAD_UNIFORMS uniforms (or one batch), counts a slice with
+one comparison of each uniform against each cumulative share and screens
+it with the rule's ``margin_rows``; the first poll that declares a party,
+or that reaches the sample cap, ends the run, and the stream is left past
+the stop by at most the rest of one slice. DCB draws the uniforms of 4, 8,
+... batches at a time, the first time it polls, sorts each batch's row once
+and counts a batch by K - 1 searches for the constituency's cumulative
+shares; the stream is left past the stop by at most one block. Either way
+the counts are the ones drawing and counting batch by batch gives.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import operator
 import threading
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -51,7 +49,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .bounds import make_engine  # noqa: F401  unused; perfbench/tracer.py patches it here
-from .instances import SeededStream, TallyState, _int_at_least, _one_of, _probability
+from .instances import SeededStream, _int_at_least, _one_of, _probability
 from .stopping import SampleCapExceeded, make_rule, parse_rule_token
 
 __all__ = [
@@ -110,8 +108,7 @@ class ElectionInstance:
                 raise ElectionDataError(f"constituency {c.cid} has a vote-length mismatch")
             if c.total <= 0:
                 raise ElectionDataError(f"constituency {c.cid} has no votes")
-            top = max(c.votes)
-            if sum(1 for v in c.votes if v == top) != 1:
+            if c.votes.count(max(c.votes)) != 1:
                 raise ElectionDataError(f"constituency {c.cid} has a tied winner")
 
     @property
@@ -157,12 +154,8 @@ def load_election_csv(path) -> ElectionInstance:
     table: dict[str, dict[int, int]] = {}
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:3]] != [
-            "constituency",
-            "party",
-            "votes",
-        ]:
+        header = [h.strip().lower() for h in next(reader, [])[:3]]
+        if header != ["constituency", "party", "votes"]:
             raise ElectionDataError(f"{path}: expected header 'constituency,party,votes'")
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
@@ -368,21 +361,19 @@ class ElectionRun:
     """Mutable state of one election simulation.
 
     Each fact about constituency c is one row of a run-level record:
-    ``winner[c]`` (-1 while the seat is open) and its samples, which
-    round-robin keeps as ``counts[c]``, a row of a (C, K) int64 array, and
-    DCB as ``tallies[c]``. DCB also keeps ``leader[c]``, the party most
-    sampled there (``tally.first``, the lowest index on ties) while the seat
-    is open and sampled, -1 otherwise; ``_leads`` counts each party's entries
-    in ``leader`` and moves only when one changes. wins and unresolved move
-    only when a constituency resolves: its winner gains a win and one fewer
-    seat is open, so LCB_party = wins and UCB_party = wins + unresolved.
+    ``winner[c]`` (-1 while the seat is open) and its samples per party,
+    ``counts[c]``: a row of a (C, K) int64 array under round-robin, and
+    under DCB a list of Python ints, with its sum in ``totals[c]``. DCB also
+    keeps ``leader[c]``, the party most sampled there (the lowest index on
+    ties) while the seat is open and sampled, -1 otherwise; ``_leads``
+    counts each party's entries in ``leader``. wins and unresolved move only
+    when a constituency resolves: its winner gains a win and one fewer seat
+    is open, so LCB_party = wins and UCB_party = wins + unresolved.
 
     The run owns ``stream`` and draws nothing before its first poll, so a
     run rejected by its constructor leaves the stream untouched. A
-    round-robin step polls one round and stops at the poll whose samples
-    reach ``_sample_cap``, the cap ``run_election`` sets; it leaves the stream
-    past the stop by at most the rest of one slice. DCB draws its batches
-    ahead in blocks and leaves the stream past the stop by at most one block.
+    round-robin step polls one round, up to the poll whose samples reach
+    ``_sample_cap``, the cap ``run_election`` sets.
     """
 
     def __init__(
@@ -433,7 +424,8 @@ class ElectionRun:
         self._block = np.empty((0, batch))
         self._row = 0
         self._ahead = _DRAW_AHEAD
-        self.tallies = [TallyState(self.k) for _ in range(self.c)]
+        self.counts = [[0] * self.k for _ in range(self.c)]
+        self.totals = [0] * self.c
         self.leader = np.full(self.c, -1)
         self._leads = [0] * self.k
         # the DCB widths, one (K, K) block per constituency
@@ -464,15 +456,14 @@ class ElectionRun:
         """Solve the width ends of block c in the bit set ends. 1v1 end (i, j)
         is party i's pair interval on counts i and j; under 1vr end i is row
         i, i's interval at the total."""
-        bound, tally = self._bound, self.tallies[c]
-        counts = tally.counts
+        bound, counts, total = self._bound, self.counts[c], self.totals[c]
         widths = (self.lcb[c], self.ucb[c])
         while ends:
             low = ends & -ends
             ends ^= low
             upper, i, j = self._ends[low.bit_length() - 1]
             if self.scheme == "1vr":
-                widths[upper][i] = bound(counts[i], tally.total, upper)
+                widths[upper][i] = bound(counts[i], total, upper)
             else:
                 widths[upper][i, j] = bound(counts[i], counts[i] + counts[j], upper)
 
@@ -500,10 +491,10 @@ class ElectionRun:
         self.unresolved -= 1
         self.wins[declared] += 1
 
-    def _record(self, c: int, declared: int | None) -> None:
-        """Keep seat c's DCB records current after a batch that the rule
-        checked, declared being its verdict."""
-        leader = self.tallies[c].first if declared is None else -1
+    def _record(self, c: int, first: int, declared: int | None) -> None:
+        """Keep seat c's DCB records current after a batch: first is its
+        lowest-index top party, and declared the rule's verdict."""
+        leader = first if declared is None else -1
         if leader != (was := self.leader[c]):
             self.leader[c] = leader
             if was >= 0:
@@ -528,17 +519,21 @@ class ElectionRun:
         self._ahead = 2 * rows
 
     def _sample_batch(self, c: int) -> None:
-        """Poll seat c with the next row. ends[j] = #(u < cuts[c, j]) samples
-        take a value up to j: on the sorted row, K - 1 searches for cuts[c]
-        count the batch by the comparisons a search per sample makes."""
+        """Poll seat c with the next row and decide on its counts. ends[j] =
+        #(u < cuts[c, j]) samples take a value up to j: on the sorted row,
+        K - 1 searches for cuts[c] count the batch by the comparisons a search
+        per sample makes."""
         if self._row == len(self._block):
             self._draw_ahead()
-        ends = [*self._block[self._row].searchsorted(self.cuts[c]).tolist(), self.batch]
+        ends = [0, *self._block[self._row].searchsorted(self.cuts[c]).tolist(), self.batch]
         self._row += 1
-        tally = self.tallies[c]
-        tally.add_counts([ends[0], *map(operator.sub, ends[1:], ends)])
+        row = self.counts[c] = [n + hi - lo for n, lo, hi in zip(self.counts[c], ends, ends[1:])]
+        self.totals[c] += self.batch
         self.samples += self.batch
-        self._record(c, self.rule.check(tally))
+        lead = max(row)
+        first = row.index(lead)  # the lowest-index top party
+        declared = self.rule.decides(lead, sorted(row)[-2], self.totals[c])
+        self._record(c, first, first if declared else None)
 
     # -- selection policies ------------------------------------------------
 
@@ -559,10 +554,10 @@ class ElectionRun:
 
         A slice's rows of uniforms are one draw, and #(u < cuts[c, j])
         samples take a value up to j, so one comparison counts the slice.
-        ``check`` confirms, in poll order, only the rows the rule's margin
-        screen passes, each resolution followed by ``aggregate_check``. The
-        polls after the one that ends the run are dropped with the rest of
-        its slice.
+        In poll order, each row the rule's margin screen passes declares,
+        under 1vr if ``decides`` confirms it (a 1v1 screen is exact), and
+        each resolution is followed by ``aggregate_check``. The polls after
+        the one that ends the run are dropped with the rest of its slice.
         """
         seats = self.rr_select()
         k, batch, rule = self.k, self.batch, self.rule
@@ -578,11 +573,10 @@ class ElectionRun:
             margin, slack = rule.margin_rows(rows, rows.sum(axis=1))
             kept, winner = len(part), None
             for r in np.flatnonzero(margin <= slack).tolist():
-                tally = TallyState(k)
-                tally.add_counts(rows[r])
-                declared = rule.check(tally)
-                if declared is not None:
-                    self._resolve(int(part[r]), declared)
+                row = rows[r].tolist()
+                lead = max(row)
+                if self.scheme == "1v1" or rule.decides(lead, sorted(row)[-2], sum(row)):
+                    self._resolve(int(part[r]), row.index(lead))
                     winner = self.aggregate_check()
                     if winner is not None or not self.unresolved:
                         kept = r + 1

@@ -10,7 +10,8 @@ Rule tokens: ``ppr-md``, ``ppr-adaptive``, and ``<engine>-1v1`` /
 This module alone knows the grammar (``parse_rule_token``) and how a rule
 splits delta into per-test budgets: delta/(K-1) per pair for 1v1 (see
 ``pair_test_alpha``) and delta/K per interval for 1vr. A rule on an engine
-keeps that engine, with its budget, as ``rule.engine``.
+keeps that engine, with its budget, as ``rule.engine``, and its test on the
+two largest counts and the total as ``decides(lead, trail, total)``.
 
 Every rule is checked after every sample: each bound is anytime-valid, so a
 rule may stop at any sample count. ``declaration_time`` runs every token one
@@ -18,9 +19,10 @@ drawn chunk of the sample path at a time, with the verdicts and sample
 counts of the per-sample loop ``scan_per_sample``, which the tests keep as
 the reference.
 
-At K = 2 every rule is one engine's pair test, which declares exactly when
-the leader's count reaches an integer boundary b(n), one ``PairBoundary``
-table per engine (``shared_boundary``); the scan screens ``lead >= b[n]``.
+A pair test declares exactly when the leader's count reaches an integer
+boundary b(n) of the pair's total n, one ``PairBoundary`` table per engine
+(``pair_boundary``). At K = 2 every rule is one engine's pair test, and the
+scan screens ``lead >= b[n]``; at every K a 1v1 rule is its runner-up pair's.
 
 At K > 2 the scan uses the rule's vectorised ``margin_rows(rows, totals)``:
 over a chunk's cumulative count rows, one per sample, it returns, per row,
@@ -32,8 +34,9 @@ reach a top-two count within the chunk (``_contending_columns``); a rule
 whose ``reads_every_count`` is set gets every value.
 ``check`` can declare only on rows where the margin is at most the slack,
 and the scan confirms each such row, in order, with ``check`` on exactly
-those counts, rebuilt in full. The ``ppr-1v1`` and ``ppr-adaptive`` margins
-are bit-identical to their scalar statistics and have slack 0.
+those counts, rebuilt in full. The 1v1 margin is the integer gap
+b(n) - lead, and the ``ppr-adaptive`` margin is bit-identical to its scalar
+statistic, so both have slack 0.
 
 Every rule but ``ppr-adaptive`` tests the runner-up alone: each rival's
 test only gets harder as its count rises to the leader's (``theory`` has the
@@ -74,6 +77,7 @@ __all__ = [
     "Generic1vrRule",
     "PprMdRule",
     "PprAdaptiveRule",
+    "pair_boundary",
     "shared_boundary",
     "scan_per_sample",
     "declaration_time",
@@ -110,7 +114,12 @@ class _Rule:
         pass
 
     def check(self, tally: TallyState) -> int | None:
-        raise NotImplementedError
+        """``decides`` on the leader's and runner-up's counts and the total,
+        for a rule that tests those alone."""
+        counts = tally.counts
+        if self.decides(counts[tally.first], counts[tally.second], tally.total):
+            return tally.first
+        return None
 
     def margin_rows(self, rows: np.ndarray, totals: np.ndarray):
         """(margin, slack) for an (n, m) int64 array of cumulative counts,
@@ -158,22 +167,27 @@ def _split_engine(engine_kind: str, k: int, delta: float, scheme: str) -> BoundE
 
 class Generic1v1Rule(_Rule):
     """Pairwise tests of first(t) against every rival at mistake delta/(K-1);
-    only the runner-up's pair is tested."""
+    only the runner-up's pair is tested, and as it reads that pair alone it
+    is the K = 2 pair test of the engine, read off ``pair_boundary``."""
 
-    __slots__ = ("engine",)
+    __slots__ = ("engine", "boundary")
 
     def __init__(self, engine_kind: str, k: int, delta: float) -> None:
         self.engine = _split_engine(engine_kind, k, delta, "1v1")
+        self.boundary = pair_boundary(self.engine)
 
-    def check(self, tally: TallyState) -> int | None:
-        counts = tally.counts
-        if pair_beats_half(self.engine, counts[tally.first], counts[tally.second]):
-            return tally.first
-        return None
+    def decides(self, lead, trail, total):
+        """``pair_beats_half`` on the pair: lead >= b(lead + trail)."""
+        n = lead + trail
+        table = self.boundary.table
+        return lead >= (table[n] if n < len(table) else self.boundary.upto(n)[n])
 
     def margin_rows(self, rows, totals):
-        """The runner-up pair's margin, the one ``check`` tests."""
-        return pair_margin_array(self.engine, *_top_two(rows))
+        """b(n) - lead for the runner-up pair at n = lead + trail, at most 0
+        exactly where ``check`` declares: the slack is 0."""
+        lead, trail = _top_two(rows)
+        n = lead + trail
+        return self.boundary.upto(int(n.max()))[n] - lead, 0.0
 
 
 class Ppr1v1Rule(Generic1v1Rule):
@@ -196,13 +210,9 @@ class Generic1vrRule(_Rule):
     def __init__(self, engine_kind: str, k: int, delta: float) -> None:
         self.engine = _split_engine(engine_kind, k, delta, "1vr")
 
-    def check(self, tally: TallyState) -> int | None:
-        counts = tally.counts
-        if one_vs_rest_separated(
-            self.engine, counts[tally.first], counts[tally.second], tally.total
-        ):
-            return tally.first
-        return None
+    def decides(self, lead, trail, total):
+        """``one_vs_rest_separated`` on the leader and the runner-up."""
+        return one_vs_rest_separated(self.engine, lead, trail, total)
 
     def margin_rows(self, rows, totals):
         """The runner-up's separation margin, the one ``check`` tests."""
@@ -362,32 +372,34 @@ def make_rule(token: str, k: int, delta: float) -> _Rule:
     return Ppr1v1Rule(k, delta) if kind == "ppr" else Generic1v1Rule(kind, k, delta)
 
 
-def pair_test_boundary(engine: BoundEngine) -> PairBoundary:
-    """A new K = 2 boundary of the engine's pair test, ``pair_beats_half``."""
-    return PairBoundary(
-        lambda lead, n: pair_margin_array(engine, lead, n - lead),
-        lambda lead, n: pair_beats_half(engine, lead, n - lead),
-    )
+_BOUNDARIES: dict[tuple[str, float], PairBoundary] = {}  # by engine kind and alpha
 
 
-_TOKEN_BOUNDARIES: dict[tuple[str, float], PairBoundary] = {}
-_ENGINE_BOUNDARIES: dict[BoundEngine, PairBoundary] = {}
+def pair_boundary(engine: BoundEngine) -> PairBoundary:
+    """The boundary of the engine's pair test, ``pair_beats_half`` on
+    (lead, n - lead): one table per engine kind and alpha per process."""
+    key = (engine.kind, engine.alpha)
+    boundary = _BOUNDARIES.get(key)
+    if boundary is None:
+        boundary = _BOUNDARIES[key] = PairBoundary(
+            lambda lead, n: pair_margin_array(engine, lead, n - lead),
+            lambda lead, n: pair_beats_half(engine, lead, n - lead),
+        )
+    return boundary
 
 
 def shared_boundary(token: str, delta: float) -> PairBoundary:
-    """The K = 2 boundary of a rule token at delta: that of one engine's pair
-    test (``theory`` says why), built once per engine per process."""
-    boundary = _TOKEN_BOUNDARIES.get((token, delta))
+    """The K = 2 boundary of a rule token at delta (``theory`` says why): the
+    rule's own, and for ppr-md and ppr-adaptive that of the ppr engine at
+    their first pair's budget. A token or delta ``make_rule`` rejects raises."""
+    kind, scheme = parse_rule_token(token)
+    _probability("delta", delta)
+    pair_delta = PI_SQUARED_OVER_6_INV * delta if scheme == "adaptive" else delta
+    alpha = delta / 2 if scheme == "1vr" else pair_test_alpha(kind, 2, pair_delta)
+    boundary = _BOUNDARIES.get((kind, alpha))
     if boundary is None:
-        rule = make_rule(token, 2, delta)
-        if isinstance(rule, PprMdRule):
-            rule = Ppr1v1Rule(2, delta)
-        elif isinstance(rule, PprAdaptiveRule):
-            rule = Ppr1v1Rule(2, rule.budget(0, 1))
-        engine = rule.engine
-        if engine not in _ENGINE_BOUNDARIES:
-            _ENGINE_BOUNDARIES[engine] = pair_test_boundary(engine)
-        boundary = _TOKEN_BOUNDARIES[token, delta] = _ENGINE_BOUNDARIES[engine]
+        make_rule(token, 2, delta)  # its rejection names delta and K
+        boundary = pair_boundary(make_engine(kind, alpha))
     return boundary
 
 
@@ -510,11 +522,5 @@ def run_mode_estimation(
     path = SamplePath(instance, stream)
     samples, declared = declaration_time(instance, rule_token, delta, path, sample_cap=sample_cap)
     truth = instance.true_mode
-    return TrialRecord(
-        samples=samples,
-        declared=declared,
-        truth=truth,
-        correct=declared == truth,
-        master_seed=stream.master_seed,
-        stream_index=stream.stream_index,
-    )
+    return TrialRecord(samples=samples, declared=declared, truth=truth, correct=declared == truth,
+                       master_seed=stream.master_seed, stream_index=stream.stream_index)

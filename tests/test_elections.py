@@ -256,7 +256,8 @@ class TestSelection:
         inst = self._tiny()
         run = ElectionRun(inst, "dcb", "ppr-1v1", 0.1, 10, derive_stream(0, 0))
         for idx in (0, 1):
-            run._record(idx, inst.constituencies[idx].winner)  # as a declaring batch
+            winner = inst.constituencies[idx].winner
+            run._record(idx, winner, winner)  # as a declaring batch
         assert run.dcb_select() == (2, 2)
 
     @pytest.mark.parametrize("rule", ["ppr-1v1", "kl-sn-1vr"])
@@ -274,13 +275,13 @@ class TestSelection:
         )
         run = ElectionRun(inst, "dcb", rule, 0.1, 10, derive_stream(0, 0))
         for c, counts in enumerate([(1, 1), (6, 4), (6, 4), (300, 200)]):
-            run.tallies[c].add_counts(np.array(counts))
-            run._record(c, None)  # as a batch the rule does not declare on
+            run.counts[c], run.totals[c] = list(counts), sum(counts)
+            run._record(c, 0, None)  # as a batch the rule does not declare on
         assert run.dcb_select() == (0, 0)  # solves the ends it reads
         assert run.ucb[3].min() < 1.0
         assert run.lcb[1].tolist() == run.lcb[2].tolist()
         assert run.ucb[1].tolist() == run.ucb[2].tolist()
-        run._record(0, 0)  # as a batch that declares c0 for A
+        run._record(0, 0, 0)  # as a batch that declares c0 for A
         assert run.dcb_select() == (1, 1)
 
     def test_dcb_matches_straight_line_reimplementation(self):
@@ -308,15 +309,15 @@ class TestSelection:
             possible = [sum(w in (-1, i) for w in run.winner.tolist()) for i in range(k)]
             # a party leads each unresolved constituency it tops the tally of
             leads = [0] * k
-            for w, tally in zip(run.winner.tolist(), run.tallies):
-                if w < 0 and tally.total > 0:
-                    leads[max(range(k), key=lambda i: (tally.counts[i], -i))] += 1
+            for w, counts in zip(run.winner.tolist(), run.counts):
+                if w < 0 and sum(counts) > 0:
+                    leads[max(range(k), key=lambda i: (counts[i], -i))] += 1
             a = min(range(k), key=lambda i: (-(wins[i] + leads[i]), i))
             b = min((i for i in range(k) if i != a), key=lambda i: (-possible[i], i))
             assert (a, b) == run.dcb_contenders()
 
             def score(c, party, kind):
-                counts = run.tallies[c].counts
+                counts = run.counts[c]
                 vals = []
                 for j in range(k):
                     if j == party:
@@ -348,7 +349,8 @@ def _eager_widths(run, engine, c, lcb, ucb):
     """The widths as an eager refresh wrote them after every batch: 1v1
     entry (i, j) is party i's pair interval on counts i and j, 1vr row i
     repeats i's interval at the total. Returns the number of ends solved."""
-    counts, t = run.tallies[c].counts, run.tallies[c].total
+    counts = run.counts[c]
+    t = sum(counts)
     interval = engine.interval
     for i in range(run.k):
         if run.scheme == "1vr":
@@ -403,9 +405,9 @@ class TestLazyWidths:
         for _ in range(2000):
             open_ids = [c for c in range(run.c) if run.winner[c] < 0]
             for c in open_ids:
-                if totals[c] != run.tallies[c].total:
+                if totals[c] != sum(run.counts[c]):
                     eager_solves += _eager_widths(run, oracle, c, lcb, ucb)
-                    totals[c] = run.tallies[c].total
+                    totals[c] = sum(run.counts[c])
             a, b = run.dcb_contenders()
             score_a = np.delete(ucb[:, a, :] - lcb[:, :, a], a, axis=1).min(axis=1)
             score_b = np.delete(ucb[:, :, b] - lcb[:, b, :], b, axis=1).max(axis=1)
@@ -662,17 +664,20 @@ class TestRunState:
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_records_agree_after_every_step(self, policy, rule, k):
         # winner counts into wins and its -1 entries are the open seats. Under
-        # dcb, leader[c] is tally c's first while c is open and sampled, -1
-        # otherwise, and counts into the lead counts; under rr every open
-        # seat has been polled once a round and the samples are the counts'
+        # dcb, totals[c] is the sum of seat c's counts, leader[c] the lowest
+        # index of their maximum while c is open and sampled, -1 otherwise,
+        # and counts into the lead counts, and the samples are the counts';
+        # under rr every open seat has been polled once a round
         run = ElectionRun(_lazy_parity_instance(k), policy, rule, 0.1, 50, derive_stream(8, 2))
         for steps in range(1, 2001):
             winner = run.step()
             if policy == "dcb":
-                for c, tally in enumerate(run.tallies):
+                for c, counts in enumerate(run.counts):
+                    assert run.totals[c] == sum(counts)
                     is_open = run.winner[c] < 0
-                    expected = tally.first if is_open and tally.total > 0 else -1
-                    assert run.leader[c] == expected
+                    top = max(range(k), key=lambda i: (counts[i], -i))
+                    assert run.leader[c] == (top if is_open and sum(counts) > 0 else -1)
+                assert sum(run.totals) == run.samples
                 leading = run.leader[run.leader >= 0]
                 assert np.bincount(leading, minlength=k).tolist() == run._leads
             elif winner is None:
@@ -740,7 +745,7 @@ class TestBlockDraw:
         def replayed(run, c):
             sample_batch(run, c)
             replay(c)
-            assert [tally.counts for tally in run.tallies] == expected.tolist()
+            assert run.counts == expected.tolist()
 
         monkeypatch.setattr(ElectionRun, "_sample_batch", replayed)
         run = ElectionRun(inst, policy, "ppr-1v1", 0.05, batch, derive_stream(9, k, batch))

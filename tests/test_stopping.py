@@ -39,8 +39,8 @@ from modestop.stopping import (
     SampleCapExceeded,
     declaration_time,
     make_rule,
+    pair_boundary,
     pair_test_alpha,
-    pair_test_boundary,
     parse_rule_token,
     _contending_columns,
     run_mode_estimation,
@@ -913,12 +913,16 @@ class TestPairBoundaryTables:
                     assert rule.check(_k2_tally(s, m)) == _k2_expected(token, bm, s, m)
 
     def test_solve_matches_grown_table(self):
-        boundary = pair_test_boundary(make_rule("kl-sn-1vr", 2, 0.1).engine)
+        boundary = pair_boundary(make_rule("kl-sn-1vr", 2, 0.1).engine)
         n = np.array([1, 2, 3, 1000, 4097, 9999])
         assert boundary.solve(n).tolist() == boundary.upto(9999)[n].tolist()
 
     def test_growth_factor(self):
-        boundary = pair_test_boundary(make_engine("ppr", 0.1))
+        engine = make_engine("ppr", 0.1)
+        boundary = PairBoundary(
+            lambda lead, n: pair_margin_array(engine, lead, n - lead),
+            lambda lead, n: pair_beats_half(engine, lead, n - lead),
+        )
         assert len(boundary.upto(1024)) == 1025
         assert len(boundary.upto(1025)) == int(BOUNDARY_GROWTH * 1025)
         assert boundary.table.dtype == np.int32
@@ -980,7 +984,7 @@ class TestPairBoundaryTables:
         digest = hashlib.sha256()
         for kind in ENGINE_KINDS:
             for alpha in (1e-8, 1e-6, 1e-4, 1e-3, 0.03, 0.3, 0.6, 0.9, 0.99):
-                table = pair_test_boundary(make_engine(kind, alpha)).upto(100_000)
+                table = pair_boundary(make_engine(kind, alpha)).upto(100_000)
                 digest.update(table[:100_001].tobytes())
         assert digest.hexdigest() == (
             "6c71709b72ae9d1e82e93981a837c4e33c4ce8603ff350af9b4c61f677443a5c"
@@ -1013,3 +1017,89 @@ class TestPairBoundaryTables:
         assert digest.hexdigest() == (
             "a525b57a917355120c180ac3a766b3b749fb87acb6fee4455342ebe74477197d"
         )
+
+
+ONE_VS_ONE_KINDS = ENGINE_KINDS  # every engine has a 1v1 token
+
+
+class TestPairTableDecides:
+    """A 1v1 rule decides by its engine's table at every K: lead >= b(n) on
+    the runner-up pair, with n = lead + trail, is ``pair_beats_half`` there,
+    and the rule's integer margin screen is at most 0 exactly where
+    ``check`` declares."""
+
+    @pytest.mark.parametrize("kind", ONE_VS_ONE_KINDS)
+    @pytest.mark.parametrize("alpha", [1e-4, 0.01, 0.3])  # 1e-4: synthetic50 at delta 0.01
+    def test_table_is_the_scalar_pair_test(self, kind, alpha):
+        engine = make_engine(kind, alpha)
+        b = pair_boundary(engine).upto(20_000).tolist()
+        # every leading count, ties and trail = 0 included, up to n = 300
+        for n in range(301):
+            for lead in range((n + 1) // 2, n + 1):
+                assert (lead >= b[n]) == pair_beats_half(engine, lead, n - lead), (n, lead)
+        # both sides of b(n) up to n = 20000
+        for n in range(301, 20_001):
+            for lead in (b[n] - 1, b[n]):
+                if (n + 1) // 2 <= lead <= n:
+                    assert (lead >= b[n]) == pair_beats_half(engine, lead, n - lead), (n, lead)
+
+    @pytest.mark.parametrize("kind", ONE_VS_ONE_KINDS)
+    @pytest.mark.parametrize("k", [3, 5, 10])
+    @pytest.mark.parametrize("delta", [2e-4, 0.1])
+    def test_screen_is_exact(self, kind, k, delta):
+        # rows whose top pair sits on either side of its boundary, or
+        # anywhere, with the other values at most the runner-up's count
+        rule = make_rule(f"{kind}-1v1", k, delta)
+        b = rule.boundary.upto(3000)
+        rng = np.random.default_rng([k, int(1 / delta)])
+        rows = []
+        for _ in range(600):
+            n = int(rng.integers(1, 3001))
+            lead = min(n, max((n + 1) // 2, int(b[n]) - int(rng.integers(0, 2))))
+            if rng.random() < 0.3:
+                lead = int(rng.integers((n + 1) // 2, n + 1))
+            trail = n - lead
+            row = [lead, trail, *rng.integers(0, trail + 1, k - 2).tolist()]
+            rows.append(rng.permutation(row))
+        rows = np.array(rows, dtype=np.int64)
+        margin, slack = rule.margin_rows(rows, rows.sum(axis=1))
+        assert slack == 0.0
+        declared = []
+        for row in rows:
+            tally = TallyState(k)
+            tally.add_counts(row)
+            declared.append(rule.check(tally) is not None)
+        assert (margin <= 0).tolist() == declared
+        assert 0 < sum(declared) < len(rows)
+
+
+class TestTinyDelta:
+    """At delta = 1e-300 the lucb and a1 rates overflow a direct quotient
+    (t^1.1 / alpha and t^2 / alpha) from n = 135953 and n = 4741; their logs
+    are taken in parts there, so runs end and tables keep stepping by 0 or 1."""
+
+    @pytest.mark.parametrize("token", [f"{kind}-{scheme}" for kind in ("lucb", "kl-lucb", "a1")
+                                       for scheme in ("1v1", "1vr")])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_runs_end_past_the_overflow(self, token, k):
+        cap = 140_000
+        # near ties, so that every run scans past both overflow totals
+        inst = DiscreteInstance((0.34, 0.33, 0.33) if k == 3 else (0.505, 0.495))
+        try:
+            record = run_mode_estimation(inst, token, 1e-300, derive_stream(0, 0), sample_cap=cap)
+        except SampleCapExceeded:
+            pass
+        else:
+            assert record.samples <= cap
+        tables = [shared_boundary(token, 1e-300)]
+        if token.endswith("1v1"):
+            tables.append(make_rule(token, k, 1e-300).boundary)
+        for boundary in tables:
+            b = boundary.upto(cap)
+            assert set(np.diff(b[: cap + 1]).tolist()) <= {0, 1}
+
+    def test_finite_rates_are_unchanged(self):
+        from modestop.bounds import LUCB_POWER, LUCB_SCALE, lucb_exploration_rate
+
+        for t, alpha in ((10, 0.1), (4740, 1e-300), (135_952, 1e-300)):
+            assert lucb_exploration_rate(t, alpha) == math.log(LUCB_SCALE * t**LUCB_POWER / alpha)
