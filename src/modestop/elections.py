@@ -532,8 +532,8 @@ class ElectionRun:
         self.samples += self.batch
         lead = max(row)
         first = row.index(lead)  # the lowest-index top party
-        declared = self.rule.decides(lead, sorted(row)[-2], self.totals[c])
-        self._record(c, first, first if declared else None)
+        declares = self.rule.decides(lead, sorted(row)[-2], self.totals[c])
+        self._record(c, first, first if declares else None)
 
     # -- selection policies ------------------------------------------------
 
