@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -388,19 +389,18 @@ def pair_boundary(engine: BoundEngine) -> PairBoundary:
     return boundary
 
 
+@cache
 def shared_boundary(token: str, delta: float) -> PairBoundary:
-    """The K = 2 boundary of a rule token at delta (``theory`` says why): the
-    rule's own, and for ppr-md and ppr-adaptive that of the ppr engine at
-    their first pair's budget. A token or delta ``make_rule`` rejects raises."""
-    kind, scheme = parse_rule_token(token)
-    _probability("delta", delta)
-    pair_delta = PI_SQUARED_OVER_6_INV * delta if scheme == "adaptive" else delta
-    alpha = delta / 2 if scheme == "1vr" else pair_test_alpha(kind, 2, pair_delta)
-    boundary = _BOUNDARIES.get((kind, alpha))
-    if boundary is None:
-        make_rule(token, 2, delta)  # its rejection names delta and K
-        boundary = pair_boundary(make_engine(kind, alpha))
-    return boundary
+    """The K = 2 boundary of a rule token at delta (``theory`` says why):
+    ``pair_boundary`` of the rule's engine, and for ppr-md and ppr-adaptive
+    of the ppr engine at their first pair's budget. Memoised, as every K = 2
+    trial looks it up."""
+    rule = make_rule(token, 2, delta)
+    if isinstance(rule, PprMdRule):
+        rule = Ppr1v1Rule(2, delta)
+    elif isinstance(rule, PprAdaptiveRule):
+        rule = Ppr1v1Rule(2, rule.budget(0, 1))
+    return pair_boundary(rule.engine)
 
 
 def _path_chunks(path: SamplePath, sample_cap: int):
