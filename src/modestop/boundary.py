@@ -16,7 +16,7 @@ import numpy as np
 __all__ = ["BOUNDARY_GROWTH", "PairBoundary"]
 
 BOUNDARY_GROWTH = 1.25  # a boundary table grows by at least this factor
-SOLVE_BLOCK = 1024  # totals solved per margin call while a table grows
+SOLVE_BLOCK = 4096  # totals solved per margin call while a table grows
 
 
 class PairBoundary:
@@ -94,35 +94,32 @@ class PairBoundary:
         are solved by the scalar test. Between them b is guessed by
         interpolating z = (2b - n) / sqrt(n), which varies slowly, in log n.
         One float-margin call over a window around each guess brackets b; a
-        total whose window misses b, or has a probe next to b within the
-        slack, is solved by the scalar test, as the anchors are."""
+        total whose window misses b, or has a probe within the slack, is
+        solved by the scalar test, as the anchors are."""
         n_first, n_end = int(n[0]), int(n[-1])
         halvings = (n_end >> k for k in range(n_end.bit_length()))
         anchors = sorted({n_first} | {a for a in halvings if a >= n_first})
         z = [(2 * self._bisect(a) - a) / math.sqrt(a) for a in anchors]
         guess = np.ceil((n + np.interp(np.log(n), np.log(anchors), z) * np.sqrt(n)) / 2)
         window = guess.astype(np.int64)[:, None] + np.arange(-2, 2)
+        width = window.shape[1]
         floor = (n // 2)[:, None]  # a leader holds more than half the samples
         real = (window > floor) & (window <= n[:, None])
-        margin, slack = self._margin(
-            np.where(real, window, n[:, None]).ravel(), np.repeat(n, window.shape[1])
+        probes = np.where(real, window, n[:, None]).ravel()
+        margin, slack = self._margin(probes, np.repeat(n, width))
+        near = (~(np.abs(margin) > slack).reshape(window.shape) & real).any(axis=1)
+        # off the slack the verdicts are the test's, so they rise along the
+        # window (a count at most n / 2 fails, one above n passes), and b is
+        # the window's start plus its failing probes: found when a probe
+        # fails below b and one passes at it, or b is n // 2 + 1 or n + 1
+        passed = np.where(real, margin.reshape(window.shape) <= 0, window > floor).sum(axis=1)
+        b = window[:, 0] + (width - passed)
+        found = ((passed < width) | (window[:, 0] <= floor[:, 0] + 1)) & (
+            (passed > 0) | (window[:, -1] >= n)
         )
-        near = (np.abs(margin) <= slack).reshape(window.shape) & real
-        passed = np.where(real, margin.reshape(window.shape) <= 0, window > floor)
-        # the window's first passing probe is hi and the one before it lo;
-        # outside the window they stay at n + 1 (no count) and n // 2
-        first = np.where(passed.any(axis=1), passed.argmax(axis=1), window.shape[1])
-        rows = np.arange(len(n))
-        at_hi = np.minimum(first, window.shape[1] - 1)
-        at_lo = np.maximum(first - 1, 0)
-        has_hi, has_lo = first < window.shape[1], first > 0
-        hi = np.where(has_hi, np.minimum(window[rows, at_hi], n + 1), n + 1)
-        lo = np.where(has_lo, np.maximum(window[rows, at_lo], n // 2), n // 2)
-        near_b = has_hi & near[rows, at_hi] | has_lo & near[rows, at_lo]
-        # the window did not bracket b, or a probe next to b is within the slack
-        for r in np.flatnonzero((hi - lo > 1) | near_b).tolist():
-            hi[r] = self._bisect(int(n[r]))
-        return hi
+        for r in np.flatnonzero(near | ~found).tolist():
+            b[r] = self._bisect(int(n[r]))
+        return b
 
     def _bisect(self, n: int) -> int:
         """The exact boundary at total n by bisection on the scalar test."""

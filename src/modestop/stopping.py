@@ -373,20 +373,14 @@ def make_rule(token: str, k: int, delta: float) -> _Rule:
     return Ppr1v1Rule(k, delta) if kind == "ppr" else Generic1v1Rule(kind, k, delta)
 
 
-_BOUNDARIES: dict[tuple[str, float], PairBoundary] = {}  # by engine kind and alpha
-
-
+@cache
 def pair_boundary(engine: BoundEngine) -> PairBoundary:
     """The boundary of the engine's pair test, ``pair_beats_half`` on
-    (lead, n - lead): one table per engine kind and alpha per process."""
-    key = (engine.kind, engine.alpha)
-    boundary = _BOUNDARIES.get(key)
-    if boundary is None:
-        boundary = _BOUNDARIES[key] = PairBoundary(
-            lambda lead, n: pair_margin_array(engine, lead, n - lead),
-            lambda lead, n: pair_beats_half(engine, lead, n - lead),
-        )
-    return boundary
+    (lead, n - lead): one table per engine, so per kind and alpha, per process."""
+    return PairBoundary(
+        lambda lead, n: pair_margin_array(engine, lead, n - lead),
+        lambda lead, n: pair_beats_half(engine, lead, n - lead),
+    )
 
 
 @cache
@@ -522,5 +516,11 @@ def run_mode_estimation(
     path = SamplePath(instance, stream)
     samples, declared = declaration_time(instance, rule_token, delta, path, sample_cap=sample_cap)
     truth = instance.true_mode
-    return TrialRecord(samples=samples, declared=declared, truth=truth, correct=declared == truth,
-                       master_seed=stream.master_seed, stream_index=stream.stream_index)
+    return TrialRecord(
+        samples=samples,
+        declared=declared,
+        truth=truth,
+        correct=declared == truth,
+        master_seed=stream.master_seed,
+        stream_index=stream.stream_index,
+    )

@@ -1099,7 +1099,26 @@ class TestTinyDelta:
             assert set(np.diff(b[: cap + 1]).tolist()) <= {0, 1}
 
     def test_finite_rates_are_unchanged(self):
-        from modestop.bounds import LUCB_POWER, LUCB_SCALE, lucb_exploration_rate
+        from modestop.bounds import (
+            LUCB_POWER,
+            LUCB_SCALE,
+            _a1_width,
+            _a1_width_array,
+            _lucb_rate_array,
+            lucb_exploration_rate,
+        )
 
+        def a1_width(s, t, alpha, log=math.log, sqrt=math.sqrt):  # the direct quotient
+            variance = s * (t - s) / (t * (t - 1.0))
+            budget = log(4.0 * t * t / alpha)
+            return sqrt(2.0 * variance * budget / t) + 7.0 * budget / (3.0 * (t - 1.0))
+
+        # the last totals before each overflow at alpha = 1e-300
         for t, alpha in ((10, 0.1), (4740, 1e-300), (135_952, 1e-300)):
             assert lucb_exploration_rate(t, alpha) == math.log(LUCB_SCALE * t**LUCB_POWER / alpha)
+            array = _lucb_rate_array(np.array([float(t)]), alpha)
+            assert array.tolist() == [np.log(LUCB_SCALE * float(t) ** LUCB_POWER / alpha)]
+        for s, t, alpha in ((3, 10, 0.1), (2000, 4740, 1e-300)):
+            assert _a1_width(s, t, alpha) == a1_width(s, t, alpha)
+            array = _a1_width_array(np.array([float(s)]), np.array([float(t)]), alpha)
+            assert array.tolist() == [a1_width(float(s), float(t), alpha, np.log, np.sqrt)]
