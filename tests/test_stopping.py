@@ -979,8 +979,8 @@ class TestPairBoundaryTables:
 
     def test_engine_tables_pinned(self):
         # sha256 of 45 engine tables up to n = 1e5, five kinds at nine alphas;
-        # 106 a1 windows at alpha <= 1e-6 miss b, and the scalar bisection
-        # solves them
+        # the scalar bisection solves 1555 a1 totals whose window misses b
+        # or holds a probe within the slack
         digest = hashlib.sha256()
         for kind in ENGINE_KINDS:
             for alpha in (1e-8, 1e-6, 1e-4, 1e-3, 0.03, 0.3, 0.6, 0.9, 0.99):
