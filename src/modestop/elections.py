@@ -13,16 +13,15 @@ unresolved constituencies).
 Two polling policies are provided: round-robin over unresolved
 constituencies, and the confidence-bound-difference policy that each step
 queries one promising constituency for each of the two aggregate contenders.
-Its bound widths come from the rule's own engine, at the rule's per-test
-mistake probability. Each constituency's two scores are kept for the
-current contender pair and the one before it, so a selection rescores only
-the constituencies sampled since the last one, a return to the pair before
-only those sampled since it was left, and a new pair only the open sampled
-constituencies. A rescore solves only the interval ends its scores read that
-are stale at the constituency's counts.
-An end is a pure function of the engine and its integer counts, so a
-process-wide table keeps solved ends across runs: an end whose key fits is
-solved at most once per process while the table has room, not once per run.
+Its bound ends come from the rule's own engine, at the rule's per-test
+mistake probability. Each constituency's two scores are kept for the current
+contender pair and the one before it, so a selection rescores only the
+constituencies sampled since the last one, a return to the pair before only
+those sampled since it was left, and a new pair only the open sampled ones;
+an unsampled one scores 1.0, as every engine's ends at zero counts are
+exactly 0.0 and 1.0. A rescore reads its ends through one process-wide
+table: an end is a pure function of the engine and its integer counts, so
+one whose key fits is solved at most once while the table has room.
 
 A run owns its stream, and each policy draws from it in its own way. A
 round-robin step is a round: the open constituencies from the cursor to the
@@ -44,7 +43,7 @@ import csv
 import math
 import threading
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -106,6 +105,11 @@ class ElectionInstance:
         for c in self.constituencies:
             if len(c.votes) != len(self.parties):
                 raise ElectionDataError(f"constituency {c.cid} has a vote-length mismatch")
+            try:
+                for party, votes in enumerate(c.votes):
+                    _int_at_least(f"constituency {c.cid} votes for party {party}", votes, 0)
+            except ValueError as err:
+                raise ElectionDataError(str(err)) from None
             if c.total <= 0:
                 raise ElectionDataError(f"constituency {c.cid} has no votes")
             if c.votes.count(max(c.votes)) != 1:
@@ -328,35 +332,6 @@ def _end_table() -> _EndTable:
         return _END_TABLE
 
 
-@cache
-def _width_ends(k: int, scheme: str) -> tuple[tuple, tuple]:
-    """The ends of a constituency's (K, K) width block, and the ones the DCB
-    scores of each contender pair read.
-
-    End e is (upper, i, j): lcb[i, j], or ucb[i, j] when upper. A 1vr row
-    repeats one interval, so its ends are rows, j = 0. reads[a][b] holds bit
-    e for each end that contenders a != b read: ucb[a, j], lcb[j, a],
-    ucb[j, b] and lcb[b, j] under 1v1; hi of every row but b and lo of every
-    row but a under 1vr."""
-
-    def read(a: int, b: int, upper: bool, i: int, j: int) -> bool:
-        if scheme == "1vr":
-            return i != (b if upper else a)
-        return i == a != j or j == b != i if upper else j == a != i or i == b != j
-
-    ends = tuple(
-        (upper, i, j)
-        for upper in (False, True)
-        for i in range(k)
-        for j in range(1 if scheme == "1vr" else k)
-    )
-    reads = tuple(
-        tuple(sum(1 << e for e, end in enumerate(ends) if read(a, b, *end)) for b in range(k))
-        for a in range(k)
-    )
-    return ends, reads
-
-
 class ElectionRun:
     """Mutable state of one election simulation.
 
@@ -369,6 +344,10 @@ class ElectionRun:
     counts each party's entries in ``leader``. wins and unresolved move only
     when a constituency resolves: its winner gains a win and one fewer seat
     is open, so LCB_party = wins and UCB_party = wins + unresolved.
+
+    DCB keeps seat c's two scores for the contender pair ``_pair`` in
+    ``score_a[c]`` and ``score_b[c]``, from its bound ends at its counts read
+    through the end table; an unsampled seat's ends are 0.0 and 1.0.
 
     The run owns ``stream`` and draws nothing before its first poll, so a
     run rejected by its constructor leaves the stream untouched. A
@@ -428,21 +407,10 @@ class ElectionRun:
         self.totals = [0] * self.c
         self.leader = np.full(self.c, -1)
         self._leads = [0] * self.k
-        # the DCB widths, one (K, K) block per constituency
-        self.lcb = np.zeros((self.c, self.k, self.k))
-        self.ucb = np.ones((self.c, self.k, self.k))
-        self._ends, self._reads = _width_ends(self.k, scheme)
-        self._every_end = (1 << len(self._ends)) - 1
-        # per seat, the bit set of the ends not solved at its current
-        # counts; none of a resolved seat's, which no score reads, and none
-        # of an unsampled one's: every engine's ends at zero counts are
-        # exactly 0.0 and 1.0, the initial widths
-        self._stale = [0] * self.c
         self._bound = _end_table().solver(self.rule.engine)
         # each seat's two scores for the contender pair _pair, kept by
-        # _rescore, and the seats sampled since they were last scored.
-        # Before any batch every width is its initial 0.0 or 1.0, so every
-        # seat scores 1.0 - 0.0 for the opening pair
+        # _rescore, 1.0 - 0.0 before its first batch, and the seats sampled
+        # since they were last scored
         self.score_a = np.ones(self.c)
         self.score_b = np.ones(self.c)
         self._pair = self.dcb_contenders()
@@ -452,38 +420,32 @@ class ElectionRun:
 
     # -- per-constituency bookkeeping -------------------------------------
 
-    def _solve_ends(self, c: int, ends: int) -> None:
-        """Solve the width ends of block c in the bit set ends. 1v1 end (i, j)
-        is party i's pair interval on counts i and j; under 1vr end i is row
-        i, i's interval at the total."""
-        bound, counts, total = self._bound, self.counts[c], self.totals[c]
-        widths = (self.lcb[c], self.ucb[c])
-        while ends:
-            low = ends & -ends
-            ends ^= low
-            upper, i, j = self._ends[low.bit_length() - 1]
-            if self.scheme == "1vr":
-                widths[upper][i] = bound(counts[i], total, upper)
-            else:
-                widths[upper][i, j] = bound(counts[i], counts[i] + counts[j], upper)
-
     def _rescore(self, c: int) -> None:
         """Seat c's two scores for the contender pair (a, b), -inf once it is
-        resolved: a scores min_{j != a} (ucb[a, j] - lcb[j, a]) and b scores
-        max_{j != b} (ucb[j, b] - lcb[b, j]). It first solves the stale ends
-        these read; the end table answers a solve it holds."""
+        resolved: min_{j != a} gap(a, j) and max_{j != b} gap(j, b), where
+        gap(i, j) is i's upper bound less j's lower bound, on counts i and j
+        under 1v1 and at the total under 1vr. Each end is read once, through
+        the end table."""
         if self.winner[c] >= 0:
             self.score_a[c] = self.score_b[c] = -math.inf
             return
         a, b = self._pair
-        if todo := self._stale[c] & self._reads[a][b]:
-            self._stale[c] ^= todo
-            self._solve_ends(c, todo)
-        hi, lo = self.ucb[c], self.lcb[c]  # a's row and column, b's column and row
-        hi_a, lo_a = hi[a].tolist(), lo[:, a].tolist()
-        hi_b, lo_b = hi[:, b].tolist(), lo[b].tolist()
-        self.score_a[c] = min([hi_a[j] - lo_a[j] for j in range(self.k) if j != a])
-        self.score_b[c] = max([hi_b[j] - lo_b[j] for j in range(self.k) if j != b])
+        bound, n, total, parties = self._bound, self.counts[c], self.totals[c], range(self.k)
+        if self.scheme == "1v1":
+
+            def gap(i: int, j: int) -> float:
+                return bound(n[i], n[i] + n[j], True) - bound(n[j], n[i] + n[j], False)
+
+        else:
+            hi = {i: bound(n[i], total, True) for i in parties if i != b}
+            lo = {j: bound(n[j], total, False) for j in parties if j != a}
+
+            def gap(i: int, j: int) -> float:
+                return hi[i] - lo[j]
+
+        shared = gap(a, b)
+        self.score_a[c] = min([shared if j == b else gap(a, j) for j in parties if j != a])
+        self.score_b[c] = max([shared if j == a else gap(j, b) for j in parties if j != b])
 
     def _resolve(self, c: int, declared: int) -> None:
         """Close seat c for the party the rule declared there."""
@@ -503,7 +465,6 @@ class ElectionRun:
                 self._leads[leader] += 1
         if declared is not None:
             self._resolve(c, declared)
-        self._stale[c] = self._every_end if declared is None else 0
         self._sampled.add(c)
         if self._kept is not None:
             self._kept[3].add(c)
@@ -623,8 +584,7 @@ class ElectionRun:
         scores are kept for the contender pair ``_pair``, and rescored, each
         seat through ``_rescore``, only where they may have changed: the
         seats sampled since the last selection while the pair holds, and
-        after a switch the seats ``_switch`` names. So every end a score
-        reads is solved at most once per batch of its seat.
+        after a switch the seats ``_switch`` names.
         """
         pair = self.dcb_contenders()
         if pair != self._pair:

@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 import statistics
@@ -152,6 +153,30 @@ class TestLoaderProperties:
         assert f"{path}:{at + 1}: " in str(err.value)
 
 
+class TestVotes:
+    @pytest.mark.parametrize(
+        "votes, party, message",
+        [
+            ((-1, 3), 0, "must be >= 0, got -1"),
+            ((2.5, 1), 0, "must be an int, got 2.5"),
+            ((math.nan, 3), 0, "must be an int, got nan"),
+            ((True, 0), 0, "must be an int, got True"),
+            ((3, 1e400), 1, "must be an int, got inf"),
+        ],
+        ids=["negative", "fraction", "nan", "bool", "inf"],
+    )
+    def test_a_vote_that_is_no_count_is_rejected(self, votes, party, message):
+        # the error names the constituency and the party index
+        with pytest.raises(ElectionDataError) as err:
+            ElectionInstance(("A", "B"), (Constituency("c0", (5, 1)), Constituency("c7", votes)))
+        assert str(err.value) == f"constituency c7 votes for party {party} {message}"
+
+    def test_numpy_int_votes_are_counts(self):
+        votes = tuple(np.int64(v) for v in (5, 1))
+        inst = ElectionInstance(("A", "B"), (Constituency("c0", votes),))
+        assert inst.seat_counts == (1, 0)
+
+
 class TestSyntheticInstance:
     def test_shape(self):
         inst = synthetic_election()
@@ -277,10 +302,11 @@ class TestSelection:
         for c, counts in enumerate([(1, 1), (6, 4), (6, 4), (300, 200)]):
             run.counts[c], run.totals[c] = list(counts), sum(counts)
             run._record(c, 0, None)  # as a batch the rule does not declare on
-        assert run.dcb_select() == (0, 0)  # solves the ends it reads
-        assert run.ucb[3].min() < 1.0
-        assert run.lcb[1].tolist() == run.lcb[2].tolist()
-        assert run.ucb[1].tolist() == run.ucb[2].tolist()
+        assert run.dcb_select() == (0, 0)  # reads the ends at each seat's counts
+        assert _same_scores(run, _eager_scores(run, _fresh_engine(run)))
+        assert run.score_a[3] < 1.0
+        assert run.score_a[1:3].tolist() == [run.score_a[1]] * 2
+        assert run.score_b[1:3].tolist() == [run.score_b[1]] * 2
         run._record(0, 0, 0)  # as a batch that declares c0 for A
         assert run.dcb_select() == (1, 1)
 
@@ -364,6 +390,40 @@ def _eager_widths(run, engine, c, lcb, ucb):
     return 2 * run.k if run.scheme == "1vr" else 2 * run.k * (run.k - 1)
 
 
+def _fresh_engine(run):
+    """A new engine equal to the run's rule engine."""
+    return BoundEngine(run.rule.engine.kind, run.rule.engine.alpha)
+
+
+def _scores_of(run, lcb, ucb):
+    """Every seat's two DCB scores for the run's contender pair (a, b), from
+    (C, K, K) widths: min_{j != a} (ucb[a, j] - lcb[j, a]) and max_{j != b}
+    (ucb[j, b] - lcb[b, j]), -inf at a resolved seat."""
+    a, b = run.dcb_contenders()
+    gap_a = ucb[:, a, :] - lcb[:, :, a]
+    gap_b = ucb[:, :, b] - lcb[:, b, :]
+    gap_a[:, a], gap_b[:, b] = np.inf, -np.inf
+    score_a, score_b = gap_a.min(axis=1), gap_b.max(axis=1)
+    closed = run.winner >= 0
+    score_a[closed] = score_b[closed] = -np.inf
+    return score_a, score_b
+
+
+def _eager_scores(run, engine):
+    """The scores from widths an eager refresh solves for every open seat at
+    its current counts, from the engine; an unsampled seat's are its 0.0
+    and 1.0 at zero counts."""
+    lcb, ucb = np.zeros((run.c, run.k, run.k)), np.ones((run.c, run.k, run.k))
+    for c in np.flatnonzero(run.winner < 0).tolist():
+        _eager_widths(run, engine, c, lcb, ucb)
+    return _scores_of(run, lcb, ucb)
+
+
+def _same_scores(run, scores):
+    """Whether the run's kept scores equal scores to the byte."""
+    return [run.score_a.tobytes(), run.score_b.tobytes()] == [x.tobytes() for x in scores]
+
+
 def _lazy_parity_instance(k):
     """Five constituencies with margins of 8-30 points over K parties and a
     strict seat winner."""
@@ -385,11 +445,12 @@ class TestLazyWidths:
     @pytest.mark.parametrize("rule", ELECTION_TOKENS)
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_reads_equal_an_eager_refresh(self, monkeypatch, rule, k):
-        # at every step the ends dcb_select reads, and its pick, equal those
+        # at every step the scores dcb_select keeps, and its pick, equal those
         # of an oracle that refreshes every width after every batch, and the
-        # run has solved no more ends than the oracle
+        # run, on a fresh end table, has solved no more ends than the oracle
+        monkeypatch.setattr(elections, "_END_TABLE", elections._EndTable())
         run = ElectionRun(_lazy_parity_instance(k), "dcb", rule, 0.1, 50, derive_stream(8, 0))
-        oracle = BoundEngine(run.rule.engine.kind, run.rule.engine.alpha)
+        oracle = _fresh_engine(run)
         solves = eager_solves = 0
         bound = BoundEngine.bound
 
@@ -399,7 +460,7 @@ class TestLazyWidths:
             return bound(engine, s, t, upper)
 
         monkeypatch.setattr(BoundEngine, "bound", counted_bound)
-        lcb, ucb = np.zeros_like(run.lcb), np.ones_like(run.ucb)
+        lcb, ucb = np.zeros((run.c, k, k)), np.ones((run.c, k, k))
         totals = [None] * run.c
         pair, switches, same_pick = None, 0, 0
         for _ in range(2000):
@@ -409,20 +470,11 @@ class TestLazyWidths:
                     eager_solves += _eager_widths(run, oracle, c, lcb, ucb)
                     totals[c] = sum(run.counts[c])
             a, b = run.dcb_contenders()
-            score_a = np.delete(ucb[:, a, :] - lcb[:, :, a], a, axis=1).min(axis=1)
-            score_b = np.delete(ucb[:, :, b] - lcb[:, b, :], b, axis=1).max(axis=1)
-            closed = [run.winner[c] >= 0 for c in range(run.c)]
-            score_a[closed] = score_b[closed] = -np.inf
-            expected = (int(np.argmax(score_a)), int(np.argmax(score_b)))
+            scores = _scores_of(run, lcb, ucb)
+            expected = (int(np.argmax(scores[0])), int(np.argmax(scores[1])))
             assert run.dcb_select() == expected
             assert solves <= eager_solves
-            # the entries the two scores read, bit for bit
-            reads = [(run.ucb, ucb, a, j) for j in range(k) if j != a]
-            reads += [(run.lcb, lcb, j, a) for j in range(k) if j != a]
-            reads += [(run.ucb, ucb, j, b) for j in range(k) if j != b]
-            reads += [(run.lcb, lcb, b, j) for j in range(k) if j != b]
-            for got, want, i, j in reads:
-                assert got[open_ids, i, j].tobytes() == want[open_ids, i, j].tobytes()
+            assert _same_scores(run, scores)  # bit for bit
             switches += pair is not None and pair != (a, b)
             same_pick += expected[0] == expected[1]
             pair = (a, b)
@@ -501,7 +553,8 @@ class TestEndTable:
         run = ElectionRun(synthetic_election(), "dcb", rule, 0.01, 200, derive_stream(1, 0))
         assert run.dcb_select() == (0, 0)
         assert solves == 0
-        assert not run.lcb.any() and (run.ucb == 1.0).all()
+        assert _same_scores(run, _eager_scores(run, _fresh_engine(run)))
+        assert (run.score_a == 1.0).all() and (run.score_b == 1.0).all()
 
     def test_holds_at_most_its_room_in_fixed_arrays(self):
         table = elections._EndTable()
@@ -580,6 +633,61 @@ class TestEndTable:
         assert (warm, warm_samples) == (cold, cold_samples)
         assert 0 < cold_size == warm_size
 
+    @pytest.mark.parametrize("rule", ["ppr-1v1", "kl-sn-1v1", "ppr-1vr", "lucb-1vr"])
+    @pytest.mark.parametrize("where", ["synthetic50", "k4"])
+    def test_each_end_read_is_solved_once(self, monkeypatch, rule, where):
+        # on a table with room, a whole run solves each distinct end it
+        # reads exactly once
+        solves = collections.Counter()
+        bound = BoundEngine.bound
+
+        def counted_bound(engine, s, t, upper):
+            solves[s, t, upper] += 1
+            return bound(engine, s, t, upper)
+
+        monkeypatch.setattr(BoundEngine, "bound", counted_bound)
+        monkeypatch.setattr(elections, "_END_TABLE", elections._EndTable())
+        if where == "synthetic50":
+            run = ElectionRun(synthetic_election(), "dcb", rule, 0.01, 200, derive_stream(1, 0))
+        else:
+            run = ElectionRun(_lazy_parity_instance(4), "dcb", rule, 0.1, 50, derive_stream(8, 0))
+        reads, solve = collections.Counter(), run._bound
+
+        def read(s, t, upper):
+            reads[s, t, upper] += 1
+            return solve(s, t, upper)
+
+        run._bound = read
+        while run.step() is None:
+            pass
+        assert reads and solves == collections.Counter(dict.fromkeys(reads, 1))
+
+    @pytest.mark.parametrize("rule", ["kl-sn-1v1", "ppr-1vr"])
+    def test_a_full_table_changes_no_output(self, monkeypatch, rule):
+        # with no room the table stores nothing and every read is a solve;
+        # the record, every pick and every kept score are those of a table
+        # with room
+        select = ElectionRun.dcb_select
+        traces = []
+
+        def traced(run):
+            picks = select(run)
+            traces[-1].append((picks, run.score_a.tobytes(), run.score_b.tobytes()))
+            return picks
+
+        monkeypatch.setattr(ElectionRun, "dcb_select", traced)
+        records, sizes = [], []
+        for room in (elections._END_ROOM, 0):
+            monkeypatch.setattr(elections, "_END_ROOM", room)
+            monkeypatch.setattr(elections, "_END_TABLE", elections._EndTable())
+            traces.append([])
+            inst = synthetic_election()
+            records.append(run_election(inst, "dcb", rule, 0.01, 200, derive_stream(1, 5)))
+            sizes.append(elections._END_TABLE.size)
+        assert records[0] == records[1]
+        assert traces[0] == traces[1] and len(traces[0]) > 1
+        assert sizes[0] > 0 == sizes[1]
+
 
 def _count_solves(monkeypatch):
     """Count BoundEngine.bound calls into the returned one-item list, on a
@@ -600,8 +708,8 @@ class TestSelectionCache:
     @pytest.mark.parametrize("rule", ["ppr-1v1", "kl-sn-1v1", "ppr-1vr", "lucb-1vr"])
     def test_selection_without_a_batch_solves_nothing(self, monkeypatch, rule):
         # a second selection with no batch since the first rescores no seat:
-        # it returns the same pair, solves no end and leaves every width and
-        # score unchanged to the byte
+        # it returns the same pair, solves no end and leaves every score
+        # unchanged to the byte, equal to a fresh engine's eager scores
         solves = _count_solves(monkeypatch)
         run = ElectionRun(_lazy_parity_instance(3), "dcb", rule, 0.1, 50, derive_stream(8, 3))
         first_solves = 0
@@ -609,11 +717,12 @@ class TestSelectionCache:
             solves[0] = 0
             pair = run.dcb_select()
             first_solves += solves[0]
-            state = [x.tobytes() for x in (run.lcb, run.ucb, run.score_a, run.score_b)]
+            state = [run.score_a.tobytes(), run.score_b.tobytes()]
             solves[0] = 0
             assert run.dcb_select() == pair
             assert solves[0] == 0
-            assert [x.tobytes() for x in (run.lcb, run.ucb, run.score_a, run.score_b)] == state
+            assert [run.score_a.tobytes(), run.score_b.tobytes()] == state
+            assert _same_scores(run, _eager_scores(run, _fresh_engine(run)))
             if run.step() is not None:
                 break
         else:
@@ -630,23 +739,12 @@ class TestSelectionCache:
         returns = new_pairs = 0
         for trial in range(4):
             run = ElectionRun(_lazy_parity_instance(3), "dcb", rule, 0.1, 50, derive_stream(8, trial))
-            oracle = BoundEngine(run.rule.engine.kind, run.rule.engine.alpha)
+            oracle = _fresh_engine(run)
             pairs = [run.dcb_contenders()]
             for _ in range(2000):
                 run.dcb_select()
                 a, b = run.dcb_contenders()
-                lcb, ucb = np.zeros_like(run.lcb), np.ones_like(run.ucb)
-                open_ids = [c for c in range(run.c) if run.winner[c] < 0]
-                for c in open_ids:
-                    _eager_widths(run, oracle, c, lcb, ucb)
-                gap_a = ucb[:, a, :] - lcb[:, :, a]
-                gap_b = ucb[:, :, b] - lcb[:, b, :]
-                gap_a[:, a], gap_b[:, b] = np.inf, -np.inf
-                score_a, score_b = gap_a.min(axis=1), gap_b.max(axis=1)
-                closed = [c for c in range(run.c) if run.winner[c] >= 0]
-                score_a[closed] = score_b[closed] = -np.inf
-                assert run.score_a.tobytes() == score_a.tobytes()
-                assert run.score_b.tobytes() == score_b.tobytes()
+                assert _same_scores(run, _eager_scores(run, oracle))
                 if (a, b) != pairs[-1]:
                     returns += len(pairs) > 1 and (a, b) == pairs[-2]
                     new_pairs += len(pairs) == 1 or (a, b) != pairs[-2]
