@@ -369,7 +369,7 @@ class ElectionRun:
         _probability("delta", delta)
         _, scheme = parse_rule_token(rule_token)
         if scheme not in ("1v1", "1vr"):
-            # the DCB formulas need the bound widths of an engine
+            # the DCB scores need the bound ends of an engine
             raise ValueError(
                 f"election rules must be <engine>-1v1 or <engine>-1vr, got {rule_token!r}"
             )
