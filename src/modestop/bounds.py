@@ -18,8 +18,8 @@ margins ``<= 0``: for finite floats fl(a - b) <= 0 exactly when a <= b.
 
 For all five engines the two-sided intervals are mirror images under
 p -> 1 - p, so the tests are exactly equivalent to the interval
-comparisons while avoiding the numeric inversions in the per-sample loop
-(the equivalence is asserted in the test suite).
+comparisons without their numeric inversions (the equivalence is asserted
+in the test suite).
 
 On the ppr engine the two margins subtract the engine's ``log_alpha`` from
 a log density: ``log_beta_pdf_half`` for the pair and
@@ -28,9 +28,9 @@ only statements of the ppr-1v1 and ppr-1vr statistics; the crossing-inequality
 sweep in ``theory`` calls them, and the chunk screens their array twins.
 
 ``pair_margin_array`` and ``one_vs_rest_margin_array`` are the margins'
-array twins for all five engines: over arrays of counts they return the
-same differences, with a slack for numpy's rounding. The stopping rules
-screen whole chunks of a sample path with them.
+array twins for all five engines, with a slack for numpy's rounding.
+``PairBoundary.solve`` builds every 1v1 pair table with the first; 1vr
+rules screen chunks and round-robin election rounds with the second.
 """
 
 from __future__ import annotations

@@ -14,27 +14,27 @@ Two polling policies are provided: round-robin over unresolved
 constituencies, and the confidence-bound-difference policy that each step
 queries one promising constituency for each of the two aggregate contenders.
 Its bound ends come from the rule's own engine, at the rule's per-test
-mistake probability. Each constituency's two scores are kept for the current
-contender pair and the one before it, so a selection rescores only the
-constituencies sampled since the last one, a return to the pair before only
-those sampled since it was left, and a new pair only the open sampled ones;
-an unsampled one scores 1.0, as every engine's ends at zero counts are
-exactly 0.0 and 1.0. A rescore reads its ends through one process-wide
-table: an end is a pure function of the engine and its integer counts, so
-one whose key fits is solved at most once while the table has room.
+mistake probability. Each constituency's two scores are kept for every
+contender pair seen so far, so a selection rescores only the constituencies
+sampled since its pair was last scored and, for a pair seen for the first
+time, the open sampled ones; an unsampled one scores 1.0, as every engine's
+ends at zero counts are exactly 0.0 and 1.0. A rescore reads its ends
+through one process-wide table: an end is a pure function of the engine and
+its integer counts, so one whose key fits is solved at most once while the
+table has room.
 
 A run owns its stream, and each policy draws from it in its own way. A
-round-robin step is a round: the open constituencies from the cursor to the
-last id, each polled once, in id order. It draws its batches in slices of
-at most _DRAW_AHEAD_UNIFORMS uniforms (or one batch), counts a slice with
-one comparison of each uniform against each cumulative share and screens
-it with the rule's ``margin_rows``; the first poll that declares a party,
-or that reaches the sample cap, ends the run, and the stream is left past
-the stop by at most the rest of one slice. DCB draws the uniforms of 4, 8,
-... batches at a time, the first time it polls, sorts each batch's row once
-and counts a batch by K - 1 searches for the constituency's cumulative
-shares; the stream is left past the stop by at most one block. Either way
-the counts are the ones drawing and counting batch by batch gives.
+round-robin step is a round: every open constituency, each polled once, in
+id order. It draws its batches in slices of at most _DRAW_AHEAD_UNIFORMS
+uniforms (or one batch), counts a slice with one comparison of each uniform
+against each cumulative share and screens it with the rule's
+``margin_rows``; the first poll that declares a party, or that reaches the
+sample cap, ends the run, and the stream is left past the stop by at most
+the rest of one slice. DCB draws the uniforms of 4, 8, ... batches at a
+time, the first time it polls, sorts each batch's row once and counts a
+batch by K - 1 searches for the constituency's cumulative shares; the
+stream is left past the stop by at most one block. Either way the counts
+are the ones drawing and counting batch by batch gives.
 """
 
 from __future__ import annotations
@@ -195,13 +195,13 @@ def load_election_csv(path) -> ElectionInstance:
 
 
 def write_election_csv(instance: ElectionInstance, path) -> None:
+    """Write every `constituency,party,votes` row, zero votes included."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["constituency", "party", "votes"])
         for con in instance.constituencies:
-            for pidx, votes in enumerate(con.votes):
-                if votes > 0:
-                    writer.writerow([con.cid, instance.parties[pidx], votes])
+            for party, votes in zip(instance.parties, con.votes):
+                writer.writerow([con.cid, party, votes])
 
 
 def synthetic_election() -> ElectionInstance:
@@ -348,6 +348,7 @@ class ElectionRun:
     DCB keeps seat c's two scores for the contender pair ``_pair`` in
     ``score_a[c]`` and ``score_b[c]``, from its bound ends at its counts read
     through the end table; an unsampled seat's ends are 0.0 and 1.0.
+    ``_scores`` holds them for every pair seen so far, at most K(K - 1).
 
     The run owns ``stream`` and draws nothing before its first poll, so a
     run rejected by its constructor leaves the stream untouched. A
@@ -397,7 +398,6 @@ class ElectionRun:
         self._sample_cap = DEFAULT_ELECTION_SAMPLE_CAP
         if policy == "rr":
             self.counts = np.zeros((self.c, self.k), dtype=np.int64)
-            self._rr_cursor = 0
             return
         # the uniforms drawn ahead, one sorted batch a row, and the next row
         self._block = np.empty((0, batch))
@@ -409,14 +409,13 @@ class ElectionRun:
         self._leads = [0] * self.k
         self._bound = _end_table().solver(self.rule.engine)
         # each seat's two scores for the contender pair _pair, kept by
-        # _rescore, 1.0 - 0.0 before its first batch, and the seats sampled
-        # since they were last scored
+        # _rescore, 1.0 - 0.0 before its first batch
         self.score_a = np.ones(self.c)
         self.score_b = np.ones(self.c)
         self._pair = self.dcb_contenders()
-        self._sampled: set[int] = set()
-        # the same four for the pair before _pair, None before a switch
-        self._kept: tuple | None = None
+        # every pair seen so far: its two scores and the seats sampled since
+        # they were last scored
+        self._scores = {self._pair: (self.score_a, self.score_b, set())}
 
     # -- per-constituency bookkeeping -------------------------------------
 
@@ -465,9 +464,8 @@ class ElectionRun:
                 self._leads[leader] += 1
         if declared is not None:
             self._resolve(c, declared)
-        self._sampled.add(c)
-        if self._kept is not None:
-            self._kept[3].add(c)
+        for _, _, stale in self._scores.values():
+            stale.add(c)
 
     def _draw_ahead(self) -> None:
         """Draw the next block of batches, a sorted row each. PCG64 draws
@@ -499,15 +497,8 @@ class ElectionRun:
     # -- selection policies ------------------------------------------------
 
     def rr_select(self) -> np.ndarray:
-        """The open seats of the next round, in id order: those from the
-        cursor to the last id, or every open seat when none of those is."""
-        seats = np.flatnonzero(self.winner[self._rr_cursor :] < 0) + self._rr_cursor
-        if not len(seats):
-            self._rr_cursor = 0
-            seats = np.flatnonzero(self.winner < 0)
-            if not len(seats):
-                raise AssertionError("unreachable: unresolved count out of sync")
-        return seats
+        """The open seats, in id order: the next round."""
+        return np.flatnonzero(self.winner < 0)
 
     def _poll_round(self) -> int | None:
         """Poll the round ``rr_select`` names, one batch a seat, up to the
@@ -544,7 +535,6 @@ class ElectionRun:
                         break
             self.counts[part[:kept]] = rows[:kept]
             self.samples += kept * batch
-            self._rr_cursor = int(part[kept - 1]) + 1
             if winner is not None or not self.unresolved:
                 return self._verdict(winner)
         return None
@@ -559,39 +549,29 @@ class ElectionRun:
         rivals[a] = -1  # below every party's wins
         return a, rivals.index(max(rivals))
 
-    def _switch(self, pair: tuple[int, int]) -> None:
-        """Make pair the scored contender pair, keeping the outgoing pair's
-        scores and the seats sampled since them in ``_kept``. A return to the
-        kept pair takes its scores back, so only the seats sampled since are
-        rescored. Any other pair starts from a copy of the outgoing scores,
-        exact for every seat but the open sampled ones (``leader`` >= 0) and
-        those in ``_sampled``: a resolved seat scores -inf and an unsampled one
-        1.0 under every pair, so those two sets are the seats to rescore."""
-        outgoing = (self._pair, self.score_a, self.score_b, self._sampled)
-        if self._kept is not None and self._kept[0] == pair:
-            _, self.score_a, self.score_b, self._sampled = self._kept
-        else:
-            self.score_a, self.score_b = self.score_a.copy(), self.score_b.copy()
-            self._sampled = self._sampled | set(np.flatnonzero(self.leader >= 0).tolist())
-        self._pair, self._kept = pair, outgoing
-
     def dcb_select(self) -> tuple[int, int]:
         """One promising constituency for each aggregate contender.
 
         It reads the contenders off ``wins`` and the lead counts, and picks
         the seats with the highest ``score_a`` and ``score_b``, ties to the
         lowest id (``argmax``); ``step`` runs only while a seat is open. The
-        scores are kept for the contender pair ``_pair``, and rescored, each
-        seat through ``_rescore``, only where they may have changed: the
-        seats sampled since the last selection while the pair holds, and
-        after a switch the seats ``_switch`` names.
+        pair's scores are kept in ``_scores`` and rescored, each seat through
+        ``_rescore``, only where they may have changed: the seats sampled
+        since the pair was last scored. A pair seen for the first time
+        starts from a copy of the current pair's scores, exact for every
+        seat but the open sampled ones (``leader`` >= 0) and the current
+        pair's stale seats: a resolved seat scores -inf and an unsampled one
+        1.0 under every pair, so those two sets are its stale seats.
         """
         pair = self.dcb_contenders()
-        if pair != self._pair:
-            self._switch(pair)
-        for c in self._sampled:
+        if pair not in self._scores:
+            stale = self._scores[self._pair][2] | set(np.flatnonzero(self.leader >= 0).tolist())
+            self._scores[pair] = (self.score_a.copy(), self.score_b.copy(), stale)
+        self._pair = pair
+        self.score_a, self.score_b, stale = self._scores[pair]
+        for c in stale:
             self._rescore(c)
-        self._sampled = set()
+        stale.clear()
         return int(self.score_a.argmax()), int(self.score_b.argmax())
 
     # -- aggregate ----------------------------------------------------------

@@ -1,8 +1,10 @@
 import collections
+import functools
 import math
 import random
 import statistics
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -88,6 +90,18 @@ class TestLoader:
         assert again.parties == inst.parties
         assert again.seat_counts == inst.seat_counts
 
+    def test_roundtrip_keeps_zero_vote_parties(self, tmp_path):
+        # C polls nothing in c2 and D nowhere: the file still lists every
+        # party in index order
+        inst = ElectionInstance(
+            ("A", "B", "C", "D"),
+            (Constituency("c1", (5, 0, 3, 0)), Constituency("c2", (1, 7, 0, 0))),
+        )
+        path = tmp_path / "zeros.csv"
+        write_election_csv(inst, path)
+        assert load_election_csv(path) == inst
+        assert path.read_text(encoding="utf-8").splitlines()[1:4] == ["c1,A,5", "c1,B,0", "c1,C,3"]
+
     def test_parliament_scale_file(self, tmp_path):
         # a 543-seat file in the national-election shape loads with C=543
         lines = ["constituency,party,votes"]
@@ -109,12 +123,9 @@ def _elections(draw):
     parties = tuple(draw(st.lists(_NAMES, min_size=2, max_size=5, unique=True)))
     cids = draw(st.lists(_NAMES, min_size=1, max_size=8, unique=True))
     constituencies = []
-    for i, cid in enumerate(cids):
-        # every party polls in the first constituency, so the file lists the
-        # parties in index order
-        floor = 1 if i == 0 else 0
+    for cid in cids:
         votes = draw(
-            st.lists(st.integers(floor, 10**6), min_size=len(parties), max_size=len(parties))
+            st.lists(st.integers(0, 10**6), min_size=len(parties), max_size=len(parties))
             .filter(lambda v: sum(1 for x in v if x == max(v)) == 1)
         )
         constituencies.append(Constituency(cid, tuple(votes)))
@@ -245,32 +256,34 @@ class TestSelection:
         with pytest.raises(ValueError, match=rf"^batch size must be >= 1, got {batch}$"):
             ElectionRun(self._tiny(), "rr", "ppr-1v1", 0.1, batch, derive_stream(0, 0))
 
+    def _rr_rounds_in_id_order(self, run, rounds):
+        """Step the two-party batch-1 run on stream (0, 0) a round at a time
+        and check each step polls every open seat once, in id order: seat
+        c's sample is the round's next uniform, against its first share."""
+        oracle = derive_stream(0, 0)
+        expected = run.counts.copy()
+        for _ in range(rounds):
+            seats = np.flatnonzero(run.winner < 0).tolist()
+            assert run.rr_select().tolist() == seats
+            assert run.step() is None  # one sample cannot declare
+            for c, u in zip(seats, oracle.uniforms(len(seats)).tolist()):
+                expected[c, int(u >= run.cuts[c, 0])] += 1
+            assert run.counts.tolist() == expected.tolist()
+
     def test_rr_cycles_in_id_order(self):
-        # a round is the open seats from the cursor to the last id; the next
-        # starts over at the first id
+        # a round is every open seat, in id order
         run = ElectionRun(self._tiny(), "rr", "ppr-1v1", 0.1, 1, derive_stream(0, 0))
         assert run.rr_select().tolist() == [0, 1, 2]
-        run._rr_cursor = 2
-        assert run.rr_select().tolist() == [2]
-        run._rr_cursor = 3
-        assert run.rr_select().tolist() == [0, 1, 2]
-        # one sample cannot declare, so each step polls every seat once
-        for rounds in (1, 2):
-            assert run.step() is None
-            assert run.counts.sum(axis=1).tolist() == [rounds] * 3
-            assert run._rr_cursor == 3
+        self._rr_rounds_in_id_order(run, 2)
+        assert run.counts.sum(axis=1).tolist() == [2] * 3
 
     def test_rr_skips_resolved(self):
         run = ElectionRun(self._tiny(), "rr", "ppr-1v1", 0.1, 1, derive_stream(0, 0))
-        run._rr_cursor = 1
         run.winner[1] = 1  # a hand-set winner closes the seat
         run.unresolved -= 1
-        assert run.rr_select().tolist() == [2]
-        run.step()
-        assert run.counts.sum(axis=1).tolist() == [0, 0, 1]
         assert run.rr_select().tolist() == [0, 2]
-        run.step()
-        assert run.counts.sum(axis=1).tolist() == [1, 0, 2]
+        self._rr_rounds_in_id_order(run, 2)
+        assert run.counts.sum(axis=1).tolist() == [2, 0, 2]
 
     def test_single_constituency_always_selected(self):
         inst = ElectionInstance(("A", "B"), (Constituency("only", (80, 20)),))
@@ -734,8 +747,8 @@ class TestSelectionCache:
         # after every selection, a switch of contender pair included, each
         # open seat's scores equal a full recompute from a fresh
         # engine's intervals at its current counts; a resolved seat's are -inf.
-        # The runs switch both back to the pair before the last one, whose
-        # scores are kept, and to a pair not kept
+        # The runs switch both back to the pair before the last one and to
+        # another pair
         returns = new_pairs = 0
         for trial in range(4):
             run = ElectionRun(_lazy_parity_instance(3), "dcb", rule, 0.1, 50, derive_stream(8, trial))
@@ -754,6 +767,71 @@ class TestSelectionCache:
             else:
                 pytest.fail(f"{rule} ran 2000 steps")
         assert returns >= 1 and new_pairs >= 1
+
+    @pytest.mark.parametrize("rule", ["ppr-1v1", "kl-sn-1vr"])
+    def test_a_return_to_any_pair_rescores_only_the_seats_sampled_since(
+        self, monkeypatch, rule
+    ):
+        # three parties trade the lead, so runs return both to the pair
+        # before the last and to older ones. On every return the open seats
+        # rescored are exactly those sampled since the pair was last current,
+        # and after every selection the scores equal a fresh engine's eager
+        # scores
+        rescored, sampled_since = [], {}
+        rescore, sample_batch = ElectionRun._rescore, ElectionRun._sample_batch
+
+        def sample(run, c):
+            sample_batch(run, c)
+            for seats in sampled_since.values():
+                seats.add(c)
+
+        monkeypatch.setattr(ElectionRun, "_rescore", lambda run, c: rescored.append(c)
+                            or rescore(run, c))
+        monkeypatch.setattr(ElectionRun, "_sample_batch", sample)
+        returns = older = 0
+        oracle = None
+        for trial in range(4):
+            run = ElectionRun(_trading_map(), "dcb", rule, 0.1, 50, derive_stream(8, trial))
+            if oracle is None:  # a fresh engine, each interval (a pure function) solved once
+                interval = functools.cache(_fresh_engine(run).interval)
+                oracle = types.SimpleNamespace(interval=interval)
+            sampled_since.clear()
+            pairs = [run.dcb_contenders()]
+            for _ in range(2000):
+                pair = run.dcb_contenders()
+                rescored.clear()
+                run.dcb_select()
+                assert _same_scores(run, _eager_scores(run, oracle))
+                if pair != pairs[-1]:
+                    if pair in sampled_since:
+                        opened = {c for c in rescored if run.winner[c] < 0}
+                        assert opened == {c for c in sampled_since[pair] if run.winner[c] < 0}
+                        returns += 1
+                        older += len(pairs) > 1 and pair != pairs[-2]
+                    pairs.append(pair)
+                sampled_since[pair] = set()
+                if run.step() is not None:
+                    break
+            else:
+                pytest.fail(f"{rule} ran 2000 steps")
+        assert returns > older >= 1
+
+
+def _trading_map():
+    """16 seats where three parties trade the lead: seat i < 15 is won by
+    party i % 3 with 3300-4200 votes over a runner-up with 3000 that
+    alternates between the other two, the third party holding 1000, and
+    seat 15 is party 0's by 9000 to 500 each."""
+    rng = random.Random(0)
+    rows = []
+    for i in range(15):
+        winner, votes = i % 3, [1000] * 3
+        votes[(winner + 1 + (i // 3) % 2) % 3] = 3000
+        votes[winner] = int(3000 * (1 + rng.choice((0.1, 0.2, 0.4))))
+        rows.append(tuple(votes))
+    rows.append((9000, 500, 500))
+    seats = tuple(Constituency(f"c{i}", votes) for i, votes in enumerate(rows))
+    return ElectionInstance(("A", "B", "C"), seats)
 
 
 class TestRunState:

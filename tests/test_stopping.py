@@ -1,10 +1,11 @@
 import hashlib
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modestop.blockchain import NodePool, draw_batch, run_verification
@@ -1122,3 +1123,41 @@ class TestTinyDelta:
             assert _a1_width(s, t, alpha) == a1_width(s, t, alpha)
             array = _a1_width_array(np.array([float(s)]), np.array([float(t)]), alpha)
             assert array.tolist() == [a1_width(float(s), float(t), alpha, np.log, np.sqrt)]
+
+
+def _strict_mode_instance(k, lead, at):
+    """K values, value ``at`` the mode by a weight of 1 + lead against 1."""
+    weights = [1.0 + lead if i == at else 1.0 for i in range(k)]
+    return DiscreteInstance(tuple(w / (k + lead) for w in weights))
+
+
+@st.composite
+def _grammar_cases(draw):
+    k = draw(st.sampled_from([2, 3, 10, 257, 1000]))
+    inst = _strict_mode_instance(k, draw(st.sampled_from([0.01, 1.0, 100.0])),
+                                 draw(st.integers(0, k - 1)))
+    # log-uniform in [5e-324, 1): exp(log(5e-324)) is 5e-324 itself
+    delta = math.exp(draw(st.floats(math.log(5e-324), 0.0, exclude_max=True)))
+    assume(delta < 1.0)
+    cap = draw(st.sampled_from([1, 2, 50, 300]))
+    return draw(st.sampled_from(RULE_TOKENS)), inst, delta, cap
+
+
+class TestRuleGrammarProperty:
+    @given(_grammar_cases())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_every_input_declares_caps_or_names_delta_or_k(self, case):
+        # a run gives a record or SampleCapExceeded; an input it cannot run
+        # is a ValueError naming delta or K, raised before any draw
+        token, inst, delta, cap = case
+        stream = derive_stream(0, 0)
+        state = stream.generator.bit_generator.state
+        try:
+            record = run_mode_estimation(inst, token, delta, stream, sample_cap=cap)
+        except SampleCapExceeded:
+            return
+        except ValueError as err:
+            assert re.search(r"\bdelta\b|\bK\b", str(err)), str(err)
+            assert stream.generator.bit_generator.state == state
+            return
+        assert 1 <= record.samples <= cap and 0 <= record.declared < inst.k
